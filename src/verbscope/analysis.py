@@ -111,6 +111,7 @@ class RegressionResult:
     r_squared: float
     n: int
     reference_levels: tuple[str, str]  # (dataset, condition)
+    duplicates: int = 0  # observations equal to another one of their cell
 
 
 def _pick_reference(levels: list[str], preferred: Sequence[str]) -> str:
@@ -187,7 +188,13 @@ def ols_interaction(
     ref_dataset: str | None = None,
     ref_condition: str | None = None,
 ) -> RegressionResult:
-    """Fit accuracy ~ dataset * condition by QR-decomposed least squares."""
+    """Fit accuracy ~ dataset * condition by QR-decomposed least squares.
+
+    Every observation is a replicate row. Exact duplicates (such as the
+    seed-independent ORIGINAL rows of a run) are counted in ``duplicates``
+    but still fitted, so the estimates match the rows as given.
+    """
+    observations = list(observations)
     X, y, terms, reference = design_matrix(observations, ref_dataset, ref_condition)
     n, k = X.shape
     if np.linalg.matrix_rank(X) < k:
@@ -231,6 +238,7 @@ def ols_interaction(
         r_squared=float(r2),
         n=n,
         reference_levels=reference,
+        duplicates=n - len(set(map(tuple, observations))),
     )
 
 
@@ -239,6 +247,7 @@ def format_regression(result: RegressionResult) -> str:
     header = f"{'term':<40} {'estimate':>12} {'std_err':>12} {'t':>10} {'p':>10}"
     lines = [
         f"OLS: accuracy ~ dataset * condition  (n={result.n}, "
+        f"{result.duplicates} exact duplicate replicates, "
         f"R^2={result.r_squared:.4f}, reference: dataset="
         f"{result.reference_levels[0]}, condition={result.reference_levels[1]})",
         header,

@@ -1,0 +1,30 @@
+"""Crash-safe text file writes.
+
+A reader of a path written through ``atomic_write`` sees either the old
+file or the whole new one, never a prefix: the text goes to a temp file in
+the same directory, which replaces the target with ``os.replace`` only once
+it is complete. A process killed mid-write leaves at most a stray temp file
+(``.<name>.<pid>.tmp``) beside the untouched target. There is no fsync, so
+this guards against the process dying, not against the machine losing power.
+The temp name is per process: two threads must not write one path at once.
+"""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from pathlib import Path
+
+
+@contextmanager
+def atomic_write(path, newline: str | None = None):
+    """Open ``path`` for UTF-8 text writing; it appears only if the body succeeds."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

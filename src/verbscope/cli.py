@@ -358,6 +358,7 @@ def _cmd_run(args) -> int:
         )
     result = run_experiment(config)
     print(f"results -> {result.out_dir}/results.csv")
+    print(result.summary(), file=sys.stderr)
     if result.failures:
         for cell, error in result.failures:
             print(f"FAILED {cell}: {error}", file=sys.stderr)

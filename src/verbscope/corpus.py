@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Iterable, Iterator, Mapping
 
+from .atomic import atomic_write
+
 UNK_TAG = "UNK"
 
 SPLIT_LABELS = ("train", "dev", "test", "unsplit")
@@ -45,6 +47,15 @@ class Token:
     def __post_init__(self):
         if not self.form:
             raise ValueError("token form must be non-empty")
+        # tab, newline and CR would break every tab- and line-delimited file;
+        # isprintable() is a cheap pre-check that all three fail
+        if not (self.form.isprintable() and self.lemma.isprintable()):
+            for name in ("form", "lemma"):
+                value = getattr(self, name)
+                if "\t" in value or "\n" in value or "\r" in value:
+                    raise ValueError(
+                        f"token {name} {value!r} contains a tab, newline or carriage return"
+                    )
 
 
 def tag_pair(token: Token) -> tuple[str, str]:
@@ -199,7 +210,7 @@ def bin_candidates(
 
 def save_table(table: FrequencyTable, path) -> None:
     """Write a frequency table as sorted TSV: upos, xpos, form, count."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("verbscope-table/1\n")
         for (upos, xpos, form), c in sorted(table.counts.items()):
             fh.write(f"{upos}\t{xpos}\t{form}\t{c}\n")

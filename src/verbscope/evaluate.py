@@ -14,6 +14,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .atomic import atomic_write
+
 
 class Labels(NamedTuple):
     train_domain: str = ""
@@ -166,14 +168,14 @@ def write_results_csv(results: Sequence[EvalResult], path) -> None:
     for r in results:
         rows.extend(result_rows(r))
     rows.sort(key=lambda r: tuple(str(r[c]) for c in RESULT_COLUMNS))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
 
 
 def write_matrix_csv(matrix: CrossDomainMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["train\\eval"] + list(matrix.eval_domains))
         for t in matrix.train_domains:

@@ -10,8 +10,18 @@ domain's pairs.
 
 Cells run in parallel up to the configured thread count; every stage
 derives its randomness from (seed, index) streams, so outputs are byte
-identical regardless of scheduling. Completed cells are cached under a
-hash of the config and input files and are skipped on re-runs.
+identical regardless of scheduling.
+
+Each cell's result is cached in ``<domain>/<condition>/seed<N>/cell.json``
+under a key over the inputs that determine it: the config fields other
+than threads, out_dir, seeds and conditions, plus the cell's condition,
+its seed when the condition draws on one (never for ORIGINAL), and the
+sha256 of the corpora it reads (its own for a perturbed cell, every
+prepared domain's for ORIGINAL, which scores all their pairs). Cells that
+share a key are computed once per run: adding a seed or a condition
+computes only the new cells, and the ORIGINAL cells of every seed share
+one model. A record that is missing, unreadable or keyed differently is a
+cache miss, and every file is written whole or not at all (``atomic``).
 
 Config files are flat key = value text (a TOML subset, parsed in-package):
 strings quoted, booleans true/false, numbers bare, lists in brackets.
@@ -28,6 +38,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
+from .atomic import atomic_write
 from .corpus import Corpus, build_frequency_table, save_table
 from .evaluate import (
     EvalResult,
@@ -56,9 +67,9 @@ from .pairgen import (
     gen_semantic_pairs,
     write_pairs,
 )
-from .perturb import CONDITIONS, ORIGINAL, REPLACE_WORD, perturb_corpus
+from .perturb import CONDITIONS, ORIGINAL, REPLACE_WORD, PerturbReport, perturb_corpus
 from .scorer import score_sentences, train_ngram, write_scores
-from .scorer.scoring import pair_items, read_pair_scores
+from .scorer.scoring import pair_items, scored_pairs
 from .stats import compare_replacement_rates, compute_stats, write_rates_csv, write_stats_csv
 
 FORMATS = ("conllu", "text", "chat")
@@ -120,6 +131,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown condition {cond!r}")
         if not self.seeds:
             raise ValueError("config needs at least one seed")
+        for name in ("conditions", "seeds"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat, got {values}")
         domains = [c.domain for c in self.corpora]
         if len(set(domains)) != len(domains):
             raise ValueError("corpus domains must be unique")
@@ -188,18 +203,51 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _config_hash(config: ExperimentConfig) -> str:
-    payload = asdict(config)
-    payload.pop("threads")  # scheduling must not change outputs
-    payload.pop("out_dir")
-    payload["corpus_files"] = {c.domain: _sha256(c.path) for c in config.corpora}
+def _digest(payload: dict) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, default=str).encode()
     ).hexdigest()
 
 
+def _config_hash(config: ExperimentConfig, shas: dict) -> str:
+    payload = asdict(config)
+    payload.pop("threads")  # scheduling must not change outputs
+    payload.pop("out_dir")
+    payload["corpus_files"] = shas
+    return _digest(payload)
+
+
+def _cell_key(config: ExperimentConfig, shas: dict, cell: tuple, prepared) -> str:
+    """Cache key of one cell: the inputs that determine its rows and report.
+
+    Corpora enter by content, not path: a perturbed cell reads its own
+    corpus, an ORIGINAL cell the pairs of every prepared domain too.
+    """
+    domain, condition, seed = cell
+    payload = asdict(config)
+    for name in ("threads", "out_dir", "seeds", "conditions", "corpora"):
+        payload.pop(name)
+    read = prepared if condition == ORIGINAL else (domain,)
+    payload["corpora"] = [
+        {"domain": c.domain, "format": c.format, "sha256": shas[c.domain]}
+        for c in config.corpora
+        if c.domain in read
+    ]
+    payload["cell"] = [domain, condition, None if condition == ORIGINAL else seed]
+    return _digest(payload)
+
+
 def _slug(condition: str) -> str:
     return condition.lower().replace(".", "-")
+
+
+def _cell_name(cell: tuple) -> str:
+    return "/".join(map(str, cell))
+
+
+def _cell_dir(out: Path, cell: tuple) -> Path:
+    domain, condition, seed = cell
+    return out / domain / _slug(condition) / f"seed{seed}"
 
 
 @dataclass
@@ -208,6 +256,17 @@ class ExperimentResult:
     out_dir: Path
     failures: list
     results: list
+    cells: list  # every (domain, condition, seed) of the run
+    computed: list  # the cells this run computed; the rest were cached or failed
+
+    def summary(self) -> str:
+        failed = {name for name, _error in self.failures}
+        n_failed = sum(_cell_name(c) in failed for c in self.cells)
+        cached = len(self.cells) - len(self.computed) - n_failed
+        return (
+            f"{len(self.cells)} cells: {len(self.computed)} computed, "
+            f"{cached} cached, {n_failed} failed"
+        )
 
 
 @dataclass
@@ -255,7 +314,7 @@ def _prepare_domain(config: ExperimentConfig, spec: CorpusSpec, out: Path) -> _D
     counters["semantic_verb_lemmas"] = distinct_verb_lemmas(pairs)
     if agreement_note:
         counters["agreement_skipped"] = agreement_note
-    with open(ddir / "pairs" / "genreport.json", "w", encoding="utf-8") as fh:
+    with atomic_write(ddir / "pairs" / "genreport.json") as fh:
         json.dump(counters, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return _DomainData(
@@ -265,23 +324,10 @@ def _prepare_domain(config: ExperimentConfig, spec: CorpusSpec, out: Path) -> _D
     )
 
 
-def _run_cell(
-    config: ExperimentConfig,
-    domains: dict,
-    domain: str,
-    condition: str,
-    seed: int,
-    out: Path,
-    run_hash: str,
-):
-    """One experiment cell; returns (eval rows, replacement report dict)."""
-    cell_dir = out / domain / _slug(condition) / f"seed{seed}"
-    marker = cell_dir / "cell.json"
-    if marker.exists():
-        with open(marker, encoding="utf-8") as fh:
-            cached = json.load(fh)
-        if cached.get("hash") == run_hash:
-            return cached["rows"], cached["report"]
+def _run_cell(config: ExperimentConfig, domains: dict, cell: tuple, out: Path):
+    """Compute one cell; returns (eval rows, replacement report dict)."""
+    domain, condition, seed = cell
+    cell_dir = _cell_dir(out, cell)
     cell_dir.mkdir(parents=True, exist_ok=True)
     data: _DomainData = domains[domain]
 
@@ -290,8 +336,6 @@ def _run_cell(
         include_propn=config.include_propn,
         pin_final_punct=config.pin_final_punct,
     )
-    with open(cell_dir / "perturb.json", "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
     lm = train_ngram(
         perturbed, config.lm_order, min_count_unk=config.min_count_unk,
         discount=config.discount,
@@ -308,26 +352,46 @@ def _run_cell(
         pairs = domains[eval_domain].pairs
         scores = score_sentences(lm, pair_items(pairs))
         write_scores(scores, cell_dir / f"scores-{eval_domain}.tsv")
-        scored = read_pair_scores(cell_dir / f"scores-{eval_domain}.tsv")
-        # seeds stack as replicate rows; per-seed traces live in the cell dir
+        # seeds stack as replicate rows; score traces live in the computing cell dir
         result = evaluate(
-            scored,
+            scored_pairs(pairs, scores),
             domains[eval_domain].pairs_meta,
             Labels(domain, eval_domain, condition, None),
         )
         rows.extend(result_rows(result))
-    with open(marker, "w", encoding="utf-8") as fh:
+    return rows, asdict(report)
+
+
+def _load_record(out: Path, cell: tuple, key: str) -> dict | None:
+    """The cell's cache record if it is whole and keyed ``key``, else None."""
+    try:
+        with open(_cell_dir(out, cell) / "cell.json", encoding="utf-8") as fh:
+            record = json.load(fh)
+    except (OSError, ValueError):  # missing, unreadable or cut short: a miss
+        return None
+    return record if isinstance(record, dict) and record.get("key") == key else None
+
+
+def _write_record(out: Path, cell: tuple, key: str, rows, report: dict, computed_by: str):
+    """A cell's perturb.json, then its cell.json naming the cell that holds the scores."""
+    cell_dir = _cell_dir(out, cell)
+    cell_dir.mkdir(parents=True, exist_ok=True)
+    if computed_by != _cell_name(cell):  # scores of an older key would mislead
+        for stale in [*cell_dir.glob("scores-*.tsv"), cell_dir / "lm.txt"]:
+            stale.unlink(missing_ok=True)
+    with atomic_write(cell_dir / "perturb.json") as fh:
+        fh.write(PerturbReport(**report).to_json())
+    with atomic_write(cell_dir / "cell.json") as fh:
         json.dump(
-            {"hash": run_hash, "rows": rows, "report": json.loads(report.to_json())},
+            {"key": key, "rows": rows, "report": report, "computed_by": computed_by},
             fh, sort_keys=True, indent=2,
         )
         fh.write("\n")
-    return rows, json.loads(report.to_json())
 
 
 def _write_rows_csv(rows: list[dict], path) -> None:
     rows = sorted(rows, key=lambda r: tuple(str(r[c]) for c in RESULT_COLUMNS))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
@@ -339,7 +403,7 @@ def _write_summary_csv(rows: list[dict], path) -> None:
     for r in rows:
         key = (r["train_domain"], r["eval_domain"], r["condition"], r["paradigm"])
         groups.setdefault(key, []).append((float(r["accuracy"]), int(r["n"])))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["train_domain", "eval_domain", "condition", "paradigm",
@@ -354,7 +418,7 @@ def _write_summary_csv(rows: list[dict], path) -> None:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    run_hash = _config_hash(config)
+    shas = {spec.domain: _sha256(spec.path) for spec in config.corpora}
 
     domains: dict[str, _DomainData] = {}
     failures: list[tuple[str, str]] = []
@@ -371,36 +435,64 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for condition in config.conditions
         for seed in config.seeds
     ]
-    all_rows: list[dict] = []
-    reports: dict[str, dict] = {}
+    groups: dict[str, list] = {}
+    for cell in cells:
+        groups.setdefault(_cell_key(config, shas, cell, domains), []).append(cell)
 
-    def one(cell):
-        domain, condition, seed = cell
-        return cell, _run_cell(config, domains, domain, condition, seed, out, run_hash)
+    def settle(group):
+        """Rows and report of one key group, and the cell computed for it (or None).
+
+        Only a record of the cell holding the scores serves the group: a
+        repeat's record vouches for files in another directory.
+        """
+        key, members = group
+        records = [_load_record(out, cell, key) for cell in members]
+        hit = next(
+            (r for c, r in zip(members, records) if r and r["computed_by"] == _cell_name(c)),
+            None,
+        )
+        if hit is None:
+            computed = members[0]
+            rows, report = _run_cell(config, domains, computed, out)
+            source = _cell_name(computed)
+        else:
+            computed = None
+            rows, report, source = hit["rows"], hit["report"], hit["computed_by"]
+        for cell, record in zip(members, records):
+            if record is None or cell == computed:
+                _write_record(out, cell, key, rows, dict(report, seed=cell[2]), source)
+        return rows, report, computed
+
+    def attempt(group):
+        try:
+            return settle(group)
+        except Exception as exc:  # cell failures abort the cell, not the run
+            return exc
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            futures = [pool.submit(one, cell) for cell in cells]
-            outcomes = []
-            for fut in futures:
-                try:
-                    outcomes.append((fut.result(), None))
-                except Exception as exc:  # cell failures abort the cell, not the run
-                    outcomes.append((None, exc))
+            outcomes = list(pool.map(attempt, groups.items()))
     else:
-        outcomes = []
-        for cell in cells:
-            try:
-                outcomes.append((one(cell), None))
-            except Exception as exc:
-                outcomes.append((None, exc))
+        outcomes = list(map(attempt, groups.items()))
+    outcome_of = {
+        cell: outcome
+        for members, outcome in zip(groups.values(), outcomes)
+        for cell in members
+    }
 
-    for i, (outcome, error) in enumerate(outcomes):
-        if error is not None:
-            failures.append(("/".join(map(str, cells[i])), str(error)))
+    all_rows: list[dict] = []
+    reports: dict[str, dict] = {}
+    computed: list[tuple] = []
+    for cell in cells:
+        outcome = outcome_of[cell]
+        if isinstance(outcome, Exception):
+            failures.append((_cell_name(cell), str(outcome)))
             continue
-        (domain, condition, seed), (rows, report) = outcome
+        rows, report, computed_cell = outcome
         all_rows.extend(rows)
+        if computed_cell == cell:
+            computed.append(cell)
+        domain, condition, _seed = cell
         if condition == REPLACE_WORD and domain not in reports:
             reports[domain] = report
 
@@ -429,8 +521,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     write_stats_csv({d: data.stats for d, data in domains.items()}, out / "stats.csv")
     if reports:
-        from .perturb import PerturbReport
-
         table = compare_replacement_rates(
             {d: PerturbReport(**r) for d, r in reports.items()},
             {d: data.stats for d, data in domains.items()},
@@ -443,17 +533,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             **{k: v for k, v in asdict(config).items() if k != "corpora"},
             "corpora": [asdict(c) for c in config.corpora],
         },
-        "config_hash": run_hash,
+        "config_hash": _config_hash(config, shas),
         "cells": {
-            "/".join(map(str, cell)): "failed" if any(
-                f[0] == "/".join(map(str, cell)) for f in failures
+            _cell_name(cell): "failed" if any(
+                f[0] == _cell_name(cell) for f in failures
             ) else "ok"
             for cell in cells
         },
         "failures": sorted(failures),
         "pairs_files": {d: str(data.pairs_path) for d, data in domains.items()},
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "manifest.json") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -462,4 +552,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         out_dir=out,
         failures=failures,
         results=all_rows,
+        cells=cells,
+        computed=computed,
     )

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .atomic import atomic_write
 from .corpus import UNK_TAG, AnnotatedSentence, Corpus, Token
 from .rng import Stream, mix64
 
@@ -283,7 +284,7 @@ def write_corpus(corpus: Corpus, path, format: str = "conllu") -> None:
     """Write a corpus as CoNLL-U (lossless for the six token fields) or text."""
     if format not in ("conllu", "text"):
         raise ValueError(f"unknown corpus format {format!r}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         if format == "text":
             for sent in corpus:
                 fh.write(" ".join(sent.forms()) + "\n")

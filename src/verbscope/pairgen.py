@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .atomic import atomic_write
 from .corpus import Corpus, FrequencyTable, bin_candidates, bin_index, tag_pair
 from .rng import Stream, mix64
 from .tagger import heuristic_root
@@ -305,7 +306,7 @@ def gen_agreement_pairs(
 
 def write_pairs(pairs, path) -> None:
     """JSON Lines, one object per pair; good/bad are space-joined strings."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for p in pairs:
             meta = dict(sorted(p.meta.items()))
             if p.source_sentence_id is not None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp
 
+from ..atomic import atomic_write
 from ..corpus import Corpus
 from . import kernel
 
@@ -206,7 +207,7 @@ MODEL_VERSION = "verbscope-ngram/1"
 
 def save_lm(lm: NGramLM, path) -> None:
     """Sorted-text count tables; loading rebuilds the derived tables."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(MODEL_VERSION + "\n")
         fh.write(f"order\t{lm.order}\n")
         fh.write("discount\t" + ",".join(repr(d) for d in lm.discounts[1:]) + "\n")

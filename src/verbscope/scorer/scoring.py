@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ..atomic import atomic_write
 from ..pairgen import MinimalPair
 from .ngram import NGramLM, SentenceScore
 
@@ -49,7 +50,13 @@ def score_sentences(
 
 
 def score_pairs(scorer, pairs: Sequence[MinimalPair]) -> list[ScoredPair]:
-    scores = score_sentences(scorer, pair_items(pairs))
+    return scored_pairs(pairs, score_sentences(scorer, pair_items(pairs)))
+
+
+def scored_pairs(
+    pairs: Sequence[MinimalPair], scores: Sequence[SentenceScore]
+) -> list[ScoredPair]:
+    """Pair score rows, in pair order, from the scores of pair_items(pairs)."""
     by_id = {s.sentence_id: s.logprob for s in scores}
     return [
         (p.pair_id, by_id[p.pair_id + "::good"], by_id[p.pair_id + "::bad"])
@@ -59,7 +66,7 @@ def score_pairs(scorer, pairs: Sequence[MinimalPair]) -> list[ScoredPair]:
 
 def write_scores(scores: Sequence[SentenceScore], path) -> None:
     """TSV: sentence_id, logprob, num_tokens."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for row in scores:
             fh.write(f"{row.sentence_id}\t{row.logprob!r}\t{row.num_tokens}\n")
 

@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
+from .atomic import atomic_write
 from .corpus import Corpus
 from .perturb import PerturbReport
 
@@ -138,7 +139,7 @@ def _fmt(v: float | None) -> str:
 
 
 def write_stats_csv(named: Mapping[str, CorpusStats], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["domain", "ttr_1", "ttr_2", "ttr_3", "avg_sentence_length",
@@ -160,7 +161,7 @@ def write_stats_csv(named: Mapping[str, CorpusStats], path) -> None:
 
 
 def write_rates_csv(table: RateTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["domain", "condition", "replacement_rate"])
         for domain, condition, rate in table.rows:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from verbscope.analysis import (
     design_matrix,
     emit_chart,
+    format_regression,
     ols_interaction,
     read_series_csv,
     regularized_incomplete_beta,
@@ -101,6 +102,16 @@ class TestOLS:
     def test_needs_two_of_each_factor(self):
         with pytest.raises(ValueError, match="at least 2"):
             ols_interaction([(0.5, "cdl", "ORIGINAL"), (0.6, "cdl", "ORIGINAL")])
+
+    def test_exact_duplicate_replicates_counted_not_dropped(self):
+        obs = synthetic_observations(KNOWN_COEFFS, replicates=2, noise=0.01)
+        # three ORIGINAL cells get a replicate equal to an existing row
+        dupes = [o for o in obs if o[2] == "ORIGINAL"][:3]
+        result = ols_interaction(obs + dupes)
+        assert ols_interaction(obs).duplicates == 0
+        assert result.duplicates == 3
+        assert result.n == len(obs) + 3
+        assert "n=19, 3 exact duplicate replicates" in format_regression(result)
 
     def test_inference_columns_present(self):
         obs = synthetic_observations(KNOWN_COEFFS, replicates=5, noise=0.02)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +24,13 @@ class TestTypes:
     def test_token_requires_form(self):
         with pytest.raises(ValueError):
             Token(form="")
+
+    @pytest.mark.parametrize("field", ["form", "lemma"])
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+    def test_token_rejects_delimiters(self, field, char):
+        value = f"a{char}b"
+        with pytest.raises(ValueError, match=re.escape(f"token {field} {value!r}")):
+            Token(**{"form": "ok", field: value})
 
     def test_head_must_point_inside_sentence(self):
         with pytest.raises(ValueError, match="invalid head"):

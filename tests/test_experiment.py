@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +49,8 @@ class TestConfig:
             )
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", seeds=[])
+        with pytest.raises(ValueError, match="seeds must not repeat"):
+            ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", seeds=[1, 2, 1])
 
     def test_load_config_with_overrides(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -155,3 +158,107 @@ class TestRunExperiment:
         assert any(cell == "ghost" for cell, _err in result.failures)
         # healthy domains still produce results
         assert any(r["train_domain"] == "chat" for r in result.results)
+
+
+class TestCellCache:
+    """Cells are cached by content key, computed once per key, and resumable."""
+
+    def test_cut_record_and_leftover_temp_are_recomputed(self, tmp_path, small_config):
+        out = tmp_path / "out"
+        first = run_experiment(small_config(out))
+        cut = out / "chat" / "replace-word" / "seed1" / "cell.json"
+        data = cut.read_bytes()
+        cut.write_bytes(data[: len(data) // 2])  # a kill during an in-place write
+        lost = out / "written" / "replace-word" / "seed2" / "cell.json"
+        lost.rename(lost.with_name(".cell.json.4242.tmp"))  # a kill before the rename
+        second = run_experiment(small_config(out))
+        assert second.status == 0
+        assert second.computed == [("chat", "REPLACE.WORD", 1), ("written", "REPLACE.WORD", 2)]
+        assert json.loads(cut.read_text())["computed_by"] == "chat/REPLACE.WORD/1"
+        assert lost.is_file()
+        canon = lambda rows: sorted(json.dumps(r, sort_keys=True) for r in rows)
+        assert canon(first.results) == canon(second.results)
+
+    def test_cut_original_record_is_recomputed_not_served_by_a_repeat(
+        self, tmp_path, small_config
+    ):
+        out = tmp_path / "out"
+        run_experiment(small_config(out))
+        seed1 = out / "chat" / "original" / "seed1"
+        (seed1 / "cell.json").write_text('{"key": "')
+        (seed1 / "scores-chat.tsv").unlink()
+        result = run_experiment(small_config(out))
+        assert result.computed == [("chat", "ORIGINAL", 1)]
+        assert (seed1 / "scores-chat.tsv").is_file()
+
+    def test_added_seed_computes_only_new_perturbed_cells(
+        self, tmp_path, small_config, monkeypatch
+    ):
+        import verbscope.experiment as exp
+
+        run_experiment(small_config(tmp_path / "grown", seeds=(1, 2)))
+        trained = []
+        real = exp.train_ngram
+        monkeypatch.setattr(
+            exp, "train_ngram", lambda corpus, *a, **k: trained.append(1) or real(corpus, *a, **k)
+        )
+        grown = run_experiment(small_config(tmp_path / "grown", seeds=(1, 2, 3)))
+        assert grown.computed == [("chat", "REPLACE.WORD", 3), ("written", "REPLACE.WORD", 3)]
+        assert len(trained) == 2
+        assert grown.summary() == "12 cells: 2 computed, 10 cached, 0 failed"
+        run_experiment(small_config(tmp_path / "cold", seeds=(1, 2, 3)))
+        for name in ("results.csv", "summary.csv", "cross_domain.csv"):
+            assert (
+                (tmp_path / "grown" / name).read_bytes()
+                == (tmp_path / "cold" / name).read_bytes()
+            ), name
+
+    def test_added_condition_leaves_cells_cached(self, tmp_path, small_config):
+        config = small_config(tmp_path / "out", seeds=(1,))
+        run_experiment(config)
+        config.conditions = ["ORIGINAL", "REPLACE.WORD", "SHUFFLE.ORDER"]
+        result = run_experiment(config)
+        assert result.status == 0
+        assert result.computed == [("chat", "SHUFFLE.ORDER", 1), ("written", "SHUFFLE.ORDER", 1)]
+
+    def test_corpus_change_invalidates_its_domain_and_original(self, tmp_path, small_config):
+        config = small_config(tmp_path / "out", seeds=(1,))
+        copies = []
+        for spec in config.corpora:
+            copy = tmp_path / f"{spec.domain}.conllu"
+            copy.write_bytes(Path(spec.path).read_bytes())
+            copies.append(CorpusSpec(spec.domain, str(copy), spec.format))
+        config.corpora = copies
+        assert len(run_experiment(config).computed) == 4
+        written = tmp_path / "written.conllu"
+        text = written.read_text(encoding="utf-8")
+        form_at = text.index("\n1\t") + 3  # first letter of the first form
+        written.write_text(text[:form_at] + "Z" + text[form_at + 1:], encoding="utf-8")
+        result = run_experiment(config)
+        assert result.status == 0
+        assert result.computed == [
+            ("chat", "ORIGINAL", 1), ("written", "ORIGINAL", 1), ("written", "REPLACE.WORD", 1),
+        ]
+
+    def test_cold_grid_trains_one_original_model_per_domain(
+        self, tmp_path, small_config, monkeypatch
+    ):
+        import verbscope.experiment as exp
+
+        trained = []
+        real = exp.train_ngram
+        monkeypatch.setattr(
+            exp, "train_ngram", lambda corpus, *a, **k: trained.append(1) or real(corpus, *a, **k)
+        )
+        result = run_experiment(small_config(tmp_path / "out", seeds=(1, 2, 3)))
+        assert len(trained) == 2 + 2 * 3  # one ORIGINAL per domain, one per perturbed cell
+        assert [c for c in result.computed if c[1] == "ORIGINAL"] == [
+            ("chat", "ORIGINAL", 1), ("written", "ORIGINAL", 1),
+        ]
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert len(manifest["cells"]) == 12
+        repeat = tmp_path / "out" / "chat" / "original" / "seed3"
+        assert json.loads((repeat / "perturb.json").read_text())["seed"] == 3
+        assert json.loads((repeat / "cell.json").read_text())["computed_by"] == "chat/ORIGINAL/1"
+        assert not list(repeat.glob("scores-*.tsv"))
+        assert (repeat.parent / "seed1" / "scores-written.tsv").is_file()

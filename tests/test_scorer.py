@@ -17,6 +17,13 @@ from verbscope.scorer import (
     train_ngram,
 )
 from verbscope.pairgen import MinimalPair
+from verbscope.scorer.scoring import (
+    pair_items,
+    read_pair_scores,
+    score_sentences,
+    scored_pairs,
+    write_scores,
+)
 
 from conftest import corpus_of
 
@@ -233,6 +240,17 @@ class TestScorePairs:
         assert len(rows) == len(pairs)
         assert [r[0] for r in rows] == [p.pair_id for p in pairs]
         assert score_pairs(lm, pairs) == rows  # pure function of (scorer, pairs)
+
+    def test_score_tsv_round_trips_bit_for_bit(self, tmp_path):
+        lm = train_ngram(corpus_of("you want it .", "they see milk ."), order=3)
+        pairs = [
+            self._pair("p1", ["you", "want", "it", "."], ["you", "see", "it", "."], 1),
+            self._pair("p2", ["they", "see", "milk"], ["they", "see", "xylophone"], 2),
+        ]
+        scores = score_sentences(lm, pair_items(pairs))
+        write_scores(scores, tmp_path / "scores.tsv")
+        assert read_pair_scores(tmp_path / "scores.tsv") == scored_pairs(pairs, scores)
+        assert scored_pairs(pairs, scores) == score_pairs(lm, pairs)
 
     def test_duplicate_pair_ids_rejected(self):
         lm = train_ngram(corpus_of("a b"), order=1)
