@@ -17,6 +17,7 @@ and leaves the verb alone, so the pair differs exactly at the subject.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from .atomic import atomic_write
@@ -304,8 +305,30 @@ def gen_agreement_pairs(
     return pairs
 
 
+_WHITESPACE = re.compile(r"\s")
+_NON_SPACE_WHITESPACE = re.compile(r"[^\S ]")
+
+
+def _joined_member(pair_id: str, tokens) -> str:
+    """Space-joined member text; a token holding whitespace would not read back."""
+    text = " ".join(tokens)
+    # clean text holds exactly len(tokens) - 1 spaces and no other whitespace
+    if text.count(" ") >= len(tokens) or _NON_SPACE_WHITESPACE.search(text):
+        for tok in tokens:
+            if _WHITESPACE.search(tok):
+                raise ValueError(
+                    f"pair {pair_id!r}: token {tok!r} contains whitespace, "
+                    "which the space-joined pairs format cannot store"
+                )
+    return text
+
+
 def write_pairs(pairs, path) -> None:
-    """JSON Lines, one object per pair; good/bad are space-joined strings."""
+    """JSON Lines, one object per pair; good/bad are space-joined strings.
+
+    Raises ValueError, naming the pair and token, if a member token contains
+    whitespace; nothing is written then.
+    """
     with atomic_write(path) as fh:
         for p in pairs:
             meta = dict(sorted(p.meta.items()))
@@ -316,8 +339,8 @@ def write_pairs(pairs, path) -> None:
                     {
                         "pair_id": p.pair_id,
                         "paradigm": p.paradigm,
-                        "good": " ".join(p.good),
-                        "bad": " ".join(p.bad),
+                        "good": _joined_member(p.pair_id, p.good),
+                        "bad": _joined_member(p.pair_id, p.bad),
                         "diff_index": p.diff_index,
                         "meta": meta,
                     },

@@ -16,6 +16,7 @@ both knobs exist because reasonable pipelines differ here.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
@@ -115,14 +116,7 @@ def replace_word(
         r = stream.randbelow(available)
         if r >= orig_lo:
             r += count  # skip over the excluded original's mass
-        lo, hi = 0, len(cumulative)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cumulative[mid] <= r:
-                lo = mid + 1
-            else:
-                hi = mid
-        new_form = members[lo][0]
+        new_form = members[bisect_right(cumulative, r)][0]
         new_tokens[i] = Token(
             form=new_form,
             lemma=new_form.lower(),

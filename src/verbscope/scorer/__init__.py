@@ -1,12 +1,12 @@
 """Sentence scoring: the native Kneser-Ney model and the external protocol.
 
-The probability kernel has a compiled and a pure-Python implementation,
-selected in ``kernel``; they are bit-identical, so outputs never depend on
-which one is active.
+``ngram`` is the one native scoring and training implementation. Each
+model memoizes its n-gram log-probabilities, filled lazily, and
+``score_sentences`` scores each distinct sentence once; scores are
+bit-identical to the direct sequential sum.
 """
 
 from .external import ExternalScorer, ExternalScorerError, external_score
-from .kernel import KERNEL_NAME
 from .ngram import (
     BOS,
     EOS,
@@ -31,7 +31,6 @@ __all__ = [
     "BOS",
     "EOS",
     "UNK",
-    "KERNEL_NAME",
     "ExternalScorer",
     "ExternalScorerError",
     "NGramLM",

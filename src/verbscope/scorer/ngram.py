@@ -14,16 +14,27 @@ to UNK at training time; unknown forms map to UNK at scoring time.
 Scores are total (not length-normalized) natural-log probabilities
 including the EOS event. Minimal-pair members always have equal token
 counts, so normalization would cancel anyway.
+
+Table layout: ``_counts``, ``_totals`` and ``_types`` are lists indexed by
+level k (index 0 unused). ``_counts[k]`` maps k-length id tuples to
+occurrence counts (raw counts at the top level, continuation counts
+below), ``_totals[k]`` and ``_types[k]`` map (k-1)-length context tuples to
+their count mass and distinct-continuation count.
+
+Each model memoizes ``ln p(w | ctx)`` per scored n-gram ``ctx + (w,)`` (one
+stored log-probability per n-gram, as in ARPA files), filled lazily on
+first use. A sentence's score is the sequential left-to-right sum of those
+values, so it is bit-identical to summing ``log(ngram_prob(...))`` directly.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import exp
+from math import exp, log
 
 from ..atomic import atomic_write
 from ..corpus import Corpus
-from . import kernel
 
 BOS = "<s>"
 EOS = "</s>"
@@ -45,8 +56,37 @@ class SentenceScore:
             raise ValueError(f"num_tokens must be >= 1, got {self.num_tokens}")
 
 
+def ngram_prob(w, ctx, discounts, counts, totals, types, inv_vocab):
+    """p(w | ctx) folded bottom-up over levels 1..len(ctx)+1.
+
+    Levels whose context is unseen are skipped entirely (full backoff); the
+    recursion bottoms out at the uniform distribution over the scorable
+    vocabulary.
+    """
+    p = inv_vocab
+    length = len(ctx)
+    for k in range(1, length + 2):
+        sub = ctx[length - k + 1:]
+        tot = totals[k].get(sub)
+        if tot is None:
+            continue
+        c = counts[k].get(sub + (w,), 0)
+        ty = types[k][sub]
+        d = discounts[k]
+        disc = c - d
+        if disc < 0.0:
+            disc = 0.0
+        p = disc / tot + (d * ty / tot) * p
+    return p
+
+
 class NGramLM:
-    """Immutable after construction; shareable across threads."""
+    """Count tables fixed at construction; shareable across threads.
+
+    The only mutable state is the log-probability memo. It fills lazily,
+    and every write stores the value that any other thread would compute
+    for the same key, so concurrent scoring needs no lock.
+    """
 
     def __init__(
         self,
@@ -62,13 +102,17 @@ class NGramLM:
         self.min_count_unk = min_count_unk
         self.discounts = [0.0] + [float(discount)] * order  # index 0 unused
         self.forms = list(forms)  # sorted kept forms; ids follow list order
-        self._ids = {f: i for i, f in enumerate(self.forms)}
         self.unk_id = len(self.forms)
         self.eos_id = len(self.forms) + 1
+        # form -> event id; the UNK and EOS symbols win over same-named forms
+        self._ids = {f: i for i, f in enumerate(self.forms)}
+        self._ids[UNK] = self.unk_id
+        self._ids[EOS] = self.eos_id
         self.bos_id = len(self.forms) + 2  # context-only, outside the event space
         self.vocab_size = len(self.forms) + 2  # forms + UNK + EOS
         self._inv_vocab = 1.0 / self.vocab_size
         self._raw = raw_counts
+        self._logp: dict[tuple, float] = {}  # ctx + (w,) -> ln p(w | ctx)
         self._derive_tables()
 
     @property
@@ -103,10 +147,6 @@ class NGramLM:
     # -- symbol mapping ---------------------------------------------------
     def symbol_id(self, form: str) -> int:
         """Event id of a form; OOV and UNK map to the UNK id."""
-        if form == UNK:
-            return self.unk_id
-        if form == EOS:
-            return self.eos_id
         return self._ids.get(form, self.unk_id)
 
     def scorable_symbols(self) -> list[str]:
@@ -118,7 +158,7 @@ class NGramLM:
 
     # -- probabilities ----------------------------------------------------
     def prob_ids(self, w_id: int, ctx_ids: tuple) -> float:
-        return kernel.ngram_prob(
+        return ngram_prob(
             w_id, ctx_ids, self.discounts, self._counts, self._totals,
             self._types, self._inv_vocab,
         )
@@ -136,16 +176,21 @@ class NGramLM:
 
     def logprob(self, tokens, sentence_id: str = "") -> SentenceScore:
         """Total ln-probability of the token sequence plus the EOS event."""
-        event_ids = [self.symbol_id(f) for f in tokens]
-        event_ids.append(self.eos_id)
-        lp = kernel.sentence_logprob(
-            event_ids, self.order, self.bos_id, self.discounts,
-            self._counts, self._totals, self._types, self._inv_vocab,
-        )
+        get, unk_id, order = self._ids.get, self.unk_id, self.order
+        seq = [self.bos_id] * (order - 1)
+        seq += [get(f, unk_id) for f in tokens]
+        seq.append(self.eos_id)
+        memo = self._logp
+        lp = 0.0
+        for gram in zip(*[seq[j:] for j in range(order)]):
+            value = memo.get(gram)
+            if value is None:
+                value = memo[gram] = log(self.prob_ids(gram[-1], gram[:-1]))
+            lp += value
         return SentenceScore(
             sentence_id=sentence_id,
             logprob=lp,
-            num_tokens=len(event_ids),
+            num_tokens=len(seq) - (order - 1),
             scorer_id=self.scorer_id,
         )
 
@@ -174,16 +219,15 @@ def train_ngram(
     eos_id = len(forms) + 1
     bos_id = len(forms) + 2
 
-    raw: list[dict | None] = [None] + [dict() for _ in range(order)]
+    # Counters keep first-seen insertion order, the order of the raw tables
+    counters = [Counter() for _ in range(order + 1)]
     for sent in corpus:
         event_ids = [ids.get(t.form, unk_id) for t in sent.tokens]
         event_ids.append(eos_id)
         for k in range(1, order + 1):
             seq = [bos_id] * (k - 1) + event_ids
-            table = raw[k]
-            for t in range(k - 1, len(seq)):
-                gram = tuple(seq[t - k + 1 : t + 1])
-                table[gram] = table.get(gram, 0) + 1
+            counters[k].update(zip(*[seq[j:] for j in range(k)]))
+    raw: list[dict | None] = [None] + [dict(c) for c in counters[1:]]
 
     return NGramLM(
         order=order, forms=forms, raw_counts=raw,

@@ -32,9 +32,13 @@ def pair_items(pairs: Sequence[MinimalPair]) -> list[tuple[str, list[str]]]:
 def score_sentences(
     scorer, sentences: Sequence[tuple[str, list[str]]]
 ) -> list[SentenceScore]:
-    """(sentence_id, tokens) -> SentenceScore rows, input order preserved."""
+    """(sentence_id, tokens) -> SentenceScore rows, input order preserved.
+
+    A native model scores each distinct token sequence once; repeats copy
+    its score under their own id. An external scorer receives every id.
+    """
     if isinstance(scorer, NGramLM):
-        return [scorer.logprob(tokens, sid) for sid, tokens in sentences]
+        return _score_distinct(scorer, sentences)
     results = scorer.score_texts([(sid, " ".join(tokens)) for sid, tokens in sentences])
     checkpoint = getattr(scorer, "checkpoint", None)
     return [
@@ -47,6 +51,22 @@ def score_sentences(
         )
         for sid, _tokens in sentences
     ]
+
+
+def _score_distinct(
+    lm: NGramLM, sentences: Sequence[tuple[str, list[str]]]
+) -> list[SentenceScore]:
+    first: dict[tuple, SentenceScore] = {}
+    rows: list[SentenceScore] = []
+    for sid, tokens in sentences:
+        key = tuple(tokens)
+        seen = first.get(key)
+        if seen is None:
+            row = first[key] = lm.logprob(tokens, sid)
+        else:
+            row = SentenceScore(sid, seen.logprob, seen.num_tokens, seen.scorer_id)
+        rows.append(row)
+    return rows
 
 
 def score_pairs(scorer, pairs: Sequence[MinimalPair]) -> list[ScoredPair]:

@@ -265,6 +265,19 @@ class TestPairsIO:
         write_pairs(pairs, path)
         assert read_pairs(path) == pairs
 
+    @pytest.mark.parametrize("member", ["good", "bad"])
+    @pytest.mark.parametrize("form", ["New York", "a\tb", "New\u00a0York"])
+    def test_whitespace_in_token_rejected(self, tmp_path, member, form):
+        plain = ("he", "sees", "it", ".")
+        lossy = ("he", form, "it", ".")
+        good, bad = (lossy, plain) if member == "good" else (plain, lossy)
+        ok = MinimalPair("p0", "semantic-verb", plain, ("he", "eats", "it", "."), 1)
+        path = tmp_path / "pairs.jsonl"
+        with pytest.raises(ValueError) as err:
+            write_pairs([ok, MinimalPair("p1", "semantic-verb", good, bad, 1)], path)
+        assert "'p1'" in str(err.value) and repr(form) in str(err.value)
+        assert not path.exists()
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

@@ -1,10 +1,9 @@
 import math
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verbscope.corpus import Corpus
+from verbscope.corpus import AnnotatedSentence, Corpus, Token
 from verbscope.scorer import (
     BOS,
     EOS,
@@ -17,6 +16,7 @@ from verbscope.scorer import (
     train_ngram,
 )
 from verbscope.pairgen import MinimalPair
+from verbscope.scorer.ngram import ngram_prob
 from verbscope.scorer.scoring import (
     pair_items,
     read_pair_scores,
@@ -269,36 +269,130 @@ class TestSentenceScoreType:
             SentenceScore("s", -1.0, 0, "x")
 
 
-class TestKernelTwins:
-    def test_compiled_kernel_matches_pure(self, chat_fixture):
-        from verbscope.scorer.kernel import available_kernels
+def _direct_logprob(lm, tokens) -> float:
+    """Sequential sum of ln ngram_prob over the events, bypassing the memo."""
+    lp = 0.0
+    ctx = (lm.bos_id,) * (lm.order - 1)
+    for w in [lm.symbol_id(f) for f in tokens] + [lm.eos_id]:
+        lp += math.log(ngram_prob(
+            w, ctx, lm.discounts, lm._counts, lm._totals, lm._types, lm._inv_vocab
+        ))
+        if lm.order > 1:
+            ctx = ctx[1:] + (w,)
+    return lp
 
-        kernels = available_kernels()
-        if "compiled" not in kernels:
-            pytest.skip("compiled kernel not built")
-        subset = Corpus(chat_fixture.sentences[:300], domain="chat")
-        lm = train_ngram(subset, 3)
-        py, cy = kernels["pure-python"], kernels["compiled"]
-        args = (lm.discounts, lm._counts, lm._totals, lm._types, lm._inv_vocab)
-        for s in chat_fixture.sentences[300:600]:
-            ids = [lm.symbol_id(f) for f in s.forms()] + [lm.eos_id]
-            assert py.sentence_logprob(ids, lm.order, lm.bos_id, *args) == \
-                cy.sentence_logprob(ids, lm.order, lm.bos_id, *args)
 
-    def test_pure_python_env_override(self):
-        import subprocess
-        import sys
-
-        code = (
-            "import verbscope.scorer.kernel as k; print(k.KERNEL_NAME)"
+def _forms_corpus(*sentences):
+    """Corpus from raw form lists, so forms may be "<unk>" or "</s>"."""
+    return Corpus(tuple(
+        AnnotatedSentence(
+            tuple(Token(form=f, lemma=f, upos="X", xpos="X", head=None, deprel=None)
+                  for f in forms),
+            f"s{i}",
         )
-        env = dict(os.environ, VERBSCOPE_PURE_PYTHON="1")
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, env=env, text=True
-        )
-        assert out.stdout.strip() == "pure-python"
+        for i, forms in enumerate(sentences)
+    ))
+
+
+class TestMemoizedScoring:
+    TRAIN = [
+        ["you", "want", "it", "."],
+        ["you", "want", "milk", "."],
+        ["they", "see", UNK, "."],
+        ["the", "cat", EOS, "sat"],
+        ["you", "see", "it", "."],
+    ]
+    PROBES = [
+        ["you", "want", "it", "."],
+        ["you", "want", "xylophone", "."],  # OOV
+        [UNK, "see", "milk"],
+        ["the", "cat", EOS, "sat", "."],
+        [EOS],
+        [],
+        ["they", "see", "it", "it", "it", "."],
+    ]
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_cold_memo_equals_direct_sum(self, order):
+        lm = train_ngram(_forms_corpus(*self.TRAIN), order)
+        assert UNK in lm.forms and EOS in lm.forms  # trained as plain forms
+        assert (lm.symbol_id(UNK), lm.symbol_id(EOS)) == (lm.unk_id, lm.eos_id)
+        for probe in self.PROBES:
+            lm = train_ngram(_forms_corpus(*self.TRAIN), order)
+            assert not lm._logp
+            assert lm.logprob(probe).logprob == _direct_logprob(lm, probe), probe
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_warm_memo_equals_direct_sum(self, order):
+        lm = train_ngram(_forms_corpus(*self.TRAIN), order)
+        for probe in self.PROBES:
+            lm.logprob(probe)
+        filled = len(lm._logp)
+        for probe in reversed(self.PROBES):
+            assert lm.logprob(probe).logprob == _direct_logprob(lm, probe), probe
+        assert len(lm._logp) == filled  # every n-gram was already memoized
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_memo_matches_direct_on_fixture(self, order, chat_fixture):
+        lm = train_ngram(Corpus(chat_fixture.sentences[:300], domain="chat"), order)
+        probes = [s.forms() for s in chat_fixture.sentences[300:500]]
+        for _ in range(2):  # cold, then warm
+            for probe in probes:
+                assert lm.logprob(probe).logprob == _direct_logprob(lm, probe)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_raw_counts_match_sliding_window_in_first_seen_order(self, order, chat_fixture):
+        corpus = Corpus(chat_fixture.sentences[:300], domain="chat")
+        lm = train_ngram(corpus, order)
+        for k in range(1, order + 1):
+            want: dict = {}
+            for sent in corpus:
+                seq = [lm.bos_id] * (k - 1) + [lm.symbol_id(f) for f in sent.forms()]
+                seq.append(lm.eos_id)
+                for t in range(k - 1, len(seq)):
+                    gram = tuple(seq[t - k + 1 : t + 1])
+                    want[gram] = want.get(gram, 0) + 1
+            assert list(lm._raw[k].items()) == list(want.items())
+            assert type(lm._raw[k]) is dict
+
+    def test_repeated_sentences_give_one_row_per_id_in_order(self):
+        lm = train_ngram(_forms_corpus(*self.TRAIN), 3)
+        sentences = [
+            ("a", ["you", "want", "it", "."]),
+            ("b", ["they", "see", "milk"]),
+            ("c", ["you", "want", "it", "."]),
+            ("d", []),
+            ("e", ["they", "see", "milk"]),
+            ("f", ["you", "want", "it", "."]),
+        ]
+        calls = []
+        logprob = lm.logprob
+        lm.logprob = lambda tokens, sid="": calls.append(sid) or logprob(tokens, sid)
+        rows = score_sentences(lm, sentences)
+        assert calls == ["a", "b", "d"]  # each distinct token list scored once
+        assert [r.sentence_id for r in rows] == ["a", "b", "c", "d", "e", "f"]
+        for row, (sid, tokens) in zip(rows, sentences):
+            alone = train_ngram(_forms_corpus(*self.TRAIN), 3).logprob(tokens, sid)
+            assert row == alone
+
+    def test_external_scorer_receives_every_id(self):
+        class FakeScorer:
+            scorer_id = "fake"
+
+            def __init__(self):
+                self.received = []
+
+            def score_texts(self, items):
+                self.received.extend(items)
+                return {sid: (-float(len(text)), 1) for sid, text in items}
+
+        sentences = [("a", ["x", "y"]), ("b", ["x", "y"]), ("c", ["z"]), ("d", ["x", "y"])]
+        fake = FakeScorer()
+        rows = score_sentences(fake, sentences)
+        assert fake.received == [("a", "x y"), ("b", "x y"), ("c", "z"), ("d", "x y")]
+        assert [(r.sentence_id, r.logprob) for r in rows] == [
+            ("a", -3.0), ("b", -3.0), ("c", -1.0), ("d", -3.0)
+        ]
 
 
 @settings(max_examples=20, deadline=None)
