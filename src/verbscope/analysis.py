@@ -18,6 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
+
 # -- Student-t CDF ---------------------------------------------------------
 
 _TINY = 1e-300
@@ -262,7 +264,7 @@ def format_regression(result: RegressionResult) -> str:
 
 
 def write_regression_csv(result: RegressionResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["term", "estimate", "std_error", "t", "p"])
         for row in zip(
@@ -327,7 +329,7 @@ def trajectory(
 
 
 def write_trajectory_csv(table: TrajectoryTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["checkpoint", "semantic_acc", "syntactic_acc", "ratio"])
         for row in table.rows:
@@ -474,8 +476,8 @@ def emit_chart(
         t.text = name
     tree = ET.ElementTree(svg)
     ET.indent(tree)
-    tree.write(path, encoding="unicode", xml_declaration=True)
-    with open(path, "a", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
+        tree.write(fh, encoding="unicode", xml_declaration=True)
         fh.write("\n")
 
 

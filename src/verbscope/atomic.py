@@ -6,7 +6,8 @@ the same directory, which replaces the target with ``os.replace`` only once
 it is complete. A process killed mid-write leaves at most a stray temp file
 (``.<name>.<pid>.tmp``) beside the untouched target. There is no fsync, so
 this guards against the process dying, not against the machine losing power.
-The temp name is per process: two threads must not write one path at once.
+The temp name is per process: two writers in one process must not write
+one path at once.
 """
 
 from __future__ import annotations

@@ -21,19 +21,15 @@ from .analysis import (
     write_regression_csv,
     write_trajectory_csv,
 )
+from .atomic import atomic_write
 from .corpus import build_frequency_table, load_table, save_table
 from .evaluate import Labels, evaluate, write_results_csv
-from .experiment import (
-    CorpusSpec,
-    ExperimentConfig,
-    load_config,
-    run_experiment,
-)
+from .experiment import ExperimentConfig, load_config, run_experiment
 from .ingest import (
+    FORMATS,
     SplitSpec,
-    read_chat,
     read_conllu,
-    read_plaintext,
+    read_corpus,
     split_corpus,
     write_corpus,
 )
@@ -60,7 +56,7 @@ from .scorer import (
 )
 from .scorer.scoring import pair_items, read_pair_scores
 from .stats import compute_stats, format_stats, write_stats_csv
-from .tagger import load_tagger, save_tagger, tag as tag_sentence, train_tagger
+from .tagger import load_tagger, save_tagger, train_tagger
 
 _CONDITION_FLAGS = {
     "original": "ORIGINAL",
@@ -69,39 +65,15 @@ _CONDITION_FLAGS = {
 }
 
 
-def _opt(args, name: str, fallback):
-    """Resolve a flag that exists both globally and on the subcommand."""
-    value = getattr(args, name, None)
-    return fallback if value is None else value
-
-
-def _read_any(path: str, format: str, tagger_path: str | None = None, domain: str = ""):
-    tagger = load_tagger(tagger_path) if tagger_path else None
-    if format == "conllu":
-        corpus = read_conllu(path, domain=domain)
-        if tagger is not None:
-            from .corpus import Corpus
-
-            corpus = Corpus(
-                tuple(tag_sentence(tagger, s) for s in corpus),
-                domain=corpus.domain, split=corpus.split,
-            )
-        return corpus
-    if format == "text":
-        return read_plaintext(path, tagger=tagger, domain=domain)
-    if format == "chat":
-        return read_chat(path, tagger=tagger, domain=domain)
-    raise ValueError(f"unknown format {format!r}")
-
-
 def _cmd_ingest(args) -> int:
-    corpus = _read_any(args.infile, args.format, args.tagger, args.domain)
+    tagger = load_tagger(args.tagger) if args.tagger else None
+    corpus = read_corpus(args.infile, args.format, args.domain, tagger)
     out = Path(args.out)
     if args.split:
         out.mkdir(parents=True, exist_ok=True)
         spec = SplitSpec.parse(args.split)
         train, dev, test = split_corpus(
-            corpus, spec, shuffle=args.shuffle_split, seed=_opt(args, "seed", 0)
+            corpus, spec, shuffle=args.shuffle_split, seed=args.seed
         )
         for name, part in (("train", train), ("dev", dev), ("test", test)):
             write_corpus(part, out / f"{name}.conllu", "conllu")
@@ -117,7 +89,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_train_tagger(args) -> int:
     corpus = read_conllu(args.conllu)
     heldout = read_conllu(args.dev) if args.dev else None
-    model = train_tagger(corpus, epochs=args.epochs, seed=_opt(args, "seed", 1), heldout=heldout)
+    model = train_tagger(corpus, epochs=args.epochs, seed=args.seed, heldout=heldout)
     save_tagger(model, args.out)
     print(
         f"trained on {len(corpus)} sentences; "
@@ -128,14 +100,7 @@ def _cmd_train_tagger(args) -> int:
 
 
 def _cmd_tag(args) -> int:
-    model = load_tagger(args.model)
-    corpus = _read_any(args.infile, args.format)
-    from .corpus import Corpus
-
-    tagged = Corpus(
-        tuple(tag_sentence(model, s) for s in corpus),
-        domain=corpus.domain, split=corpus.split,
-    )
+    tagged = read_corpus(args.infile, args.format, tagger=load_tagger(args.model))
     write_corpus(tagged, args.out, "conllu")
     print(f"tagged {len(tagged)} sentences -> {args.out}")
     return 0
@@ -147,7 +112,7 @@ def _cmd_stats(args) -> int:
     named = {}
     for path in args.infile:
         domain = Path(path).stem
-        corpus = _read_any(path, args.format, domain=domain)
+        corpus = read_corpus(path, args.format, domain)
         named[domain] = compute_stats(corpus)
         if args.save_table:
             save_table(build_frequency_table(corpus), args.save_table)
@@ -159,7 +124,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_perturb(args) -> int:
     condition = _CONDITION_FLAGS[args.condition]
-    corpus = _read_any(args.infile, args.format)
+    corpus = read_corpus(args.infile, args.format)
     table = None
     if args.table:
         table = load_table(args.table)
@@ -167,14 +132,13 @@ def _cmd_perturb(args) -> int:
         table = build_frequency_table(corpus)
         print("note: no --table given; using the input corpus's own table")
     out_corpus, report = perturb_corpus(
-        corpus, condition, table, seed=_opt(args, "seed", 0),
+        corpus, condition, table, seed=args.seed,
         include_propn=args.include_propn,
         pin_final_punct=args.pin_final_punct,
-        threads=_opt(args, "threads", 1),
     )
     write_corpus(out_corpus, args.out, args.out_format)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+        with atomic_write(args.report) as fh:
             fh.write(report.to_json())
     print(
         f"{condition}: {report.tokens_replaced}/{report.tokens_total} tokens "
@@ -184,7 +148,7 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_train_lm(args) -> int:
-    corpus = _read_any(args.infile, args.format)
+    corpus = read_corpus(args.infile, args.format)
     lm = train_ngram(
         corpus, args.order, min_count_unk=args.min_count_unk, discount=args.discount
     )
@@ -201,11 +165,11 @@ def _cmd_genpairs(args) -> int:
         if not args.table:
             raise ValueError("genpairs semantic requires --table")
         table = load_table(args.table)
-        test_corpus = _read_any(args.test, args.format)
+        test_corpus = read_corpus(args.test, args.format)
         counters: dict = {}
         pairs = gen_semantic_pairs(
             test_corpus, table, max_alts=args.max_alts, len_min=args.len_min,
-            len_max=args.len_max, seed=_opt(args, "seed", 0), counters=counters,
+            len_max=args.len_max, seed=args.seed, counters=counters,
         )
         write_pairs(pairs, args.out)
         print(
@@ -220,7 +184,7 @@ def _cmd_genpairs(args) -> int:
         pct_lo=args.pct_lo, pct_hi=args.pct_hi,
     )
     paradigms = args.paradigms.split(",") if args.paradigms else AGREEMENT_PARADIGMS
-    pairs = gen_agreement_pairs(lexicon, paradigms, args.n, seed=_opt(args, "seed", 0))
+    pairs = gen_agreement_pairs(lexicon, paradigms, args.n, seed=args.seed)
     write_pairs(pairs, args.out)
     print(f"{len(pairs)} agreement pairs -> {args.out}")
     return 0
@@ -238,7 +202,7 @@ def _cmd_score(args) -> int:
         pairs = read_pairs(args.pairs)
         scores = score_sentences(scorer, pair_items(pairs))
     else:
-        corpus = _read_any(args.infile, args.format)
+        corpus = read_corpus(args.infile, args.format)
         scores = score_sentences(
             scorer, [(s.sentence_id, list(s.forms())) for s in corpus]
         )
@@ -334,27 +298,19 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config_path = _opt(args, "config", None)
-    overrides = {
-        "threads": getattr(args, "threads", None),
-        "out_dir": args.out,
-    }
+    overrides = {"out_dir": args.out, "threads": args.threads}
     if args.seeds:
         overrides["seeds"] = [int(s) for s in args.seeds.split(",")]
-    elif getattr(args, "seed", None) is not None:
-        overrides["seeds"] = [args.seed]
-    if config_path:
-        config = load_config(config_path, overrides)
+    if args.config:
+        config = load_config(args.config, overrides)
     else:
         if not args.corpus:
             raise ValueError("run needs --config or at least one --corpus")
         if not args.out:
             raise ValueError("run needs --out")
         config = ExperimentConfig(
-            corpora=[CorpusSpec.parse(c) for c in args.corpus],
-            out_dir=args.out,
-            seeds=overrides.get("seeds") or [1],
-            threads=_opt(args, "threads", 1),
+            corpora=args.corpus,
+            **{k: v for k, v in overrides.items() if v is not None},
         )
     result = run_experiment(config)
     print(f"results -> {result.out_dir}/results.csv")
@@ -372,22 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"verbscope {__version__}")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="global seed (subcommand flags take precedence)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="global worker-thread count")
-    parser.add_argument("--config", default=None,
-                        help="experiment config file (used by run)")
     sub = parser.add_subparsers(dest="command", required=True)
-    S = argparse.SUPPRESS
 
     p = sub.add_parser("ingest", help="read, clean, split, and write a corpus")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=("conllu", "text", "chat"), default="conllu")
+    p.add_argument("--format", choices=FORMATS, default="conllu")
     p.add_argument("--tagger", help="tagger model for raw text")
     p.add_argument("--split", help="train,dev,test ratios, e.g. 10,2.5,2.5")
     p.add_argument("--shuffle-split", action="store_true")
-    p.add_argument("--seed", type=int, default=S)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--domain", default="")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ingest)
@@ -396,20 +345,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conllu", required=True)
     p.add_argument("--dev", help="held-out CoNLL-U for the reported accuracy")
     p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--seed", type=int, default=S)
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_tagger)
 
     p = sub.add_parser("tag", help="tag a corpus with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=("conllu", "text", "chat"), default="text")
+    p.add_argument("--format", choices=FORMATS, default="text")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_tag)
 
     p = sub.add_parser("stats", help="descriptive corpus statistics")
     p.add_argument("--in", dest="infile", nargs="+", required=True)
-    p.add_argument("--format", choices=("conllu", "text", "chat"), default="conllu")
+    p.add_argument("--format", choices=FORMATS, default="conllu")
     p.add_argument("--out", help="CSV output")
     p.add_argument("--save-table", help="also write the frequency table (TSV)")
     p.set_defaults(func=_cmd_stats)
@@ -418,12 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition", choices=tuple(_CONDITION_FLAGS), required=True)
     p.add_argument("--table", help="frequency table TSV (REPLACE.WORD)")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=("conllu", "text", "chat"), default="conllu")
+    p.add_argument("--format", choices=FORMATS, default="conllu")
     p.add_argument("--out", required=True)
     p.add_argument("--out-format", choices=("conllu", "text"), default="conllu")
     p.add_argument("--report", help="write the JSON perturbation report here")
-    p.add_argument("--seed", type=int, default=S)
-    p.add_argument("--threads", type=int, default=S)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--include-propn", action="store_true",
                    help="also replace proper nouns")
     p.add_argument("--pin-final-punct", action="store_true",
@@ -433,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-lm", help="train the Kneser-Ney n-gram model")
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=("conllu", "text", "chat"), default="conllu")
+    p.add_argument("--format", choices=FORMATS, default="conllu")
     p.add_argument("--min-count-unk", type=int, default=1)
     p.add_argument("--discount", type=float, default=0.75)
     p.add_argument("--out", required=True)
@@ -444,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", help="test-split corpus (semantic)")
     p.add_argument("--table", help="training frequency table TSV (semantic)")
     p.add_argument("--train", help="training CoNLL-U (agreement lexicon)")
-    p.add_argument("--format", choices=("conllu", "text", "chat"), default="conllu")
+    p.add_argument("--format", choices=FORMATS, default="conllu")
     p.add_argument("--max-alts", type=int, default=5)
     p.add_argument("--len-min", type=int, default=10)
     p.add_argument("--len-max", type=int, default=30)
@@ -452,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100, help="pairs per paradigm")
     p.add_argument("--pct-lo", type=float, default=50.0)
     p.add_argument("--pct-hi", type=float, default=95.0)
-    p.add_argument("--seed", type=int, default=S)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_genpairs)
 
@@ -462,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=300.0)
     p.add_argument("--pairs", help="pairs JSONL to score")
     p.add_argument("--in", dest="infile", help="corpus to score (if not --pairs)")
-    p.add_argument("--format", choices=("conllu", "text", "chat"), default="conllu")
+    p.add_argument("--format", choices=FORMATS, default="conllu")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_score)
 
@@ -499,11 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_plot)
 
     p = sub.add_parser("run", help="run the full experiment grid")
-    p.add_argument("--config", default=S, help="flat config file")
+    p.add_argument("--config", help="flat config file")
     p.add_argument("--corpus", action="append",
                    help="domain:path[:format]; repeatable (alternative to --config)")
     p.add_argument("--seeds", help="comma list of seeds (overrides config)")
-    p.add_argument("--threads", type=int, default=S)
+    p.add_argument("--threads", type=int,
+                   help="worker processes for the grid's cells (overrides config; default 1)")
     p.add_argument("--out", help="output directory (overrides config)")
     p.set_defaults(func=_cmd_run)
 

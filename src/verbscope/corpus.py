@@ -10,8 +10,7 @@ computed exactly on integer counts. Tokens without a fine tag fall back to
 their coarse tag for binning, so raw-text pipelines still stratify (a
 degraded mode: one stratum per coarse tag).
 
-All types are immutable after construction and safe to share across
-threads.
+All types are immutable after construction.
 """
 
 from __future__ import annotations

@@ -8,9 +8,11 @@ data only; evaluation pairs always come from the original test split, and
 cross-domain scoring runs for ORIGINAL-condition models over every other
 domain's pairs.
 
-Cells run in parallel up to the configured thread count; every stage
-derives its randomness from (seed, index) streams, so outputs are byte
-identical regardless of scheduling.
+Cells run in forked worker processes, as many as ``threads`` asks for,
+capped at the number of distinct cell keys and the CPU count; one worker
+runs them in-process. The workers inherit the prepared domains rather than
+receive them. Every stage derives its randomness from (seed, index)
+streams, so outputs are byte identical whatever the worker count.
 
 Each cell's result is cached in ``<domain>/<condition>/seed<N>/cell.json``
 under a key over the inputs that determine it: the config fields other
@@ -33,7 +35,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -51,10 +55,9 @@ from .evaluate import (
 )
 from .ingest import (
     DEFAULT_SPLIT,
+    FORMATS,
     SplitSpec,
-    read_chat,
-    read_conllu,
-    read_plaintext,
+    read_corpus,
     split_corpus,
     write_corpus,
 )
@@ -71,8 +74,6 @@ from .perturb import CONDITIONS, ORIGINAL, REPLACE_WORD, PerturbReport, perturb_
 from .scorer import score_sentences, train_ngram, write_scores
 from .scorer.scoring import pair_items, scored_pairs
 from .stats import compare_replacement_rates, compute_stats, write_rates_csv, write_stats_csv
-
-FORMATS = ("conllu", "text", "chat")
 
 
 @dataclass(frozen=True)
@@ -185,14 +186,6 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def _load_corpus(spec: CorpusSpec) -> Corpus:
-    if spec.format == "conllu":
-        return read_conllu(spec.path, domain=spec.domain)
-    if spec.format == "text":
-        return read_plaintext(spec.path, domain=spec.domain)
-    return read_chat(spec.path, domain=spec.domain)
-
-
 def _sha256(path) -> str:
     if not Path(path).exists():
         return "missing"
@@ -257,15 +250,16 @@ class ExperimentResult:
     failures: list
     results: list
     cells: list  # every (domain, condition, seed) of the run
-    computed: list  # the cells this run computed; the rest were cached or failed
+    computed: list  # the cells this run computed
+    shared: list  # cells whose key this run computed for another cell
 
     def summary(self) -> str:
         failed = {name for name, _error in self.failures}
         n_failed = sum(_cell_name(c) in failed for c in self.cells)
-        cached = len(self.cells) - len(self.computed) - n_failed
+        cached = len(self.cells) - len(self.computed) - len(self.shared) - n_failed
         return (
             f"{len(self.cells)} cells: {len(self.computed)} computed, "
-            f"{cached} cached, {n_failed} failed"
+            f"{len(self.shared)} shared, {cached} cached, {n_failed} failed"
         )
 
 
@@ -284,7 +278,7 @@ def _prepare_domain(config: ExperimentConfig, spec: CorpusSpec, out: Path) -> _D
     ddir = out / spec.domain
     (ddir / "splits").mkdir(parents=True, exist_ok=True)
     (ddir / "pairs").mkdir(parents=True, exist_ok=True)
-    corpus = _load_corpus(spec)
+    corpus = read_corpus(spec.path, spec.format, spec.domain)
     train, dev, test = split_corpus(
         corpus, config.split_spec(), shuffle=config.shuffle_split,
         seed=config.pair_seed,
@@ -415,6 +409,52 @@ def _write_summary_csv(rows: list[dict], path) -> None:
             writer.writerow(list(key) + [repr(mean), len(vals), vals[0][1]])
 
 
+def _settle(config: ExperimentConfig, domains: dict, out: Path, group: tuple):
+    """Rows and report of one key group, and the cell computed for it (or None).
+
+    Only a record of the cell holding the scores serves the group: a
+    repeat's record vouches for files in another directory.
+    """
+    key, members = group
+    records = [_load_record(out, cell, key) for cell in members]
+    hit = next(
+        (r for c, r in zip(members, records) if r and r["computed_by"] == _cell_name(c)),
+        None,
+    )
+    if hit is None:
+        computed = members[0]
+        rows, report = _run_cell(config, domains, computed, out)
+        source = _cell_name(computed)
+    else:
+        computed = None
+        rows, report, source = hit["rows"], hit["report"], hit["computed_by"]
+    for cell, record in zip(members, records):
+        if record is None or cell == computed:
+            _write_record(out, cell, key, rows, dict(report, seed=cell[2]), source)
+    return rows, report, computed
+
+
+def _attempt(config: ExperimentConfig, domains: dict, out: Path, group: tuple):
+    """``_settle`` the group; a failure aborts the group, not the run, and
+    comes back as its message, which pickles where an exception may not."""
+    try:
+        return _settle(config, domains, out, group)
+    except Exception as exc:
+        return str(exc)
+
+
+_adopted: tuple = ()  # a forked worker's (config, domains, out), set once at start
+
+
+def _adopt(*job) -> None:
+    global _adopted
+    _adopted = job
+
+
+def _attempt_adopted(group: tuple):
+    return _attempt(*_adopted, group)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -439,41 +479,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for cell in cells:
         groups.setdefault(_cell_key(config, shas, cell, domains), []).append(cell)
 
-    def settle(group):
-        """Rows and report of one key group, and the cell computed for it (or None).
-
-        Only a record of the cell holding the scores serves the group: a
-        repeat's record vouches for files in another directory.
-        """
-        key, members = group
-        records = [_load_record(out, cell, key) for cell in members]
-        hit = next(
-            (r for c, r in zip(members, records) if r and r["computed_by"] == _cell_name(c)),
-            None,
-        )
-        if hit is None:
-            computed = members[0]
-            rows, report = _run_cell(config, domains, computed, out)
-            source = _cell_name(computed)
-        else:
-            computed = None
-            rows, report, source = hit["rows"], hit["report"], hit["computed_by"]
-        for cell, record in zip(members, records):
-            if record is None or cell == computed:
-                _write_record(out, cell, key, rows, dict(report, seed=cell[2]), source)
-        return rows, report, computed
-
-    def attempt(group):
-        try:
-            return settle(group)
-        except Exception as exc:  # cell failures abort the cell, not the run
-            return exc
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = list(pool.map(attempt, groups.items()))
+    workers = min(config.threads, len(groups), os.cpu_count() or 1)
+    job = (config, domains, out)
+    if workers > 1:  # forked workers inherit the job; only groups and outcomes pickle
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_adopt, initargs=job,
+        ) as pool:
+            outcomes = list(pool.map(_attempt_adopted, groups.items()))
     else:
-        outcomes = list(map(attempt, groups.items()))
+        outcomes = [_attempt(*job, group) for group in groups.items()]
     outcome_of = {
         cell: outcome
         for members, outcome in zip(groups.values(), outcomes)
@@ -483,15 +498,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     all_rows: list[dict] = []
     reports: dict[str, dict] = {}
     computed: list[tuple] = []
+    shared: list[tuple] = []
     for cell in cells:
         outcome = outcome_of[cell]
-        if isinstance(outcome, Exception):
-            failures.append((_cell_name(cell), str(outcome)))
+        if isinstance(outcome, str):
+            failures.append((_cell_name(cell), outcome))
             continue
         rows, report, computed_cell = outcome
         all_rows.extend(rows)
         if computed_cell == cell:
             computed.append(cell)
+        elif computed_cell is not None:
+            shared.append(cell)
         domain, condition, _seed = cell
         if condition == REPLACE_WORD and domain not in reports:
             reports[domain] = report
@@ -554,4 +572,5 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         results=all_rows,
         cells=cells,
         computed=computed,
+        shared=shared,
     )

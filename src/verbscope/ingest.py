@@ -26,8 +26,11 @@ from typing import Iterable
 from .atomic import atomic_write
 from .corpus import UNK_TAG, AnnotatedSentence, Corpus, Token
 from .rng import Stream, mix64
+from .tagger import tag as tag_sentence
 
 _CONLLU_COLUMNS = 10
+
+FORMATS = ("conllu", "text", "chat")
 
 
 @dataclass(frozen=True)
@@ -164,42 +167,50 @@ def read_conllu(path, domain: str = "") -> Corpus:
     return Corpus(tuple(sentences), domain=domain)
 
 
+def _line_sentences(lines: Iterable[str], tagger) -> list[AnnotatedSentence]:
+    """One whitespace-tokenized sentence per non-empty line, ids s1, s2, ..."""
+    sentences = []
+    for line in lines:
+        forms = line.split()
+        if not forms:
+            continue
+        sent = AnnotatedSentence(
+            tuple(Token(form=f) for f in forms), f"s{len(sentences) + 1}"
+        )
+        if tagger is not None:
+            sent = tag_sentence(tagger, sent)
+        sentences.append(sent)
+    return sentences
+
+
 def read_plaintext(path, tagger=None, domain: str = "") -> Corpus:
     """One whitespace-tokenized sentence per line; empty lines skipped."""
-    from . import tagger as tagger_mod
-
-    sentences = []
     with open(path, encoding="utf-8") as fh:
-        n = 0
-        for line in fh:
-            forms = line.split()
-            if not forms:
-                continue
-            n += 1
-            sent = AnnotatedSentence(
-                tuple(Token(form=f) for f in forms), f"s{n}"
-            )
-            if tagger is not None:
-                sent = tagger_mod.tag(tagger, sent)
-            sentences.append(sent)
-    return Corpus(tuple(sentences), domain=domain)
+        return Corpus(tuple(_line_sentences(fh, tagger)), domain=domain)
 
 
 def read_chat(path, tagger=None, domain: str = "") -> Corpus:
     """CHAT transcript: clean to plain text, then tokenize like read_plaintext."""
-    from . import tagger as tagger_mod
-
     with open(path, encoding="utf-8") as fh:
         lines = clean_childes(fh)
-    sentences = []
-    for n, line in enumerate(lines, start=1):
-        sent = AnnotatedSentence(
-            tuple(Token(form=f) for f in line.split()), f"s{n}"
-        )
-        if tagger is not None:
-            sent = tagger_mod.tag(tagger, sent)
-        sentences.append(sent)
-    return Corpus(tuple(sentences), domain=domain)
+    return Corpus(tuple(_line_sentences(lines, tagger)), domain=domain)
+
+
+def read_corpus(path, format: str, domain: str = "", tagger=None) -> Corpus:
+    """Read a corpus in one of FORMATS.
+
+    A tagger model tags text and CHAT input and re-tags CoNLL-U input.
+    """
+    if format == "conllu":
+        corpus = read_conllu(path, domain=domain)
+        if tagger is None:
+            return corpus
+        return Corpus(tuple(tag_sentence(tagger, s) for s in corpus), domain=domain)
+    if format == "text":
+        return read_plaintext(path, tagger=tagger, domain=domain)
+    if format == "chat":
+        return read_chat(path, tagger=tagger, domain=domain)
+    raise ValueError(f"unknown corpus format {format!r}")
 
 
 _SPEAKER_RE = re.compile(r"^\*\w{2,5}:\s*")

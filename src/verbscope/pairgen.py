@@ -241,15 +241,13 @@ def _agreement_tokens(
     ni = stream.randbelow(len(nouns))
     n1 = nouns[ni]
     n2 = None
-    if need_n2:  # draw from the remaining entries (index-shift trick)
-        j = stream.randbelow(len(nouns) - 1)
-        n2 = nouns[j + 1 if j >= ni else j]
+    if need_n2:  # uniform over the other entries
+        n2 = nouns[stream.pick_cumulative(range(1, len(nouns) + 1), exclude=ni)]
     vi = stream.randbelow(len(verbs))
     v1 = verbs[vi]
     v2 = None
     if need_v2:
-        j = stream.randbelow(len(verbs) - 1)
-        v2 = verbs[j + 1 if j >= vi else j]
+        v2 = verbs[stream.pick_cumulative(range(1, len(verbs) + 1), exclude=vi)]
     prep = lexicon.preps[stream.randbelow(len(lexicon.preps))] if paradigm == "agr-pp" else None
     rel = lexicon.relativizer
 

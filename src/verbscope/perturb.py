@@ -7,17 +7,16 @@ word order and syntax survive. SHUFFLE.ORDER permutes each sentence
 uniformly: word order dies while sentence-level co-occurrence survives.
 
 Every sentence draws from its own stream derived from (seed, sentence
-index), so a corpus-level pass is deterministic and independent of worker
-count. Proper nouns are left alone unless include_propn is set, and
-punctuation shuffles with everything else unless pin_final_punct is set;
-both knobs exist because reasonable pipelines differ here.
+index), so a corpus-level pass is deterministic and any sentence can be
+re-derived on its own. Proper nouns are left alone unless include_propn
+is set, and punctuation shuffles with everything else unless
+pin_final_punct is set; both knobs exist because reasonable pipelines
+differ here.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 from .corpus import (
@@ -108,15 +107,10 @@ def replace_word(
         b = bin_index(count)
         members = table.stratum(upos, xpos, b)
         cumulative = table.stratum_cumulative(upos, xpos, b)
-        available = cumulative[-1] - count
-        if available <= 0:
+        if cumulative[-1] == count:
             continue  # bin holds only the original
         pos = next(k for k, (f, _c) in enumerate(members) if f == tok.form)
-        orig_lo = cumulative[pos - 1] if pos > 0 else 0
-        r = stream.randbelow(available)
-        if r >= orig_lo:
-            r += count  # skip over the excluded original's mass
-        new_form = members[bisect_right(cumulative, r)][0]
+        new_form = members[stream.pick_cumulative(cumulative, exclude=pos)][0]
         new_tokens[i] = Token(
             form=new_form,
             lemma=new_form.lower(),
@@ -175,13 +169,11 @@ def perturb_corpus(
     seed: int = 0,
     include_propn: bool = False,
     pin_final_punct: bool = False,
-    threads: int = 1,
 ) -> tuple[Corpus, PerturbReport]:
     """Apply one condition to every sentence, with per-sentence streams.
 
     Sentence i draws from Stream(mix64(seed, i)), making the output a pure
-    function of (corpus, condition, table, seed) no matter how many worker
-    threads run the loop.
+    function of (corpus, condition, table, seed).
     """
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}")
@@ -191,19 +183,13 @@ def perturb_corpus(
     if condition == ORIGINAL:
         return corpus, PerturbReport(condition, total, 0, 0.0, seed)
 
-    def one(args: tuple[int, AnnotatedSentence]) -> tuple[AnnotatedSentence, int]:
-        i, sent = args
+    def one(i: int, sent: AnnotatedSentence) -> tuple[AnnotatedSentence, int]:
         stream = Stream(mix64(seed, i))
         if condition == SHUFFLE_ORDER:
             return shuffle_order(sent, stream, pin_final_punct), 0
         return replace_word(sent, table, stream, include_propn)
 
-    jobs = list(enumerate(corpus.sentences))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(job) for job in jobs]
+    results = [one(i, sent) for i, sent in enumerate(corpus.sentences)]
 
     replaced = sum(r for _s, r in results)
     out = Corpus(

@@ -2,8 +2,8 @@
 
 Every per-sentence operation draws from its own stream, seeded by mixing
 the run seed with the sentence index through SplitMix64. Results therefore
-never depend on how work is scheduled across threads, and any single
-sentence can be re-derived in isolation.
+never depend on how work is scheduled across worker processes, and any
+single sentence can be re-derived in isolation.
 
 The mix rule, fixed for reproducibility across versions:
 
@@ -67,12 +67,20 @@ class Stream:
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def pick_cumulative(self, cumulative: Sequence[int]) -> int:
-        """Index i drawn with weight cumulative[i] - cumulative[i-1].
+    def pick_cumulative(self, cumulative: Sequence[int], exclude: int | None = None) -> int:
+        """Index i drawn with weight cumulative[i] - cumulative[i-1], never ``exclude``.
 
-        ``cumulative`` is a nondecreasing positive-total integer prefix sum.
+        ``cumulative`` is a nondecreasing integer prefix sum whose total,
+        less the excluded index's weight, is positive. One ``randbelow``
+        over that remaining total is drawn and shifted past the excluded
+        weight, so ``range(1, n + 1)`` picks uniformly among the other n - 1.
         """
-        total = cumulative[-1]
+        lo = hi = 0
+        if exclude is not None:
+            lo = cumulative[exclude - 1] if exclude else 0
+            hi = cumulative[exclude]
+        total = cumulative[-1] - (hi - lo)
         if total <= 0:
             raise ValueError("weights must have positive total")
-        return bisect_right(cumulative, self.randbelow(total))
+        r = self.randbelow(total)
+        return bisect_right(cumulative, r + (hi - lo) if r >= lo else r)

@@ -81,11 +81,11 @@ def ngram_prob(w, ctx, discounts, counts, totals, types, inv_vocab):
 
 
 class NGramLM:
-    """Count tables fixed at construction; shareable across threads.
+    """Count tables fixed at construction.
 
     The only mutable state is the log-probability memo. It fills lazily,
-    and every write stores the value that any other thread would compute
-    for the same key, so concurrent scoring needs no lock.
+    and every entry holds the value the count tables determine, so a warm
+    memo scores exactly as a cold one.
     """
 
     def __init__(

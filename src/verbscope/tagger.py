@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .atomic import atomic_write
 from .corpus import UNK_TAG, AnnotatedSentence, Corpus, Token
 from .rng import Stream, mix64
 
@@ -235,7 +236,7 @@ def heuristic_root(sentence: AnnotatedSentence) -> int | None:
 
 def save_tagger(model: TaggerModel, path) -> None:
     """Versioned sorted-key text format, stable under byte comparison."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(model.version + "\n")
         fh.write(f"mft\t{model.most_frequent_tag}\n")
         if model.reported_accuracy is not None:

@@ -167,7 +167,7 @@ def test_run_minimal(tmp_path, fixture_dir, capsys):
     assert (out / "manifest.json").exists()
     rows = (out / "results.csv").read_text().splitlines()
     assert len(rows) > 1
-    assert "3 cells: 3 computed, 0 cached, 0 failed" in capsys.readouterr().err
+    assert "3 cells: 3 computed, 0 shared, 0 cached, 0 failed" in capsys.readouterr().err
 
 
 def test_run_from_config(tmp_path, fixture_dir):

@@ -148,6 +148,61 @@ class TestRunExperiment:
         # the healthy domain's cells still completed
         assert any(r["train_domain"] == "chat" for r in result.results)
 
+    def test_failure_messages_survive_forked_workers(self, tmp_path, small_config, monkeypatch):
+        import verbscope.experiment as exp
+
+        class Unpicklable(Exception):
+            def __init__(self, domain, seed):  # pickle would rebuild it from one arg
+                super().__init__(f"boom in {domain}, seed {seed}")
+
+        real = exp.train_ngram
+
+        def sabotaged(corpus, order, **kwargs):
+            if corpus.domain == "written":
+                raise Unpicklable(corpus.domain, 1)
+            return real(corpus, order, **kwargs)
+
+        monkeypatch.setattr(exp, "train_ngram", sabotaged)  # forked workers see it
+        serial = run_experiment(small_config(tmp_path / "one", seeds=(1,)))
+        forked = run_experiment(small_config(tmp_path / "two", threads=2, seeds=(1,)))
+        assert serial.failures == forked.failures
+        assert ("written/REPLACE.WORD/1", "boom in written, seed 1") in forked.failures
+        assert serial.results == forked.results
+
+    @pytest.mark.parametrize(
+        "threads, cpus, workers",
+        [(8, 3, 3), (8, 64, 4), (2, 64, 2), (1, 64, None)],
+    )
+    def test_worker_count_is_capped(
+        self, tmp_path, small_config, monkeypatch, threads, cpus, workers
+    ):
+        """min(threads, key groups, CPUs) workers; one worker runs in-process."""
+        import verbscope.experiment as exp
+
+        started = []
+
+        class InProcessPool:  # records the request, starts no process
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(exp, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(exp, "_adopted", exp._adopted)  # restored after the test
+        monkeypatch.setattr(exp.os, "cpu_count", lambda: cpus)
+        # 2 domains x (ORIGINAL, REPLACE.WORD) x 1 seed: 4 key groups
+        result = run_experiment(small_config(tmp_path / "out", threads=threads, seeds=(1,)))
+        assert result.status == 0
+        assert started == ([] if workers is None else [workers])
+
     def test_failed_domain_reported_nonzero_exit(self, tmp_path, small_config):
         config = small_config(tmp_path / "fail", seeds=(1,))
         config.corpora = config.corpora + [
@@ -205,7 +260,7 @@ class TestCellCache:
         grown = run_experiment(small_config(tmp_path / "grown", seeds=(1, 2, 3)))
         assert grown.computed == [("chat", "REPLACE.WORD", 3), ("written", "REPLACE.WORD", 3)]
         assert len(trained) == 2
-        assert grown.summary() == "12 cells: 2 computed, 10 cached, 0 failed"
+        assert grown.summary() == "12 cells: 2 computed, 0 shared, 10 cached, 0 failed"
         run_experiment(small_config(tmp_path / "cold", seeds=(1, 2, 3)))
         for name in ("results.csv", "summary.csv", "cross_domain.csv"):
             assert (
@@ -252,6 +307,7 @@ class TestCellCache:
         )
         result = run_experiment(small_config(tmp_path / "out", seeds=(1, 2, 3)))
         assert len(trained) == 2 + 2 * 3  # one ORIGINAL per domain, one per perturbed cell
+        assert result.summary() == "12 cells: 8 computed, 4 shared, 0 cached, 0 failed"
         assert [c for c in result.computed if c[1] == "ORIGINAL"] == [
             ("chat", "ORIGINAL", 1), ("written", "ORIGINAL", 1),
         ]

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from verbscope.corpus import Corpus, bin_index, build_frequency_table, tag_pair
-from verbscope.ingest import write_corpus
 from verbscope.perturb import (
     ORIGINAL,
     REPLACE_WORD,
@@ -146,6 +145,28 @@ class TestShuffleOrder:
             assert out.tokens[-1].form == "."
 
 
+class TestPickCumulative:
+    @pytest.mark.parametrize("weights", [[1] * 5, [3, 1, 4, 1, 5], [2, 7], [0, 2, 0, 3]])
+    def test_exclude_draws_among_the_other_units_of_mass(self, weights):
+        from itertools import accumulate
+
+        cumulative = list(accumulate(weights))
+        for exclude in range(len(weights)):
+            units = [i for i, w in enumerate(weights) if i != exclude for _ in range(w)]
+            for seed in range(50):
+                expected = units[Stream(seed).randbelow(len(units))]
+                assert Stream(seed).pick_cumulative(cumulative, exclude=exclude) == expected
+
+    def test_uniform_weights_pick_among_the_other_indices(self):
+        stream = Stream(9)
+        picks = {stream.pick_cumulative(range(1, 5), exclude=2) for _ in range(200)}
+        assert picks == {0, 1, 3}
+
+    def test_nothing_left_after_exclusion(self):
+        with pytest.raises(ValueError, match="positive total"):
+            Stream(1).pick_cumulative([0, 3, 3], exclude=1)
+
+
 class TestPerturbCorpus:
     def test_original_is_identity(self, stool_corpus):
         out, report = perturb_corpus(stool_corpus, ORIGINAL, seed=1)
@@ -167,24 +188,38 @@ class TestPerturbCorpus:
         assert report.tokens_replaced == recount_differences(subset, out)
         assert report.tokens_total == subset.n_tokens
 
-    def test_threads_do_not_change_output(self, tmp_path, chat_fixture):
-        subset = Corpus(chat_fixture.sentences[:600], domain="chat")
-        table = build_frequency_table(subset)
-        paths = []
-        for threads in (1, 8):
-            out, _ = perturb_corpus(subset, REPLACE_WORD, table, seed=3, threads=threads)
-            path = tmp_path / f"t{threads}.conllu"
-            write_corpus(out, path, "conllu")
-            paths.append(path.read_bytes())
-        assert paths[0] == paths[1]
+    @staticmethod
+    def _grid_files(fixture_dir, out, condition, threads):
+        """Every file a one-condition grid run writes, but the path-bearing manifest."""
+        from verbscope.experiment import ExperimentConfig, run_experiment
 
-    def test_shuffle_threads_deterministic(self, tmp_path, chat_fixture):
-        subset = Corpus(chat_fixture.sentences[:600], domain="chat")
-        outs = []
-        for threads in (1, 8):
-            out, _ = perturb_corpus(subset, SHUFFLE_ORDER, seed=5, threads=threads)
-            outs.append(tuple(tuple(s.forms()) for s in out))
-        assert outs[0] == outs[1]
+        config = ExperimentConfig(
+            corpora=[f"{d}:{fixture_dir / d}.conllu:conllu" for d in ("chat", "written")],
+            out_dir=str(out), conditions=[condition], seeds=[1, 2],
+            threads=threads, keep_models=True,
+        )
+        assert run_experiment(config).status == 0
+        files = {
+            str(p.relative_to(out)): p.read_bytes()
+            for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"
+        }
+        cell = f"written/{condition.lower().replace('.', '-')}/seed2"
+        for name in ("results.csv", f"{cell}/perturb.json", f"{cell}/lm.txt",
+                     f"{cell}/scores-written.tsv"):
+            assert name in files, name
+        return files
+
+    def test_threads_do_not_change_output(self, tmp_path, fixture_dir):
+        """REPLACE.WORD cells come out byte-identical from 1 and 8 grid workers."""
+        one = self._grid_files(fixture_dir, tmp_path / "t1", REPLACE_WORD, 1)
+        eight = self._grid_files(fixture_dir, tmp_path / "t8", REPLACE_WORD, 8)
+        assert one == eight
+
+    def test_shuffle_threads_deterministic(self, tmp_path, fixture_dir):
+        """SHUFFLE.ORDER cells come out byte-identical from 1 and 8 grid workers."""
+        one = self._grid_files(fixture_dir, tmp_path / "t1", SHUFFLE_ORDER, 1)
+        eight = self._grid_files(fixture_dir, tmp_path / "t8", SHUFFLE_ORDER, 8)
+        assert one == eight
 
     def test_longer_sentences_higher_replacement_rate(self):
         # same vocabulary, different sentence shapes
