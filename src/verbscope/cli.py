@@ -150,7 +150,8 @@ def _cmd_perturb(args) -> int:
 def _cmd_train_lm(args) -> int:
     corpus = read_corpus(args.infile, args.format)
     lm = train_ngram(
-        corpus, args.order, min_count_unk=args.min_count_unk, discount=args.discount
+        corpus.form_view(), args.order, min_count_unk=args.min_count_unk,
+        discount=args.discount,
     )
     save_lm(lm, args.out)
     print(
@@ -447,9 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_plot)
 
     p = sub.add_parser("run", help="run the full experiment grid")
-    p.add_argument("--config", help="flat config file")
-    p.add_argument("--corpus", action="append",
-                   help="domain:path[:format]; repeatable (alternative to --config)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--config", help="flat config file")
+    source.add_argument("--corpus", action="append",
+                        help="domain:path[:format]; repeatable (alternative to --config)")
     p.add_argument("--seeds", help="comma list of seeds (overrides config)")
     p.add_argument("--threads", type=int,
                    help="worker processes for the grid's cells (overrides config; default 1)")

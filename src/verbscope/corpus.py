@@ -122,6 +122,25 @@ class Corpus:
     def n_tokens(self) -> int:
         return sum(len(s) for s in self.sentences)
 
+    def form_view(self) -> "Forms":
+        return Forms((tuple(t.form for t in s.tokens) for s in self.sentences), self.domain)
+
+
+class Forms(tuple):
+    """A corpus as a tuple of form tuples, one per sentence: all training reads.
+
+    Perturbing and training on this view builds no Token objects.
+    """
+
+    def __new__(cls, sentences=(), domain: str = ""):
+        view = super().__new__(cls, sentences)
+        view.domain = domain
+        return view
+
+    @property
+    def n_tokens(self) -> int:
+        return sum(map(len, self))
+
 
 def bin_index(count: int) -> int:
     """floor(log2(count)), exact on integers; counts must be >= 1."""

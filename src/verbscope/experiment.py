@@ -8,11 +8,18 @@ data only; evaluation pairs always come from the original test split, and
 cross-domain scoring runs for ORIGINAL-condition models over every other
 domain's pairs.
 
+Cells perturb and train on a domain's form view (``Corpus.form_view``).
+Each worker builds a domain's perturb plan for a condition on its first
+cell of that condition, so a run whose REPLACE.WORD cells are all cached
+builds none.
+
 Cells run in forked worker processes, as many as ``threads`` asks for,
 capped at the number of distinct cell keys and the CPU count; one worker
 runs them in-process. The workers inherit the prepared domains rather than
-receive them. Every stage derives its randomness from (seed, index)
-streams, so outputs are byte identical whatever the worker count.
+receive them. The heap is frozen out of the cyclic GC (``gc.freeze``)
+while the cells run, so full collections skip the prepared domains.
+Every stage derives its randomness from (seed, index) streams, so outputs
+are byte identical whatever the worker count.
 
 Each cell's result is cached in ``<domain>/<condition>/seed<N>/cell.json``
 under a key over the inputs that determine it: the config fields other
@@ -33,6 +40,7 @@ Corpora are "domain:path:format" strings. Full-line comments start with #.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -43,7 +51,7 @@ from pathlib import Path
 
 from . import __version__
 from .atomic import atomic_write
-from .corpus import Corpus, build_frequency_table, save_table
+from .corpus import Corpus, Forms, build_frequency_table, save_table
 from .evaluate import (
     EvalResult,
     Labels,
@@ -70,7 +78,7 @@ from .pairgen import (
     gen_semantic_pairs,
     write_pairs,
 )
-from .perturb import CONDITIONS, ORIGINAL, REPLACE_WORD, PerturbReport, perturb_corpus
+from .perturb import CONDITIONS, ORIGINAL, REPLACE_WORD, PerturbReport, perturb_forms, perturb_plan
 from .scorer import score_sentences, train_ngram, write_scores
 from .scorer.scoring import pair_items, scored_pairs
 from .stats import compare_replacement_rates, compute_stats, write_rates_csv, write_stats_csv
@@ -267,11 +275,13 @@ class ExperimentResult:
 class _DomainData:
     spec: CorpusSpec
     train: Corpus
+    forms: Forms  # the train split as form tuples: what cells perturb and train on
     table: object
     pairs: list
     pairs_meta: dict
     pairs_path: Path
     stats: object
+    plans: dict = field(default_factory=dict)  # condition -> perturb plan, built on first use
 
 
 def _prepare_domain(config: ExperimentConfig, spec: CorpusSpec, out: Path) -> _DomainData:
@@ -312,7 +322,7 @@ def _prepare_domain(config: ExperimentConfig, spec: CorpusSpec, out: Path) -> _D
         json.dump(counters, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return _DomainData(
-        spec=spec, train=train, table=table, pairs=pairs,
+        spec=spec, train=train, forms=train.form_view(), table=table, pairs=pairs,
         pairs_meta={p.pair_id: p.paradigm for p in pairs},
         pairs_path=pairs_path, stats=compute_stats(train),
     )
@@ -325,11 +335,11 @@ def _run_cell(config: ExperimentConfig, domains: dict, cell: tuple, out: Path):
     cell_dir.mkdir(parents=True, exist_ok=True)
     data: _DomainData = domains[domain]
 
-    perturbed, report = perturb_corpus(
-        data.train, condition, data.table, seed=seed,
-        include_propn=config.include_propn,
-        pin_final_punct=config.pin_final_punct,
-    )
+    if condition not in data.plans:
+        data.plans[condition] = perturb_plan(
+            data.train, condition, data.table, config.include_propn, config.pin_final_punct
+        )
+    perturbed, report = perturb_forms(data.forms, condition, data.plans[condition], seed)
     lm = train_ngram(
         perturbed, config.lm_order, min_count_unk=config.min_count_unk,
         discount=config.discount,
@@ -481,14 +491,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     workers = min(config.threads, len(groups), os.cpu_count() or 1)
     job = (config, domains, out)
-    if workers > 1:  # forked workers inherit the job; only groups and outcomes pickle
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_adopt, initargs=job,
-        ) as pool:
-            outcomes = list(pool.map(_attempt_adopted, groups.items()))
-    else:
-        outcomes = [_attempt(*job, group) for group in groups.items()]
+    # The prepared domains live through the run: full collections skip them,
+    # and forked workers do not touch (and so copy) their pages
+    gc.freeze()
+    try:
+        if workers > 1:  # forked workers inherit the job; only groups and outcomes pickle
+            with ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_adopt, initargs=job,
+            ) as pool:
+                outcomes = list(pool.map(_attempt_adopted, groups.items()))
+        else:
+            outcomes = [_attempt(*job, group) for group in groups.items()]
+    finally:
+        gc.unfreeze()
     outcome_of = {
         cell: outcome
         for members, outcome in zip(groups.values(), outcomes)

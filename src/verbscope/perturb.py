@@ -12,18 +12,26 @@ re-derived on its own. Proper nouns are left alone unless include_propn
 is set, and punctuation shuffles with everything else unless
 pin_final_punct is set; both knobs exist because reasonable pipelines
 differ here.
+
+A seed-independent plan (``perturb_plan``) fixes what each sentence
+draws from: its REPLACE.WORD targets or its SHUFFLE.ORDER span. The draw
+primitives ``replace_word`` and ``shuffle_order`` turn a plan entry and a
+stream into replacements or a permutation. ``perturb_forms`` applies the
+draws to the form view a model trains on; ``perturb_corpus`` applies the
+same draws to whole sentences for ``verbscope perturb``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from bisect import bisect_left
+from dataclasses import asdict, dataclass, replace
 
 from .corpus import (
     AnnotatedSentence,
     Corpus,
+    Forms,
     FrequencyTable,
-    Token,
     UNK_TAG,
     bin_index,
     tag_pair,
@@ -69,97 +77,125 @@ class PerturbReport:
         return cls(**json.loads(text))
 
 
-def _is_untagged(sentence: AnnotatedSentence) -> bool:
-    return any(not t.upos or t.upos == UNK_TAG for t in sentence.tokens)
+def replace_plan(
+    sentence: AnnotatedSentence, table: FrequencyTable, include_propn: bool = False
+) -> tuple:
+    """The REPLACE.WORD targets of one sentence, in position order.
 
-
-def replace_word(
-    sentence: AnnotatedSentence,
-    table: FrequencyTable,
-    stream: Stream,
-    include_propn: bool = False,
-) -> tuple[AnnotatedSentence, int]:
-    """Swap each content word for a same-(upos, xpos, bin) alternative.
-
-    The draw is frequency-weighted over the token's bin with the original
-    form excluded; tokens whose bin holds nothing else (or that are absent
-    from the table) are kept. The root verb, function words, and all tags,
-    heads, and dependency labels stay untouched. Exactly one draw is
-    consumed per replaced token.
+    A target is a content word whose (upos, xpos, bin) stratum holds another
+    form, given as (position, stratum members, cumulative weights, index of
+    the original). The root verb and function words are never targets.
     """
-    if _is_untagged(sentence):
+    if any(not t.upos or t.upos == UNK_TAG for t in sentence.tokens):
         raise ValueError(f"replace_word requires tags (sentence {sentence.sentence_id!r})")
     targets = _ALWAYS_REPLACED_UPOS | {"PROPN"} if include_propn else _ALWAYS_REPLACED_UPOS
     root_idx = heuristic_root(sentence)
-    new_tokens = list(sentence.tokens)
-    replaced = 0
+    plan = []
     for i, tok in enumerate(sentence.tokens):
-        if tok.upos in targets:
-            pass
-        elif tok.upos == "VERB" and i != root_idx:
-            pass
-        else:
+        if not (tok.upos in targets or (tok.upos == "VERB" and i != root_idx)):
             continue
         upos, xpos = tag_pair(tok)
         count = table.count(upos, xpos, tok.form)
         if count is None:
             continue
         b = bin_index(count)
-        members = table.stratum(upos, xpos, b)
         cumulative = table.stratum_cumulative(upos, xpos, b)
         if cumulative[-1] == count:
             continue  # bin holds only the original
-        pos = next(k for k, (f, _c) in enumerate(members) if f == tok.form)
-        new_form = members[stream.pick_cumulative(cumulative, exclude=pos)][0]
-        new_tokens[i] = Token(
-            form=new_form,
-            lemma=new_form.lower(),
-            upos=tok.upos,
-            xpos=tok.xpos,
-            head=tok.head,
-            deprel=tok.deprel,
-        )
-        replaced += 1
-    if replaced == 0:
-        return sentence, 0
-    return sentence.with_tokens(new_tokens), replaced
+        members = table.stratum(upos, xpos, b)  # sorted by form
+        plan.append((i, members, cumulative, bisect_left(members, (tok.form,))))
+    return tuple(plan)
 
 
-def shuffle_order(
-    sentence: AnnotatedSentence, stream: Stream, pin_final_punct: bool = False
-) -> AnnotatedSentence:
-    """Uniform random permutation of the tokens (Fisher-Yates over the stream).
+def replace_word(plan: tuple, stream: Stream) -> list[tuple[int, str]]:
+    """The (position, new form) replacements: one frequency-weighted draw per
+    target, the original form excluded, so every target is replaced."""
+    return [
+        (i, members[stream.pick_cumulative(cumulative, exclude=pos)][0])
+        for i, members, cumulative, pos in plan
+    ]
 
-    Dependency heads are remapped so every edge still points at the same
-    word after the move. With pin_final_punct, a sentence-final PUNCT
-    token keeps its place.
-    """
-    n = len(sentence.tokens)
-    limit = n
-    if pin_final_punct and n > 1 and sentence.tokens[-1].upos == "PUNCT":
-        limit = n - 1
-    order = list(range(limit))
+
+def shuffle_order(span: int, stream: Stream) -> list[int]:
+    """Uniform permutation of range(span) (Fisher-Yates over the stream):
+    entry j is the old position of the token that moves to position j."""
+    order = list(range(span))
     stream.shuffle(order)
-    order.extend(range(limit, n))
-    if order == list(range(n)):
-        return sentence
-    new_pos = [0] * n
-    for j, old in enumerate(order):
-        new_pos[old] = j
-    tokens = []
-    for old in order:
-        tok = sentence.tokens[old]
-        if tok.head is not None:
-            tok = Token(
-                form=tok.form,
-                lemma=tok.lemma,
-                upos=tok.upos,
-                xpos=tok.xpos,
-                head=new_pos[tok.head],
-                deprel=tok.deprel,
-            )
-        tokens.append(tok)
+    return order
+
+
+def perturb_plan(
+    corpus: Corpus,
+    condition: str,
+    table: FrequencyTable | None = None,
+    include_propn: bool = False,
+    pin_final_punct: bool = False,
+) -> tuple:
+    """Each sentence's draw input, which no seed changes: its REPLACE.WORD
+    targets, or how many leading tokens SHUFFLE.ORDER moves."""
+    if condition not in CONDITIONS:
+        raise ValueError(f"unknown condition {condition!r}")
+    if condition == REPLACE_WORD:
+        if table is None:
+            raise ValueError("REPLACE.WORD requires a frequency table")
+        return tuple(replace_plan(s, table, include_propn) for s in corpus)
+    if condition == SHUFFLE_ORDER:  # all tokens, or all but a pinned final PUNCT
+        return tuple(
+            len(s) - (pin_final_punct and len(s) > 1 and s.tokens[-1].upos == "PUNCT")
+            for s in corpus
+        )
+    return ()
+
+
+def _draws(condition: str, plan: tuple, seed: int):
+    """(i, draw) for each sentence with something to draw, from Stream(mix64(seed, i))."""
+    for i, entry in enumerate(plan):
+        if condition == REPLACE_WORD and entry:
+            yield i, replace_word(entry, Stream(mix64(seed, i)))
+        elif condition == SHUFFLE_ORDER and entry > 1:
+            yield i, shuffle_order(entry, Stream(mix64(seed, i)))
+
+
+def _report(condition: str, total: int, replaced: int, seed: int) -> PerturbReport:
+    return PerturbReport(condition, total, replaced, replaced / total if total else 0.0, seed)
+
+
+def perturb_forms(
+    forms: Forms, condition: str, plan: tuple, seed: int = 0
+) -> tuple[Forms, PerturbReport]:
+    """Apply one condition to a corpus's form view; ``plan`` is the corpus's
+    ``perturb_plan``. Gives the forms and report ``perturb_corpus`` gives."""
+    out = list(forms)
+    replaced = 0
+    for i, draw in _draws(condition, plan, seed):
+        if condition == REPLACE_WORD:
+            new = list(forms[i])
+            for pos, form in draw:
+                new[pos] = form
+            out[i] = tuple(new)
+            replaced += len(draw)
+        else:
+            out[i] = tuple([forms[i][k] for k in draw]) + forms[i][len(draw):]
+    return Forms(out, forms.domain), _report(condition, forms.n_tokens, replaced, seed)
+
+
+def apply_replacements(sentence: AnnotatedSentence, replacements: list) -> AnnotatedSentence:
+    """Swap each replaced token's form and lemma; tags, heads and labels stay."""
+    tokens = list(sentence.tokens)
+    for i, form in replacements:
+        tokens[i] = replace(tokens[i], form=form, lemma=form.lower())
     return sentence.with_tokens(tokens)
+
+
+def apply_order(sentence: AnnotatedSentence, order: list[int]) -> AnnotatedSentence:
+    """Permute the first len(order) tokens, remapping heads so every
+    dependency edge still points at the same word."""
+    order = order + list(range(len(order), len(sentence)))
+    new_pos = {old: j for j, old in enumerate(order)}
+    return sentence.with_tokens(
+        tok if tok.head is None else replace(tok, head=new_pos[tok.head])
+        for tok in map(sentence.tokens.__getitem__, order)
+    )
 
 
 def perturb_corpus(
@@ -173,30 +209,22 @@ def perturb_corpus(
     """Apply one condition to every sentence, with per-sentence streams.
 
     Sentence i draws from Stream(mix64(seed, i)), making the output a pure
-    function of (corpus, condition, table, seed).
+    function of (corpus, condition, table, seed). These are the draws of
+    ``perturb_forms``, applied to whole sentences.
     """
-    if condition not in CONDITIONS:
-        raise ValueError(f"unknown condition {condition!r}")
-    if condition == REPLACE_WORD and table is None:
-        raise ValueError("REPLACE.WORD requires a frequency table")
-    total = corpus.n_tokens
+    plan = perturb_plan(corpus, condition, table, include_propn, pin_final_punct)
     if condition == ORIGINAL:
-        return corpus, PerturbReport(condition, total, 0, 0.0, seed)
-
-    def one(i: int, sent: AnnotatedSentence) -> tuple[AnnotatedSentence, int]:
-        stream = Stream(mix64(seed, i))
-        if condition == SHUFFLE_ORDER:
-            return shuffle_order(sent, stream, pin_final_punct), 0
-        return replace_word(sent, table, stream, include_propn)
-
-    results = [one(i, sent) for i, sent in enumerate(corpus.sentences)]
-
-    replaced = sum(r for _s, r in results)
-    out = Corpus(
-        tuple(s for s, _r in results), domain=corpus.domain, split=corpus.split
-    )
-    rate = replaced / total if total else 0.0
-    return out, PerturbReport(condition, total, replaced, rate, seed)
+        return corpus, _report(condition, corpus.n_tokens, 0, seed)
+    sentences = list(corpus.sentences)
+    replaced = 0
+    for i, draw in _draws(condition, plan, seed):
+        if condition == REPLACE_WORD:
+            sentences[i] = apply_replacements(sentences[i], draw)
+            replaced += len(draw)
+        else:
+            sentences[i] = apply_order(sentences[i], draw)
+    out = Corpus(tuple(sentences), domain=corpus.domain, split=corpus.split)
+    return out, _report(condition, corpus.n_tokens, replaced, seed)
 
 
 def recount_differences(before: Corpus, after: Corpus) -> int:

@@ -8,8 +8,9 @@ exactly 1 and every symbol keeps nonzero mass, UNK included.
 
 The scorable vocabulary is the kept training forms plus UNK and EOS. BOS
 is a context-only padding symbol: it can never be predicted, so it takes
-no probability mass. Forms seen fewer than min_count_unk times are mapped
-to UNK at training time; unknown forms map to UNK at scoring time.
+no probability mass. Training reads form sequences only. Forms seen fewer
+than min_count_unk times are mapped to UNK at training time; unknown forms
+map to UNK at scoring time.
 
 Scores are total (not length-normalized) natural-log probabilities
 including the EOS event. Minimal-pair members always have equal token
@@ -32,6 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import exp, log
+from typing import Sequence
 
 from ..atomic import atomic_write
 from ..corpus import Corpus
@@ -196,22 +198,22 @@ class NGramLM:
 
 
 def train_ngram(
-    corpus: Corpus, order: int, min_count_unk: int = 1, discount: float = 0.75
+    corpus: Sequence[Sequence[str]], order: int, min_count_unk: int = 1,
+    discount: float = 0.75,
 ) -> NGramLM:
     """Count n-grams of every order up to ``order`` and build the model.
 
-    Deterministic: no randomness anywhere, forms are id-assigned in sorted
-    order. Forms occurring at most min_count_unk - 1 times become UNK.
+    ``corpus`` holds the training sentences as form sequences, such as a
+    ``Corpus.form_view()``. Deterministic: no randomness anywhere, forms are
+    id-assigned in sorted order. Forms occurring at most min_count_unk - 1
+    times become UNK.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if len(corpus) == 0:
         raise ValueError("empty corpus")
 
-    form_counts: dict[str, int] = {}
-    for sent in corpus:
-        for tok in sent.tokens:
-            form_counts[tok.form] = form_counts.get(tok.form, 0) + 1
+    form_counts = Counter(f for sent in corpus for f in sent)
     forms = sorted(f for f, c in form_counts.items() if c >= min_count_unk)
 
     ids = {f: i for i, f in enumerate(forms)}
@@ -222,7 +224,7 @@ def train_ngram(
     # Counters keep first-seen insertion order, the order of the raw tables
     counters = [Counter() for _ in range(order + 1)]
     for sent in corpus:
-        event_ids = [ids.get(t.form, unk_id) for t in sent.tokens]
+        event_ids = [ids.get(f, unk_id) for f in sent]
         event_ids.append(eos_id)
         for k in range(1, order + 1):
             seq = [bos_id] * (k - 1) + event_ids

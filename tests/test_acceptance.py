@@ -86,7 +86,7 @@ def condition_accuracies(domains):
                 perturbed, _report_ = perturb_corpus(
                     data["train"], condition, data["table"], seed=seed
                 )
-                lm = train_ngram(perturbed, order=3)
+                lm = train_ngram(perturbed.form_view(), order=3)
                 result = evaluate(score_pairs(lm, data["pairs"]), data["meta"])
                 acc[domain][condition][seed] = result.accuracy
                 if condition == ORIGINAL and seed == SEEDS[0]:
@@ -245,7 +245,7 @@ def test_criterion_5_ols_oracle():
 def test_criterion_6_kn_normalization(domains):
     from verbscope.rng import Stream
 
-    lm = train_ngram(domains["chat"]["train"], order=3)
+    lm = train_ngram(domains["chat"]["train"].form_view(), order=3)
     symbol_ids = [lm.symbol_id(s) for s in lm.scorable_symbols()]
     stream = Stream(2024)
     worst = 0.0

@@ -189,3 +189,13 @@ def test_run_from_config(tmp_path, fixture_dir):
     manifest = json.loads((tmp_path / "exp2" / "manifest.json").read_text())
     assert manifest["config"]["lm_order"] == 2
     assert all(v == "ok" for v in manifest["cells"].values())
+
+
+def test_run_config_and_corpus_are_exclusive(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text(f'corpora = ["a:x.conllu"]\nout_dir = "{tmp_path / "out"}"\n')
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(config), "--corpus", "ghost:/nonexistent.conllu:conllu"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

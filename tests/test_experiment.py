@@ -214,6 +214,52 @@ class TestRunExperiment:
         # healthy domains still produce results
         assert any(r["train_domain"] == "chat" for r in result.results)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_gc_freeze_is_scoped_to_the_cells(self, tmp_path, small_config, monkeypatch, threads):
+        """Cells run with the prepared heap frozen; the caller gets it back."""
+        import gc
+
+        import verbscope.experiment as exp
+
+        assert gc.get_freeze_count() == 0
+        ok = run_experiment(small_config(tmp_path / "ok", threads=threads, seeds=(1,)))
+        assert ok.status == 0
+        assert gc.get_freeze_count() == 0
+
+        def sabotaged(corpus, order, **kwargs):  # reports the freeze its cell saw
+            raise RuntimeError(f"frozen: {gc.get_freeze_count() > 0}")
+
+        monkeypatch.setattr(exp, "train_ngram", sabotaged)
+        failed = run_experiment(small_config(tmp_path / "failed", threads=threads, seeds=(1,)))
+        assert failed.status == 1
+        assert len(failed.failures) == 4
+        assert {error for _cell, error in failed.failures} == {"frozen: True"}
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_untagged_domain_fails_only_its_replace_cells(
+        self, tmp_path, small_config, threads
+    ):
+        """REPLACE.WORD needs tags: a text domain loses that cell, not the domain."""
+        from verbscope.ingest import read_corpus
+
+        config = small_config(tmp_path / "out", threads=threads, seeds=(1,))
+        written = next(c for c in config.corpora if c.domain == "written")
+        plain = tmp_path / "plain.txt"
+        plain.write_text(
+            "".join(" ".join(s.forms()) + "\n" for s in read_corpus(written.path, "conllu")),
+            encoding="utf-8",
+        )
+        config.corpora = [config.corpora[0], CorpusSpec("plain", str(plain), "text")]
+        result = run_experiment(config)
+        assert result.status == 1
+        assert result.failures == [
+            ("chat/ORIGINAL/1", "no pairs"),
+            ("plain/ORIGINAL/1", "no pairs"),
+            ("plain/REPLACE.WORD/1", "replace_word requires tags (sentence 's1')"),
+        ]
+        assert result.computed == [("chat", "REPLACE.WORD", 1)]
+
 
 class TestCellCache:
     """Cells are cached by content key, computed once per key, and resumable."""

@@ -7,14 +7,31 @@ from verbscope.perturb import (
     REPLACE_WORD,
     SHUFFLE_ORDER,
     PerturbReport,
+    apply_order,
+    apply_replacements,
     perturb_corpus,
+    perturb_forms,
+    perturb_plan,
     recount_differences,
+    replace_plan,
     replace_word,
     shuffle_order,
 )
 from verbscope.rng import Stream, mix64
 
 from conftest import corpus_of, sent
+
+
+def replaced(sentence, table, stream, include_propn=False):
+    """The sentence rebuilt from replace_word's draws, and how many it replaced."""
+    replacements = replace_word(replace_plan(sentence, table, include_propn), stream)
+    return apply_replacements(sentence, replacements), len(replacements)
+
+
+def shuffled(sentence, stream, pin_final_punct=False):
+    """The sentence rebuilt from shuffle_order's permutation of its span."""
+    (span,) = perturb_plan(Corpus((sentence,)), SHUFFLE_ORDER, pin_final_punct=pin_final_punct)
+    return apply_order(sentence, shuffle_order(span, stream))
 
 
 class TestPerturbReport:
@@ -53,19 +70,19 @@ class TestReplaceWord:
     def test_untagged_sentence_rejected(self):
         table = build_frequency_table(corpus_of("a/DET/DT"))
         with pytest.raises(ValueError, match="requires tags"):
-            replace_word(sent("hello world"), table, Stream(1))
+            replace_plan(sent("hello world"), table)
 
     def test_function_word_sentence_unchanged(self):
         corpus = corpus_of("you/PRON/PRP can/AUX/MD the/DET/DT ./PUNCT/.")
         table = build_frequency_table(corpus)
-        out, n = replace_word(corpus.sentences[0], table, Stream(1))
+        out, n = replaced(corpus.sentences[0], table, Stream(1))
         assert n == 0
         assert out.forms() == corpus.sentences[0].forms()
 
     def test_singleton_bin_keeps_token(self):
         corpus = corpus_of("the/DET/DT cat/NOUN/NN")
         table = build_frequency_table(corpus)
-        out, n = replace_word(corpus.sentences[0], table, Stream(1))
+        out, n = replaced(corpus.sentences[0], table, Stream(1))
         assert n == 0
         assert out.forms()[1] == "cat"
 
@@ -73,7 +90,7 @@ class TestReplaceWord:
         table = build_frequency_table(stool_corpus)
         s = stool_corpus.sentences[0]
         for seed in range(20):
-            out, n = replace_word(s, table, Stream(mix64(seed, 0)))
+            out, n = replaced(s, table, Stream(mix64(seed, 0)))
             assert out.tokens[2].form == "sit"  # root verb untouched
             new = out.forms()[10]
             assert new != "stool"
@@ -88,7 +105,7 @@ class TestReplaceWord:
     def test_replaced_positions_keep_tags_heads_deprels(self, stool_corpus):
         table = build_frequency_table(stool_corpus)
         s = stool_corpus.sentences[0]
-        out, _n = replace_word(s, table, Stream(3))
+        out, _n = replaced(s, table, Stream(3))
         for before, after in zip(s.tokens, out.tokens):
             assert (before.upos, before.xpos) == (after.upos, after.xpos)
             assert before.head == after.head
@@ -105,7 +122,7 @@ class TestReplaceWord:
         target = sent("long/ADJ/JJ")
         picks = {"tall": 0, "odd": 0}
         for i in range(600):
-            out, _ = replace_word(target, table, Stream(mix64(9, i)))
+            out, _ = replaced(target, table, Stream(mix64(9, i)))
             picks[out.forms()[0]] += 1
         assert picks["tall"] + picks["odd"] == 600
         share = picks["tall"] / 600  # expected 4/8 = 0.5
@@ -115,23 +132,24 @@ class TestReplaceWord:
 class TestShuffleOrder:
     def test_single_token_identity(self):
         s = sent("hi/INTJ/UH")
-        assert shuffle_order(s, Stream(1)) is s
+        assert shuffle_order(1, Stream(1)) == [0]
+        assert perturb_corpus(Corpus((s,)), SHUFFLE_ORDER, seed=1)[0].sentences[0] is s
 
     @given(st.integers(min_value=0, max_value=2**63), st.integers(min_value=1, max_value=30))
     def test_multiset_preserved(self, seed, n):
         s = sent(" ".join(f"w{i % 7}/X/X" for i in range(n)))
-        out = shuffle_order(s, Stream(seed))
+        out = shuffled(s, Stream(seed))
         assert sorted(out.forms()) == sorted(s.forms())
 
     def test_fixed_seed_reproducible(self):
         s = sent("a/X/X b/X/X c/X/X")
-        first = shuffle_order(s, Stream(mix64(5, 0))).forms()
-        second = shuffle_order(s, Stream(mix64(5, 0))).forms()
+        first = shuffled(s, Stream(mix64(5, 0))).forms()
+        second = shuffled(s, Stream(mix64(5, 0))).forms()
         assert first == second
 
     def test_heads_follow_their_tokens(self):
         s = sent("the/DET/DT cat/NOUN/NN sat/VERB/VBD:root ./PUNCT/.")
-        out = shuffle_order(s, Stream(17))
+        out = shuffled(s, Stream(17))
         root_new = next(i for i, t in enumerate(out.tokens) if t.deprel == "root")
         assert out.tokens[root_new].form == "sat"
         for t in out.tokens:
@@ -141,7 +159,7 @@ class TestShuffleOrder:
     def test_pin_final_punct(self):
         s = sent("a/X/X b/X/X c/X/X ./PUNCT/.")
         for seed in range(10):
-            out = shuffle_order(s, Stream(seed), pin_final_punct=True)
+            out = shuffled(s, Stream(seed), pin_final_punct=True)
             assert out.tokens[-1].form == "."
 
 
@@ -180,6 +198,26 @@ class TestPerturbCorpus:
     def test_unknown_condition(self, stool_corpus):
         with pytest.raises(ValueError, match="unknown condition"):
             perturb_corpus(stool_corpus, "REVERSE", seed=1)
+
+    @pytest.mark.parametrize("condition", [REPLACE_WORD, SHUFFLE_ORDER])
+    @pytest.mark.parametrize("include_propn, pin_final_punct", [(False, False), (True, True)])
+    def test_form_path_equals_sentence_path(
+        self, chat_fixture, condition, include_propn, pin_final_punct
+    ):
+        """perturb_forms gives the forms and report perturb_corpus gives."""
+        subset = Corpus(chat_fixture.sentences[:1500], domain="chat")
+        table = build_frequency_table(subset)
+        plan = perturb_plan(subset, condition, table, include_propn, pin_final_punct)
+        for seed in (0, 1, 7, 2**63 + 5):
+            out, report = perturb_corpus(
+                subset, condition, table, seed, include_propn, pin_final_punct
+            )
+            forms, form_report = perturb_forms(subset.form_view(), condition, plan, seed)
+            assert forms == out.form_view()
+            assert forms.domain == "chat"
+            assert form_report == report
+            if condition == REPLACE_WORD:
+                assert report.tokens_replaced == recount_differences(subset, out)
 
     def test_rate_equals_independent_recount(self, chat_fixture):
         subset = Corpus(chat_fixture.sentences[:800], domain="chat")

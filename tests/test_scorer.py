@@ -83,15 +83,15 @@ class ReferenceKN:
 class TestTrainNGram:
     def test_order_below_one_rejected(self):
         with pytest.raises(ValueError, match="order"):
-            train_ngram(corpus_of("a b"), 0)
+            train_ngram(corpus_of("a b").form_view(), 0)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
-            train_ngram(Corpus(()), 2)
+            train_ngram(Corpus(()).form_view(), 2)
 
     def test_unigram_distribution_on_aab(self):
         # corpus "a a b": events a,a,b,EOS; N=4; D=0.75; V={a,b,UNK,EOS}
-        lm = train_ngram(corpus_of("a a b"), order=1)
+        lm = train_ngram(corpus_of("a a b").form_view(), order=1)
         assert sorted(lm.scorable_symbols()) == sorted(["a", "b", UNK, EOS])
         p = {w: lm.prob(w) for w in lm.scorable_symbols()}
         # hand computation: p(a) = (2-.75)/4 + (.75*3/4)*(1/4)
@@ -103,27 +103,27 @@ class TestTrainNGram:
 
     def test_training_is_deterministic(self, tmp_path):
         corpus = corpus_of("a b c", "b c a", "c c c")
-        a, b = train_ngram(corpus, 3), train_ngram(corpus, 3)
+        a, b = train_ngram(corpus.form_view(), 3), train_ngram(corpus.form_view(), 3)
         pa, pb = tmp_path / "a.lm", tmp_path / "b.lm"
         save_lm(a, pa)
         save_lm(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_min_count_unk_maps_rare_forms(self):
-        lm = train_ngram(corpus_of("a a a b"), order=1, min_count_unk=2)
+        lm = train_ngram(corpus_of("a a a b").form_view(), order=1, min_count_unk=2)
         assert "b" not in lm.forms
         assert lm.symbol_id("b") == lm.unk_id
 
 
 class TestLogprob:
     def test_empty_tokens_is_eos_only(self):
-        lm = train_ngram(corpus_of("a b", "b a"), order=2)
+        lm = train_ngram(corpus_of("a b", "b a").form_view(), order=2)
         score = lm.logprob([])
         assert score.num_tokens == 1
         assert score.logprob == pytest.approx(math.log(lm.prob(EOS, [BOS])), abs=1e-12)
 
     def test_unseen_word_equals_unk_substitution(self):
-        lm = train_ngram(corpus_of("you want it", "you want milk"), order=3)
+        lm = train_ngram(corpus_of("you want it", "you want milk").form_view(), order=3)
         a = lm.logprob(["you", "want", "xylophone"])
         b = lm.logprob(["you", "want", UNK])
         assert a.logprob == b.logprob
@@ -137,7 +137,7 @@ class TestLogprob:
         ]
         corpus = corpus_of(*[" ".join(s) for s in sentences])
         for order in (1, 2, 3):
-            lm = train_ngram(corpus, order)
+            lm = train_ngram(corpus.form_view(), order)
             ref = ReferenceKN(sentences, order)
             for probe in (
                 ["the", "cat", "sat"],
@@ -151,7 +151,7 @@ class TestLogprob:
                 ), (order, probe)
 
     def test_score_is_negative_and_counts_eos(self):
-        lm = train_ngram(corpus_of("a b c d"), order=2)
+        lm = train_ngram(corpus_of("a b c d").form_view(), order=2)
         score = lm.logprob(["a", "b"], "sid")
         assert score.logprob < 0
         assert score.num_tokens == 3
@@ -162,7 +162,7 @@ class TestNormalization:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_observed_contexts_sum_to_one(self, order, chat_fixture):
         subset = Corpus(chat_fixture.sentences[:400], domain="chat")
-        lm = train_ngram(subset, order)
+        lm = train_ngram(subset.form_view(), order)
         symbols = lm.scorable_symbols()
         ids = [lm.symbol_id(s) for s in symbols]
         for level in range(1, order + 1):
@@ -172,7 +172,7 @@ class TestNormalization:
                 assert total == pytest.approx(1.0, abs=1e-6), (level, ctx)
 
     def test_probabilities_strictly_positive(self):
-        lm = train_ngram(corpus_of("a b", "c d"), order=2)
+        lm = train_ngram(corpus_of("a b", "c d").form_view(), order=2)
         for w in lm.scorable_symbols():
             assert 0 < lm.prob(w, ["a"]) < 1
 
@@ -181,14 +181,14 @@ class TestModelProperties:
     def test_perplexity_beats_uniform(self, chat_fixture):
         subset = Corpus(chat_fixture.sentences[:500], domain="chat")
         for order in (1, 2, 3):
-            lm = train_ngram(subset, order)
+            lm = train_ngram(subset.form_view(), order)
             assert corpus_perplexity(lm, subset) <= lm.vocab_size
 
     def test_doubling_corpus_keeps_dominant_argmax(self):
         base = ["the cat sat", "the cat sat", "the dog ran"]
         double = base + base
-        lm1 = train_ngram(corpus_of(*base), order=2)
-        lm2 = train_ngram(corpus_of(*double), order=2)
+        lm1 = train_ngram(corpus_of(*base).form_view(), order=2)
+        lm2 = train_ngram(corpus_of(*double).form_view(), order=2)
         for ctx in (["the"], ["cat"], [BOS]):
             best1 = max(lm1.scorable_symbols(), key=lambda w: lm1.prob(w, ctx))
             best2 = max(lm2.scorable_symbols(), key=lambda w: lm2.prob(w, ctx))
@@ -196,7 +196,7 @@ class TestModelProperties:
 
     def test_save_load_round_trip_scores_identically(self, tmp_path):
         corpus = corpus_of("a b c", "c b a", "a a b b")
-        lm = train_ngram(corpus, 3, min_count_unk=1, discount=0.6)
+        lm = train_ngram(corpus.form_view(), 3, min_count_unk=1, discount=0.6)
         path = tmp_path / "m.lm"
         save_lm(lm, path)
         loaded = load_lm(path)
@@ -210,7 +210,7 @@ class TestScorePairs:
         return MinimalPair(pid, "semantic-verb", tuple(good), tuple(bad), idx)
 
     def test_identical_members_tie(self):
-        lm = train_ngram(corpus_of("a b c"), order=2)
+        lm = train_ngram(corpus_of("a b c").form_view(), order=2)
         # construct via different diff then evaluate equal-scoring directly
         pair = self._pair("p", ["a", "b"], ["a", "c"], 1)
         lm_scores = score_pairs(lm, [pair])
@@ -220,7 +220,7 @@ class TestScorePairs:
 
     def test_plausible_sentence_beats_unk(self):
         lm = train_ngram(
-            corpus_of("you want it .", "you want it .", "they see milk ."), order=3
+            corpus_of("you want it .", "you want it .", "they see milk .").form_view(), order=3
         )
         good = ["you", "want", "it", "."]
         bad = ["you", "want", "xylophone", "."]
@@ -234,7 +234,7 @@ class TestScorePairs:
         from verbscope.pairgen import gen_semantic_pairs
 
         train, _dev, test = split_corpus(chat_fixture)
-        lm = train_ngram(Corpus(train.sentences[:500], domain="chat"), 3)
+        lm = train_ngram(Corpus(train.sentences[:500], domain="chat").form_view(), 3)
         pairs = gen_semantic_pairs(test, build_frequency_table(train), seed=2)[:200]
         rows = score_pairs(lm, pairs)
         assert len(rows) == len(pairs)
@@ -242,7 +242,7 @@ class TestScorePairs:
         assert score_pairs(lm, pairs) == rows  # pure function of (scorer, pairs)
 
     def test_score_tsv_round_trips_bit_for_bit(self, tmp_path):
-        lm = train_ngram(corpus_of("you want it .", "they see milk ."), order=3)
+        lm = train_ngram(corpus_of("you want it .", "they see milk .").form_view(), order=3)
         pairs = [
             self._pair("p1", ["you", "want", "it", "."], ["you", "see", "it", "."], 1),
             self._pair("p2", ["they", "see", "milk"], ["they", "see", "xylophone"], 2),
@@ -253,7 +253,7 @@ class TestScorePairs:
         assert scored_pairs(pairs, scores) == score_pairs(lm, pairs)
 
     def test_duplicate_pair_ids_rejected(self):
-        lm = train_ngram(corpus_of("a b"), order=1)
+        lm = train_ngram(corpus_of("a b").form_view(), order=1)
         pair = self._pair("p", ["a"], ["b"], 0)
         with pytest.raises(ValueError, match="unique"):
             score_pairs(lm, [pair, pair])
@@ -314,17 +314,17 @@ class TestMemoizedScoring:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_cold_memo_equals_direct_sum(self, order):
-        lm = train_ngram(_forms_corpus(*self.TRAIN), order)
+        lm = train_ngram(_forms_corpus(*self.TRAIN).form_view(), order)
         assert UNK in lm.forms and EOS in lm.forms  # trained as plain forms
         assert (lm.symbol_id(UNK), lm.symbol_id(EOS)) == (lm.unk_id, lm.eos_id)
         for probe in self.PROBES:
-            lm = train_ngram(_forms_corpus(*self.TRAIN), order)
+            lm = train_ngram(_forms_corpus(*self.TRAIN).form_view(), order)
             assert not lm._logp
             assert lm.logprob(probe).logprob == _direct_logprob(lm, probe), probe
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_warm_memo_equals_direct_sum(self, order):
-        lm = train_ngram(_forms_corpus(*self.TRAIN), order)
+        lm = train_ngram(_forms_corpus(*self.TRAIN).form_view(), order)
         for probe in self.PROBES:
             lm.logprob(probe)
         filled = len(lm._logp)
@@ -334,7 +334,7 @@ class TestMemoizedScoring:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_memo_matches_direct_on_fixture(self, order, chat_fixture):
-        lm = train_ngram(Corpus(chat_fixture.sentences[:300], domain="chat"), order)
+        lm = train_ngram(Corpus(chat_fixture.sentences[:300], domain="chat").form_view(), order)
         probes = [s.forms() for s in chat_fixture.sentences[300:500]]
         for _ in range(2):  # cold, then warm
             for probe in probes:
@@ -343,7 +343,7 @@ class TestMemoizedScoring:
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_raw_counts_match_sliding_window_in_first_seen_order(self, order, chat_fixture):
         corpus = Corpus(chat_fixture.sentences[:300], domain="chat")
-        lm = train_ngram(corpus, order)
+        lm = train_ngram(corpus.form_view(), order)
         for k in range(1, order + 1):
             want: dict = {}
             for sent in corpus:
@@ -356,7 +356,7 @@ class TestMemoizedScoring:
             assert type(lm._raw[k]) is dict
 
     def test_repeated_sentences_give_one_row_per_id_in_order(self):
-        lm = train_ngram(_forms_corpus(*self.TRAIN), 3)
+        lm = train_ngram(_forms_corpus(*self.TRAIN).form_view(), 3)
         sentences = [
             ("a", ["you", "want", "it", "."]),
             ("b", ["they", "see", "milk"]),
@@ -372,7 +372,7 @@ class TestMemoizedScoring:
         assert calls == ["a", "b", "d"]  # each distinct token list scored once
         assert [r.sentence_id for r in rows] == ["a", "b", "c", "d", "e", "f"]
         for row, (sid, tokens) in zip(rows, sentences):
-            alone = train_ngram(_forms_corpus(*self.TRAIN), 3).logprob(tokens, sid)
+            alone = train_ngram(_forms_corpus(*self.TRAIN).form_view(), 3).logprob(tokens, sid)
             assert row == alone
 
     def test_external_scorer_receives_every_id(self):
@@ -406,7 +406,7 @@ class TestMemoizedScoring:
 )
 def test_model_agrees_with_reference_on_random_corpora(sentences, order):
     corpus = corpus_of(*[" ".join(s) for s in sentences])
-    lm = train_ngram(corpus, order)
+    lm = train_ngram(corpus.form_view(), order)
     ref = ReferenceKN(sentences, order)
     probes = sentences[:3] + [["a", "z", "b"], []]
     for probe in probes:
