@@ -23,7 +23,7 @@ from .analysis import (
 )
 from .atomic import atomic_write
 from .corpus import build_frequency_table, load_table, save_table
-from .evaluate import Labels, evaluate, write_results_csv
+from .evaluate import Labels, evaluate, result_rows, write_results_csv
 from .experiment import ExperimentConfig, load_config, run_experiment
 from .ingest import (
     FORMATS,
@@ -178,7 +178,7 @@ def _cmd_genpairs(args) -> int:
             f"verb lemmas) -> {args.out}; skipped {counters}"
         )
         return 0
-    train_corpus = read_conllu(args.train)
+    train_corpus = read_corpus(args.train, args.format)
     table = build_frequency_table(train_corpus)
     lexicon = extract_agreement_lexicon(
         table, build_lemma_index(train_corpus),
@@ -224,7 +224,7 @@ def _cmd_eval(args) -> int:
     for paradigm, (acc, n) in result.per_paradigm.items():
         print(f"  {paradigm:15s} {acc:.4f}  (n={n})")
     if args.out:
-        write_results_csv([result], args.out)
+        write_results_csv(result_rows(result), args.out)
     return 0
 
 
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("semantic", "agreement"))
     p.add_argument("--test", help="test-split corpus (semantic)")
     p.add_argument("--table", help="training frequency table TSV (semantic)")
-    p.add_argument("--train", help="training CoNLL-U (agreement lexicon)")
+    p.add_argument("--train", help="training corpus (agreement lexicon)")
     p.add_argument("--format", choices=FORMATS, default="conllu")
     p.add_argument("--max-alts", type=int, default=5)
     p.add_argument("--len-min", type=int, default=10)

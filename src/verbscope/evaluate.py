@@ -5,6 +5,11 @@ score ties get half credit and are reported separately: a continuous
 neural scorer essentially never ties, but an n-gram scorer can (e.g. when
 both members back off identically), and silently counting ties either way
 would bias the comparison.
+
+Results take one form on their way to the files: ``result_rows`` turns an
+``EvalResult`` into rows, ``write_results_csv`` is the one results-CSV
+writer, and ``cross_domain_matrix`` averages (train, eval, accuracy)
+triples taken from those rows.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 from .atomic import atomic_write
 
@@ -91,18 +96,22 @@ class CrossDomainMatrix:
     missing: tuple[tuple[str, str], ...]
 
 
-def cross_domain_matrix(results: Iterable[EvalResult]) -> CrossDomainMatrix:
-    """Mean accuracy per (train domain, eval domain) cell over the results.
+def cross_domain_matrix(
+    accuracies: Iterable[tuple[str, str, float]],
+) -> CrossDomainMatrix:
+    """Mean accuracy per (train domain, eval domain) cell.
 
+    ``accuracies`` holds (train domain, eval domain, accuracy) rows, one per
+    replicate. Each cell averages its rows in input order; the diagonal and
+    off-diagonal means average the cells in sorted (train, eval) order.
     Missing grid cells are reported (and warned about), not invented.
     """
     acc: dict[tuple[str, str], list[float]] = {}
-    for r in results:
-        key = (r.labels.train_domain, r.labels.eval_domain)
-        acc.setdefault(key, []).append(r.accuracy)
+    for train, eval_domain, accuracy in accuracies:
+        acc.setdefault((train, eval_domain), []).append(accuracy)
     train_domains = tuple(sorted({t for t, _e in acc}))
     eval_domains = tuple(sorted({e for _t, e in acc}))
-    cells = {k: sum(v) / len(v) for k, v in acc.items()}
+    cells = {k: sum(v) / len(v) for k, v in sorted(acc.items())}
     missing = tuple(
         (t, e) for t in train_domains for e in eval_domains if (t, e) not in cells
     )
@@ -163,11 +172,9 @@ def result_rows(result: EvalResult) -> list[dict]:
     return rows
 
 
-def write_results_csv(results: Sequence[EvalResult], path) -> None:
-    rows = []
-    for r in results:
-        rows.extend(result_rows(r))
-    rows.sort(key=lambda r: tuple(str(r[c]) for c in RESULT_COLUMNS))
+def write_results_csv(rows: Iterable[dict], path) -> None:
+    """The results CSV: ``result_rows`` rows, sorted by every column as text."""
+    rows = sorted(rows, key=lambda r: tuple(str(r[c]) for c in RESULT_COLUMNS))
     with atomic_write(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
         writer.writeheader()

@@ -13,9 +13,9 @@ Each worker builds a domain's perturb plan for a condition on its first
 cell of that condition, so a run whose REPLACE.WORD cells are all cached
 builds none.
 
-Cells run in forked worker processes, as many as ``threads`` asks for,
-capped at the number of distinct cell keys and the CPU count; one worker
-runs them in-process. The workers inherit the prepared domains rather than
+Cells run in forked worker processes, as many as ``threads`` (at least 1)
+asks for, capped at the number of distinct cell keys and the CPU count;
+one worker runs them in-process. The workers inherit the prepared domains rather than
 receive them. The heap is frozen out of the cyclic GC (``gc.freeze``)
 while the cells run, so full collections skip the prepared domains.
 Every stage derives its randomness from (seed, index) streams, so outputs
@@ -31,6 +31,11 @@ share a key are computed once per run: adding a seed or a condition
 computes only the new cells, and the ORIGINAL cells of every seed share
 one model. A record that is missing, unreadable or keyed differently is a
 cache miss, and every file is written whole or not at all (``atomic``).
+
+Results stay rows (``evaluate.result_rows``) from the cell to the files:
+``results.csv`` goes through ``evaluate.write_results_csv``, and each
+``cross_domain.csv`` cell is the mean of the ORIGINAL seeds' ALL rows for
+its (train, eval) domains.
 
 Config files are flat key = value text (a TOML subset, parsed in-package):
 strings quoted, booleans true/false, numbers bare, lists in brackets.
@@ -53,13 +58,12 @@ from . import __version__
 from .atomic import atomic_write
 from .corpus import Corpus, Forms, build_frequency_table, save_table
 from .evaluate import (
-    EvalResult,
     Labels,
     cross_domain_matrix,
     evaluate,
     result_rows,
     write_matrix_csv,
-    RESULT_COLUMNS,
+    write_results_csv,
 )
 from .ingest import (
     DEFAULT_SPLIT,
@@ -147,6 +151,8 @@ class ExperimentConfig:
         domains = [c.domain for c in self.corpora]
         if len(set(domains)) != len(domains):
             raise ValueError("corpus domains must be unique")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
     def split_spec(self) -> SplitSpec:
         return SplitSpec.parse(self.split) if self.split else DEFAULT_SPLIT
@@ -393,14 +399,6 @@ def _write_record(out: Path, cell: tuple, key: str, rows, report: dict, computed
         fh.write("\n")
 
 
-def _write_rows_csv(rows: list[dict], path) -> None:
-    rows = sorted(rows, key=lambda r: tuple(str(r[c]) for c in RESULT_COLUMNS))
-    with atomic_write(path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 def _write_summary_csv(rows: list[dict], path) -> None:
     """Mean accuracy over seeds per (train, eval, condition, paradigm)."""
     groups: dict[tuple, list] = {}
@@ -530,28 +528,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if condition == REPLACE_WORD and domain not in reports:
             reports[domain] = report
 
-    _write_rows_csv(all_rows, out / "results.csv")
+    write_results_csv(all_rows, out / "results.csv")
     _write_summary_csv(all_rows, out / "summary.csv")
 
     cross = [
-        r for r in all_rows
+        (r["train_domain"], r["eval_domain"], float(r["accuracy"]))
+        for r in all_rows
         if r["condition"] == ORIGINAL and r["paradigm"] == "ALL"
     ]
     if cross:
-        by_cell: dict[tuple, list[float]] = {}
-        for r in cross:
-            by_cell.setdefault((r["train_domain"], r["eval_domain"]), []).append(
-                float(r["accuracy"])
-            )
-        results = [
-            EvalResult(
-                accuracy=sum(v) / len(v), n_pairs=1, n_ties=0,
-                per_paradigm={"ALL": (sum(v) / len(v), 1)},
-                labels=Labels(t, e, ORIGINAL, None),
-            )
-            for (t, e), v in sorted(by_cell.items())
-        ]
-        write_matrix_csv(cross_domain_matrix(results), out / "cross_domain.csv")
+        write_matrix_csv(cross_domain_matrix(cross), out / "cross_domain.csv")
 
     write_stats_csv({d: data.stats for d, data in domains.items()}, out / "stats.csv")
     if reports:

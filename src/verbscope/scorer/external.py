@@ -14,6 +14,10 @@ after the last request; the child must answer every id and exit 0. Any
 deviation (unparseable line, unknown or duplicate id, positive logprob,
 missing answers, nonzero exit, batch timeout) raises
 ExternalScorerError naming the offending line or ids.
+
+``ExternalScorer`` holds only the command and its timeout. Its scores
+carry no scorer or checkpoint label: a checkpoint is named where the
+scores are evaluated (``evaluate.Labels``, ``eval --checkpoint``).
 """
 
 from __future__ import annotations
@@ -113,15 +117,9 @@ def external_score(
 class ExternalScorer:
     """Wraps a command so it can stand in wherever a native model scores."""
 
-    def __init__(
-        self, command: str | Sequence[str], timeout: float = 300.0,
-        checkpoint: str | None = None,
-    ):
+    def __init__(self, command: str | Sequence[str], timeout: float = 300.0):
         self.command = command
         self.timeout = timeout
-        self.checkpoint = checkpoint
-        name = command if isinstance(command, str) else " ".join(command)
-        self.scorer_id = f"external:{name}"
 
     def score_texts(self, items: Sequence[tuple[str, str]]) -> dict[str, tuple[float, int]]:
         return external_score(self.command, items, timeout=self.timeout)

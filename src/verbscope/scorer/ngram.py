@@ -14,7 +14,9 @@ map to UNK at scoring time.
 
 Scores are total (not length-normalized) natural-log probabilities
 including the EOS event. Minimal-pair members always have equal token
-counts, so normalization would cancel anyway.
+counts, so normalization would cancel anyway. A ``SentenceScore`` holds
+only what the score TSV stores: the sentence id, the log-probability and
+the event count.
 
 Table layout: ``_counts``, ``_totals`` and ``_types`` are lists indexed by
 level k (index 0 unused). ``_counts[k]`` maps k-length id tuples to
@@ -48,8 +50,6 @@ class SentenceScore:
     sentence_id: str
     logprob: float
     num_tokens: int
-    scorer_id: str
-    checkpoint: str | None = None
 
     def __post_init__(self):
         if self.logprob > 0:
@@ -116,10 +116,6 @@ class NGramLM:
         self._raw = raw_counts
         self._logp: dict[tuple, float] = {}  # ctx + (w,) -> ln p(w | ctx)
         self._derive_tables()
-
-    @property
-    def scorer_id(self) -> str:
-        return f"ngram-o{self.order}"
 
     def _derive_tables(self) -> None:
         order = self.order
@@ -189,12 +185,7 @@ class NGramLM:
             if value is None:
                 value = memo[gram] = log(self.prob_ids(gram[-1], gram[:-1]))
             lp += value
-        return SentenceScore(
-            sentence_id=sentence_id,
-            logprob=lp,
-            num_tokens=len(seq) - (order - 1),
-            scorer_id=self.scorer_id,
-        )
+        return SentenceScore(sentence_id, lp, len(seq) - (order - 1))
 
 
 def train_ngram(

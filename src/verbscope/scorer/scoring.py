@@ -40,17 +40,7 @@ def score_sentences(
     if isinstance(scorer, NGramLM):
         return _score_distinct(scorer, sentences)
     results = scorer.score_texts([(sid, " ".join(tokens)) for sid, tokens in sentences])
-    checkpoint = getattr(scorer, "checkpoint", None)
-    return [
-        SentenceScore(
-            sentence_id=sid,
-            logprob=results[sid][0],
-            num_tokens=results[sid][1],
-            scorer_id=getattr(scorer, "scorer_id", "external"),
-            checkpoint=checkpoint,
-        )
-        for sid, _tokens in sentences
-    ]
+    return [SentenceScore(sid, *results[sid]) for sid, _tokens in sentences]
 
 
 def _score_distinct(
@@ -64,7 +54,7 @@ def _score_distinct(
         if seen is None:
             row = first[key] = lm.logprob(tokens, sid)
         else:
-            row = SentenceScore(sid, seen.logprob, seen.num_tokens, seen.scorer_id)
+            row = SentenceScore(sid, seen.logprob, seen.num_tokens)
         rows.append(row)
     return rows
 

@@ -75,21 +75,31 @@ class TaggerModel:
         out = []
         for i in range(len(forms)):
             feats = _token_features(i, forms, lower, prev, prev2)
-            scores = dict.fromkeys(self._tags, 0.0)
-            for f in feats:
-                for t, w in self.feature_weights.get(f, _EMPTY).items():
-                    scores[t] += w
-            best = max(scores.values())
-            if best == min(scores.values()):
-                choice = self.most_frequent_tag  # nothing to go on
-            else:
-                choice = min(t for t, s in scores.items() if s == best)
+            choice = _best_tag(
+                self.feature_weights, feats, self._tags, self.most_frequent_tag
+            )
             out.append(choice)
             prev2, prev = prev, choice
         return out
 
 
 _EMPTY: dict[str, float] = {}
+
+
+def _best_tag(
+    weights: dict[str, dict[str, float]], feats: list[str], tags: tuple[str, ...],
+    fallback: str,
+) -> str:
+    """The highest-scoring tag, the smallest on a tie; ``fallback`` when
+    every tag scores the same (nothing to go on)."""
+    scores = dict.fromkeys(tags, 0.0)
+    for f in feats:
+        for t, w in weights.get(f, _EMPTY).items():
+            scores[t] += w
+    best = max(scores.values())
+    if best == min(scores.values()):
+        return fallback
+    return min(t for t, s in scores.items() if s == best)
 
 
 def _require_tags(corpus: Corpus) -> None:
@@ -153,15 +163,7 @@ def train_tagger(
                 step += 1
                 gold = _composite(tok.upos, tok.xpos)
                 feats = _token_features(i, forms, lower, prev, prev2)
-                scores = dict.fromkeys(tags, 0.0)
-                for f in feats:
-                    for t, w in weights.get(f, _EMPTY).items():
-                        scores[t] += w
-                best = max(scores.values())
-                if best == min(scores.values()):
-                    guess = most_frequent
-                else:
-                    guess = min(t for t, s in scores.items() if s == best)
+                guess = _best_tag(weights, feats, tags, most_frequent)
                 if guess != gold:
                     for f in feats:
                         bump(f, gold, +1.0)

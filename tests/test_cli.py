@@ -97,6 +97,22 @@ def test_genpairs_agreement(written_file, tmp_path):
     assert len(lines) == 50  # 5 paradigms x 10
 
 
+def test_genpairs_agreement_reads_train_in_format(written_file, tmp_path, capsys):
+    """--train is read as --format says: untagged text yields no lexicon."""
+    from verbscope.ingest import read_conllu
+
+    text = tmp_path / "written.txt"
+    text.write_text(
+        "".join(" ".join(s.forms()) + "\n" for s in read_conllu(written_file)),
+        encoding="utf-8",
+    )
+    pairs = str(tmp_path / "agr.jsonl")
+    for train in (str(text), written_file):
+        assert main(["genpairs", "agreement", "--train", train, "--format", "text",
+                     "--n", "5", "--out", pairs]) == 1
+        assert "lexicon too sparse" in capsys.readouterr().err
+
+
 def test_train_tagger_and_tag(split_dir, tmp_path, capsys):
     model = tmp_path / "tagger.model"
     assert main(["train-tagger", "--conllu", str(split_dir / "train.conllu"),
@@ -189,6 +205,16 @@ def test_run_from_config(tmp_path, fixture_dir):
     manifest = json.loads((tmp_path / "exp2" / "manifest.json").read_text())
     assert manifest["config"]["lm_order"] == 2
     assert all(v == "ok" for v in manifest["cells"].values())
+
+
+def test_run_rejects_nonpositive_threads(tmp_path, fixture_dir, capsys):
+    out = tmp_path / "exp"
+    assert main([
+        "run", "--corpus", f"chat:{fixture_dir / 'chat.conllu'}:conllu",
+        "--threads", "0", "--out", str(out),
+    ]) == 1
+    assert "threads must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_config_and_corpus_are_exclusive(tmp_path, capsys):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from verbscope.evaluate import (
-    EvalResult,
     Labels,
     cross_domain_matrix,
     evaluate,
@@ -89,11 +88,7 @@ class TestEvaluate:
 
 
 def _result(train, eval_domain, acc):
-    return EvalResult(
-        accuracy=acc, n_pairs=10, n_ties=0,
-        per_paradigm={"semantic-verb": (acc, 10)},
-        labels=Labels(train, eval_domain, "ORIGINAL", None),
-    )
+    return (train, eval_domain, acc)
 
 
 class TestCrossDomainMatrix:
@@ -124,6 +119,20 @@ class TestCrossDomainMatrix:
         m = cross_domain_matrix([_result("a", "a", 0.8), _result("a", "a", 0.6)])
         assert m.cells[("a", "a")] == pytest.approx(0.7)
 
+    def test_means_take_cells_in_sorted_order(self):
+        """With 3+ domains a float sum depends on its order; input order must not."""
+        import itertools
+
+        off = {("a", "b"): 0.1, ("a", "c"): 0.7, ("b", "a"): 0.3,
+               ("b", "c"): 0.9, ("c", "a"): 0.2, ("c", "b"): 0.6}
+        expected = sum(off[k] for k in sorted(off)) / len(off)
+        assert len({sum(p) / len(off) for p in itertools.permutations(off.values())}) > 1
+        diag = [_result(d, d, 0.9) for d in "abc"]
+        for rows in itertools.permutations(_result(t, e, v) for (t, e), v in off.items()):
+            m = cross_domain_matrix(diag + list(rows))
+            assert m.off_diagonal_mean == expected
+            assert list(m.cells) == sorted(m.cells)
+
     def test_matrix_csv_marks_gaps(self, tmp_path):
         from verbscope.evaluate import write_matrix_csv
 
@@ -147,12 +156,15 @@ class TestResultRows:
         assert float(all_row["accuracy"]) == 1.0
 
     def test_csv_written_sorted(self, tmp_path):
-        results = [
-            evaluate([(p, -1.0, -2.0) for p in META], META, Labels("b", "b", "X", None)),
-            evaluate([(p, -1.0, -2.0) for p in META], META, Labels("a", "a", "X", None)),
+        rows = [
+            row
+            for domain in ("b", "a")
+            for row in result_rows(
+                evaluate([(p, -1.0, -2.0) for p in META], META, Labels(domain, domain, "X", None))
+            )
         ]
         path = tmp_path / "r.csv"
-        write_results_csv(results, path)
+        write_results_csv(rows, path)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("train_domain,")
         assert lines[1].startswith("a,")

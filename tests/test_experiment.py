@@ -51,6 +51,10 @@ class TestConfig:
             ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", seeds=[])
         with pytest.raises(ValueError, match="seeds must not repeat"):
             ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", seeds=[1, 2, 1])
+        with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+            ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", threads=0)
+        with pytest.raises(ValueError, match="threads must be >= 1, got -5"):
+            ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", threads=-5)
 
     def test_load_config_with_overrides(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -121,6 +125,48 @@ class TestRunExperiment:
                 (tmp_path / "t1" / name).read_bytes()
                 == (tmp_path / "t8" / name).read_bytes()
             ), name
+
+    def test_three_domain_cross_matrix_matches_results_oracle(self, tmp_path, small_config):
+        """Corpora given out of sorted order, a third domain copying one fixture:
+        cross_domain.csv holds each cell's mean of the ORIGINAL seeds' ALL rows
+        in results.csv, and diagonal/off-diagonal means over the cells in
+        sorted (train, eval) order, at 1 and 2 workers."""
+        import csv
+
+        outputs = []
+        for threads in (1, 2):
+            config = small_config(tmp_path / f"t{threads}", threads=threads)
+            chat, written = config.corpora
+            copy = tmp_path / "bcopy.conllu"
+            copy.write_bytes(Path(chat.path).read_bytes())
+            config.corpora = [written, chat, CorpusSpec("bcopy", str(copy), "conllu")]
+            result = run_experiment(config)
+            assert result.status == 0
+            out = tmp_path / f"t{threads}"
+            with open(out / "results.csv", encoding="utf-8", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            by_cell: dict = {}
+            for r in rows:
+                if r["condition"] == "ORIGINAL" and r["paradigm"] == "ALL":
+                    by_cell.setdefault((r["train_domain"], r["eval_domain"]), []).append(
+                        float(r["accuracy"])
+                    )
+            assert len(by_cell) == 9 and all(len(v) == 2 for v in by_cell.values())
+            cells = {k: sum(v) / len(v) for k, v in sorted(by_cell.items())}
+            diag = [v for (t, e), v in cells.items() if t == e]
+            off = [v for (t, e), v in cells.items() if t != e]
+            domains = ["bcopy", "chat", "written"]
+            expected = [["train\\eval", *domains]]
+            expected += [[t, *(repr(cells[t, e]) for e in domains)] for t in domains]
+            expected += [
+                [],
+                ["diagonal_mean", repr(sum(diag) / len(diag))],
+                ["off_diagonal_mean", repr(sum(off) / len(off))],
+            ]
+            with open(out / "cross_domain.csv", encoding="utf-8", newline="") as fh:
+                assert list(csv.reader(fh)) == expected
+            outputs.append((out / "cross_domain.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_full_grid_manifest_counts_twelve_cells(self, tmp_path, small_config):
         config = small_config(tmp_path / "grid", seeds=(1, 2))

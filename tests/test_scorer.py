@@ -262,11 +262,11 @@ class TestScorePairs:
 class TestSentenceScoreType:
     def test_positive_logprob_rejected(self):
         with pytest.raises(ValueError, match="logprob"):
-            SentenceScore("s", 0.5, 3, "x")
+            SentenceScore("s", 0.5, 3)
 
     def test_zero_tokens_rejected(self):
         with pytest.raises(ValueError, match="num_tokens"):
-            SentenceScore("s", -1.0, 0, "x")
+            SentenceScore("s", -1.0, 0)
 
 
 def _direct_logprob(lm, tokens) -> float:
@@ -377,8 +377,6 @@ class TestMemoizedScoring:
 
     def test_external_scorer_receives_every_id(self):
         class FakeScorer:
-            scorer_id = "fake"
-
             def __init__(self):
                 self.received = []
 
