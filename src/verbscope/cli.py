@@ -43,7 +43,7 @@ from .pairgen import (
     read_pairs,
     write_pairs,
 )
-from .perturb import perturb_corpus
+from .perturb import CONDITIONS, condition_slug, perturb_corpus
 from .scorer import (
     ExternalScorer,
     ExternalScorerError,
@@ -58,11 +58,7 @@ from .scorer.scoring import pair_items, read_pair_scores
 from .stats import compute_stats, format_stats, write_stats_csv
 from .tagger import load_tagger, save_tagger, train_tagger
 
-_CONDITION_FLAGS = {
-    "original": "ORIGINAL",
-    "replace-word": "REPLACE.WORD",
-    "shuffle-order": "SHUFFLE.ORDER",
-}
+_CONDITION_FLAGS = {condition_slug(c): c for c in CONDITIONS}
 
 
 def _cmd_ingest(args) -> int:

@@ -248,5 +248,8 @@ def load_table(path) -> FrequencyTable:
             if len(parts) != 4:
                 raise ValueError(f"{path}: line {lineno}: expected 4 columns")
             upos, xpos, form, c = parts
-            counts[(upos, xpos, form)] = int(c)
+            try:
+                counts[(upos, xpos, form)] = int(c)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: count {c!r} is not an integer")
     return FrequencyTable(counts)

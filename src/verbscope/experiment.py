@@ -14,23 +14,27 @@ cell of that condition, so a run whose REPLACE.WORD cells are all cached
 builds none.
 
 Cells run in forked worker processes, as many as ``threads`` (at least 1)
-asks for, capped at the number of distinct cell keys and the CPU count;
-one worker runs them in-process. The workers inherit the prepared domains rather than
-receive them. The heap is frozen out of the cyclic GC (``gc.freeze``)
-while the cells run, so full collections skip the prepared domains.
-Every stage derives its randomness from (seed, index) streams, so outputs
-are byte identical whatever the worker count.
+asks for, capped at the number of cache units and the CPU count; one
+worker runs them in-process. The workers inherit the prepared domains
+rather than receive them. The heap is frozen out of the cyclic GC
+(``gc.freeze``) while the cells run, so full collections skip the
+prepared domains. Every stage derives its randomness from (seed, index)
+streams, so outputs are byte identical whatever the worker count.
 
-Each cell's result is cached in ``<domain>/<condition>/seed<N>/cell.json``
-under a key over the inputs that determine it: the config fields other
-than threads, out_dir, seeds and conditions, plus the cell's condition,
-its seed when the condition draws on one (never for ORIGINAL), and the
-sha256 of the corpora it reads (its own for a perturbed cell, every
-prepared domain's for ORIGINAL, which scores all their pairs). Cells that
-share a key are computed once per run: adding a seed or a condition
-computes only the new cells, and the ORIGINAL cells of every seed share
-one model. A record that is missing, unreadable or keyed differently is a
-cache miss, and every file is written whole or not at all (``atomic``).
+The cache unit is what a run computes: (domain, condition, seed) for a
+perturbed condition, and (domain, ORIGINAL) for the unperturbed one,
+which draws on no seed and so serves the ORIGINAL cell of every seed.
+Each unit has one directory, ``<domain>/<condition>/seed<N>/`` or
+``<domain>/original/``, holding its ``cell.json`` record, its
+``perturb.json`` and its score TSVs. The record is keyed over the inputs
+that determine the unit: the config fields other than threads, out_dir,
+seeds and conditions, plus the unit's condition and seed, and the sha256
+of the corpora it reads (its own for a perturbed cell, every prepared
+domain's for ORIGINAL, which scores all their pairs). Adding a seed or a
+condition computes only the new units. A record that is missing,
+unreadable or keyed differently is a cache miss, and every file is
+written whole or not at all (``atomic``). ``original/seed<N>/``
+directories that earlier versions wrote are neither read nor removed.
 
 Results stay rows (``evaluate.result_rows``) from the cell to the files:
 ``results.csv`` goes through ``evaluate.write_results_csv``, and each
@@ -51,7 +55,7 @@ import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -82,7 +86,15 @@ from .pairgen import (
     gen_semantic_pairs,
     write_pairs,
 )
-from .perturb import CONDITIONS, ORIGINAL, REPLACE_WORD, PerturbReport, perturb_forms, perturb_plan
+from .perturb import (
+    CONDITIONS,
+    ORIGINAL,
+    REPLACE_WORD,
+    PerturbReport,
+    condition_slug,
+    perturb_forms,
+    perturb_plan,
+)
 from .scorer import score_sentences, train_ngram, write_scores
 from .scorer.scoring import pair_items, scored_pairs
 from .stats import compare_replacement_rates, compute_stats, write_rates_csv, write_stats_csv
@@ -158,26 +170,48 @@ class ExperimentConfig:
         return SplitSpec.parse(self.split) if self.split else DEFAULT_SPLIT
 
 
-def parse_flat_config(text: str) -> dict:
-    """Parse the flat key = value config dialect."""
+_LIST_ITEMS = {"corpora": "str", "conditions": "str", "seeds": "int"}
+
+
+def parse_flat_config(text: str, source: str = "config") -> dict:
+    """Parse the flat key = value config dialect into ExperimentConfig fields.
+
+    An unknown, repeated or wrongly typed key is an error naming ``source``
+    and the line.
+    """
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{source}: line {lineno}"
         key, sep, value = line.partition("=")
+        key = key.strip()
         if not sep:
-            raise ValueError(f"config line {lineno}: expected key = value")
-        out[key.strip()] = _parse_value(value.strip(), lineno)
+            raise ValueError(f"{where}: expected key = value")
+        if key not in types:
+            raise ValueError(f"{where}: unknown key {key!r}")
+        if key in out:
+            raise ValueError(f"{where}: {key} is set twice")
+        out[key] = _parse_value(value.strip(), where)
+        want, got = types[key], type(out[key]).__name__
+        if got != want and (want, got) != ("float", "int"):
+            raise ValueError(f"{where}: {key} must be {want}, got {got} {out[key]!r}")
+        if got == "list":
+            item = _LIST_ITEMS[key]
+            wrong = [v for v in out[key] if type(v).__name__ != item]
+            if wrong:
+                raise ValueError(f"{where}: {key} must hold {item}s, got {wrong[0]!r}")
     return out
 
 
-def _parse_value(text: str, lineno: int):
+def _parse_value(text: str, where: str):
     if text.startswith("[") and text.endswith("]"):
         inner = text[1:-1].strip()
         if not inner:
             return []
-        return [_parse_value(part.strip(), lineno) for part in inner.split(",")]
+        return [_parse_value(part.strip(), where) for part in inner.split(",")]
     if text.startswith('"') and text.endswith('"') and len(text) >= 2:
         return text[1:-1]
     if text in ("true", "false"):
@@ -189,14 +223,17 @@ def _parse_value(text: str, lineno: int):
     try:
         return float(text)
     except ValueError:
-        raise ValueError(f"config line {lineno}: cannot parse value {text!r}")
+        raise ValueError(f"{where}: cannot parse value {text!r}")
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
-        values = parse_flat_config(fh.read())
+        values = parse_flat_config(fh.read(), str(path))
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
+    missing = [key for key in ("corpora", "out_dir") if key not in values]
+    if missing:
+        raise ValueError(f"{path}: {' and '.join(missing)} not set (out_dir may come from --out)")
     return ExperimentConfig(**values)
 
 
@@ -224,13 +261,19 @@ def _config_hash(config: ExperimentConfig, shas: dict) -> str:
     return _digest(payload)
 
 
-def _cell_key(config: ExperimentConfig, shas: dict, cell: tuple, prepared) -> str:
-    """Cache key of one cell: the inputs that determine its rows and report.
+def _unit(cell: tuple) -> tuple:
+    """The cache unit of a cell: ORIGINAL draws on no seed, so its unit has none."""
+    domain, condition, seed = cell
+    return (domain, condition, None if condition == ORIGINAL else seed)
+
+
+def _unit_key(config: ExperimentConfig, shas: dict, unit: tuple, prepared) -> str:
+    """Cache key of one unit: the inputs that determine its rows and report.
 
     Corpora enter by content, not path: a perturbed cell reads its own
-    corpus, an ORIGINAL cell the pairs of every prepared domain too.
+    corpus, ORIGINAL the pairs of every prepared domain too.
     """
-    domain, condition, seed = cell
+    domain, condition, _seed = unit
     payload = asdict(config)
     for name in ("threads", "out_dir", "seeds", "conditions", "corpora"):
         payload.pop(name)
@@ -240,21 +283,18 @@ def _cell_key(config: ExperimentConfig, shas: dict, cell: tuple, prepared) -> st
         for c in config.corpora
         if c.domain in read
     ]
-    payload["cell"] = [domain, condition, None if condition == ORIGINAL else seed]
+    payload["cell"] = list(unit)
     return _digest(payload)
-
-
-def _slug(condition: str) -> str:
-    return condition.lower().replace(".", "-")
 
 
 def _cell_name(cell: tuple) -> str:
     return "/".join(map(str, cell))
 
 
-def _cell_dir(out: Path, cell: tuple) -> Path:
-    domain, condition, seed = cell
-    return out / domain / _slug(condition) / f"seed{seed}"
+def _unit_dir(out: Path, unit: tuple) -> Path:
+    domain, condition, seed = unit
+    cond_dir = out / domain / condition_slug(condition)
+    return cond_dir if seed is None else cond_dir / f"seed{seed}"
 
 
 @dataclass
@@ -265,15 +305,14 @@ class ExperimentResult:
     results: list
     cells: list  # every (domain, condition, seed) of the run
     computed: list  # the cells this run computed
-    shared: list  # cells whose key this run computed for another cell
+    shared: list  # cells whose unit this run computed for another cell
+    failed: list  # cells that failed, or whose domain did
 
     def summary(self) -> str:
-        failed = {name for name, _error in self.failures}
-        n_failed = sum(_cell_name(c) in failed for c in self.cells)
-        cached = len(self.cells) - len(self.computed) - len(self.shared) - n_failed
+        cached = len(self.cells) - len(self.computed) - len(self.shared) - len(self.failed)
         return (
             f"{len(self.cells)} cells: {len(self.computed)} computed, "
-            f"{len(self.shared)} shared, {cached} cached, {n_failed} failed"
+            f"{len(self.shared)} shared, {cached} cached, {len(self.failed)} failed"
         )
 
 
@@ -334,11 +373,11 @@ def _prepare_domain(config: ExperimentConfig, spec: CorpusSpec, out: Path) -> _D
     )
 
 
-def _run_cell(config: ExperimentConfig, domains: dict, cell: tuple, out: Path):
-    """Compute one cell; returns (eval rows, replacement report dict)."""
-    domain, condition, seed = cell
-    cell_dir = _cell_dir(out, cell)
-    cell_dir.mkdir(parents=True, exist_ok=True)
+def _run_unit(config: ExperimentConfig, domains: dict, unit: tuple, out: Path):
+    """Compute one unit; returns (eval rows, replacement report dict)."""
+    domain, condition, seed = unit
+    unit_dir = _unit_dir(out, unit)
+    unit_dir.mkdir(parents=True, exist_ok=True)
     data: _DomainData = domains[domain]
 
     if condition not in data.plans:
@@ -353,7 +392,7 @@ def _run_cell(config: ExperimentConfig, domains: dict, cell: tuple, out: Path):
     if config.keep_models:
         from .scorer import save_lm
 
-        save_lm(lm, cell_dir / "lm.txt")
+        save_lm(lm, unit_dir / "lm.txt")
 
     rows: list[dict] = []
     for eval_domain in sorted(domains):
@@ -361,8 +400,7 @@ def _run_cell(config: ExperimentConfig, domains: dict, cell: tuple, out: Path):
             continue  # cross-domain check runs on unperturbed models only
         pairs = domains[eval_domain].pairs
         scores = score_sentences(lm, pair_items(pairs))
-        write_scores(scores, cell_dir / f"scores-{eval_domain}.tsv")
-        # seeds stack as replicate rows; score traces live in the computing cell dir
+        write_scores(scores, unit_dir / f"scores-{eval_domain}.tsv")
         result = evaluate(
             scored_pairs(pairs, scores),
             domains[eval_domain].pairs_meta,
@@ -372,30 +410,23 @@ def _run_cell(config: ExperimentConfig, domains: dict, cell: tuple, out: Path):
     return rows, asdict(report)
 
 
-def _load_record(out: Path, cell: tuple, key: str) -> dict | None:
-    """The cell's cache record if it is whole and keyed ``key``, else None."""
+def _load_record(out: Path, unit: tuple, key: str) -> dict | None:
+    """The unit's cache record if it is whole and keyed ``key``, else None."""
     try:
-        with open(_cell_dir(out, cell) / "cell.json", encoding="utf-8") as fh:
+        with open(_unit_dir(out, unit) / "cell.json", encoding="utf-8") as fh:
             record = json.load(fh)
     except (OSError, ValueError):  # missing, unreadable or cut short: a miss
         return None
     return record if isinstance(record, dict) and record.get("key") == key else None
 
 
-def _write_record(out: Path, cell: tuple, key: str, rows, report: dict, computed_by: str):
-    """A cell's perturb.json, then its cell.json naming the cell that holds the scores."""
-    cell_dir = _cell_dir(out, cell)
-    cell_dir.mkdir(parents=True, exist_ok=True)
-    if computed_by != _cell_name(cell):  # scores of an older key would mislead
-        for stale in [*cell_dir.glob("scores-*.tsv"), cell_dir / "lm.txt"]:
-            stale.unlink(missing_ok=True)
-    with atomic_write(cell_dir / "perturb.json") as fh:
+def _write_record(out: Path, unit: tuple, key: str, rows, report: dict):
+    """A unit's perturb.json, then its cell.json."""
+    unit_dir = _unit_dir(out, unit)
+    with atomic_write(unit_dir / "perturb.json") as fh:
         fh.write(PerturbReport(**report).to_json())
-    with atomic_write(cell_dir / "cell.json") as fh:
-        json.dump(
-            {"key": key, "rows": rows, "report": report, "computed_by": computed_by},
-            fh, sort_keys=True, indent=2,
-        )
+    with atomic_write(unit_dir / "cell.json") as fh:
+        json.dump({"key": key, "rows": rows, "report": report}, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -417,36 +448,21 @@ def _write_summary_csv(rows: list[dict], path) -> None:
             writer.writerow(list(key) + [repr(mean), len(vals), vals[0][1]])
 
 
-def _settle(config: ExperimentConfig, domains: dict, out: Path, group: tuple):
-    """Rows and report of one key group, and the cell computed for it (or None).
-
-    Only a record of the cell holding the scores serves the group: a
-    repeat's record vouches for files in another directory.
-    """
-    key, members = group
-    records = [_load_record(out, cell, key) for cell in members]
-    hit = next(
-        (r for c, r in zip(members, records) if r and r["computed_by"] == _cell_name(c)),
-        None,
-    )
-    if hit is None:
-        computed = members[0]
-        rows, report = _run_cell(config, domains, computed, out)
-        source = _cell_name(computed)
-    else:
-        computed = None
-        rows, report, source = hit["rows"], hit["report"], hit["computed_by"]
-    for cell, record in zip(members, records):
-        if record is None or cell == computed:
-            _write_record(out, cell, key, rows, dict(report, seed=cell[2]), source)
-    return rows, report, computed
+def _settle(config: ExperimentConfig, domains: dict, out: Path, unit: tuple, key: str):
+    """Rows and report of one unit, and whether this run computed them."""
+    record = _load_record(out, unit, key)
+    if record is not None:
+        return record["rows"], record["report"], False
+    rows, report = _run_unit(config, domains, unit, out)
+    _write_record(out, unit, key, rows, report)
+    return rows, report, True
 
 
-def _attempt(config: ExperimentConfig, domains: dict, out: Path, group: tuple):
-    """``_settle`` the group; a failure aborts the group, not the run, and
+def _attempt(config: ExperimentConfig, domains: dict, out: Path, unit_key: tuple):
+    """``_settle`` the unit; a failure aborts the unit, not the run, and
     comes back as its message, which pickles where an exception may not."""
     try:
-        return _settle(config, domains, out, group)
+        return _settle(config, domains, out, *unit_key)
     except Exception as exc:
         return str(exc)
 
@@ -459,8 +475,8 @@ def _adopt(*job) -> None:
     _adopted = job
 
 
-def _attempt_adopted(group: tuple):
-    return _attempt(*_adopted, group)
+def _attempt_adopted(unit_key: tuple):
+    return _attempt(*_adopted, unit_key)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -479,52 +495,53 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     cells = [
         (spec.domain, condition, seed)
         for spec in config.corpora
-        if spec.domain in domains
         for condition in config.conditions
         for seed in config.seeds
     ]
-    groups: dict[str, list] = {}
+    first_cell: dict[tuple, tuple] = {}  # unit -> the cell that computes it
     for cell in cells:
-        groups.setdefault(_cell_key(config, shas, cell, domains), []).append(cell)
+        if cell[0] in domains:
+            first_cell.setdefault(_unit(cell), cell)
+    keys = {unit: _unit_key(config, shas, unit, domains) for unit in first_cell}
 
-    workers = min(config.threads, len(groups), os.cpu_count() or 1)
+    workers = min(config.threads, len(keys), os.cpu_count() or 1)
     job = (config, domains, out)
     # The prepared domains live through the run: full collections skip them,
     # and forked workers do not touch (and so copy) their pages
     gc.freeze()
     try:
-        if workers > 1:  # forked workers inherit the job; only groups and outcomes pickle
+        if workers > 1:  # forked workers inherit the job; only units and outcomes pickle
             with ProcessPoolExecutor(
                 max_workers=workers, mp_context=multiprocessing.get_context("fork"),
                 initializer=_adopt, initargs=job,
             ) as pool:
-                outcomes = list(pool.map(_attempt_adopted, groups.items()))
+                outcomes = list(pool.map(_attempt_adopted, keys.items()))
         else:
-            outcomes = [_attempt(*job, group) for group in groups.items()]
+            outcomes = [_attempt(*job, unit_key) for unit_key in keys.items()]
     finally:
         gc.unfreeze()
-    outcome_of = {
-        cell: outcome
-        for members, outcome in zip(groups.values(), outcomes)
-        for cell in members
-    }
+    outcome_of = dict(zip(keys, outcomes))
 
     all_rows: list[dict] = []
     reports: dict[str, dict] = {}
     computed: list[tuple] = []
     shared: list[tuple] = []
+    failed: list[tuple] = []
     for cell in cells:
-        outcome = outcome_of[cell]
+        domain, condition, _seed = cell
+        if domain not in domains:  # its domain's failure is already logged
+            failed.append(cell)
+            continue
+        unit = _unit(cell)
+        outcome = outcome_of[unit]
         if isinstance(outcome, str):
             failures.append((_cell_name(cell), outcome))
+            failed.append(cell)
             continue
-        rows, report, computed_cell = outcome
+        rows, report, fresh = outcome
         all_rows.extend(rows)
-        if computed_cell == cell:
-            computed.append(cell)
-        elif computed_cell is not None:
-            shared.append(cell)
-        domain, condition, _seed = cell
+        if fresh:
+            (computed if cell == first_cell[unit] else shared).append(cell)
         if condition == REPLACE_WORD and domain not in reports:
             reports[domain] = report
 
@@ -554,12 +571,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "corpora": [asdict(c) for c in config.corpora],
         },
         "config_hash": _config_hash(config, shas),
-        "cells": {
-            _cell_name(cell): "failed" if any(
-                f[0] == _cell_name(cell) for f in failures
-            ) else "ok"
-            for cell in cells
-        },
+        "cells": {_cell_name(c): "failed" if c in failed else "ok" for c in cells},
         "failures": sorted(failures),
         "pairs_files": {d: str(data.pairs_path) for d, data in domains.items()},
     }
@@ -575,4 +587,5 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         cells=cells,
         computed=computed,
         shared=shared,
+        failed=failed,
     )

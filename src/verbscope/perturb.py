@@ -44,6 +44,13 @@ REPLACE_WORD = "REPLACE.WORD"
 SHUFFLE_ORDER = "SHUFFLE.ORDER"
 CONDITIONS = (ORIGINAL, REPLACE_WORD, SHUFFLE_ORDER)
 
+
+def condition_slug(condition: str) -> str:
+    """A condition's lower-case, dashed name: its directory under a ``run``
+    domain and its ``perturb --condition`` choice."""
+    return condition.lower().replace(".", "-")
+
+
 _ALWAYS_REPLACED_UPOS = frozenset({"NOUN", "ADJ", "ADV"})
 
 
@@ -53,7 +60,7 @@ class PerturbReport:
     tokens_total: int
     tokens_replaced: int
     replacement_rate: float
-    seed: int
+    seed: int | None  # None for ORIGINAL in `run`, which draws on no seed
 
     def __post_init__(self):
         if self.condition not in CONDITIONS:
@@ -156,12 +163,12 @@ def _draws(condition: str, plan: tuple, seed: int):
             yield i, shuffle_order(entry, Stream(mix64(seed, i)))
 
 
-def _report(condition: str, total: int, replaced: int, seed: int) -> PerturbReport:
+def _report(condition: str, total: int, replaced: int, seed: int | None) -> PerturbReport:
     return PerturbReport(condition, total, replaced, replaced / total if total else 0.0, seed)
 
 
 def perturb_forms(
-    forms: Forms, condition: str, plan: tuple, seed: int = 0
+    forms: Forms, condition: str, plan: tuple, seed: int | None = 0
 ) -> tuple[Forms, PerturbReport]:
     """Apply one condition to a corpus's form view; ``plan`` is the corpus's
     ``perturb_plan``. Gives the forms and report ``perturb_corpus`` gives."""

@@ -260,30 +260,45 @@ def save_lm(lm: NGramLM, path) -> None:
 
 
 def load_lm(path) -> NGramLM:
+    """Rebuild a ``save_lm`` model; a malformed or cut-short file is a
+    ValueError naming the file and line."""
     with open(path, encoding="utf-8") as fh:
-        version = fh.readline().rstrip("\n")
-        if version != MODEL_VERSION:
-            raise ValueError(f"{path}: unsupported model version {version!r}")
-        header: dict[str, str] = {}
-        for _ in range(4):
-            key, _, value = fh.readline().rstrip("\n").partition("\t")
-            header[key] = value
-        order = int(header["order"])
-        discounts = [float(d) for d in header["discount"].split(",")]
-        forms = [fh.readline().rstrip("\n") for _ in range(int(header["forms"]))]
-        raw: list[dict | None] = [None] + [dict() for _ in range(order)]
-        for _ in range(order):
-            tag, k_s, n_s = fh.readline().rstrip("\n").split("\t")
-            if tag != "grams":
-                raise ValueError(f"{path}: malformed model file")
-            k, n = int(k_s), int(n_s)
-            table = raw[k]
-            for _ in range(n):
-                gram_s, count_s = fh.readline().rstrip("\n").split("\t")
-                table[tuple(map(int, gram_s.split(" ")))] = int(count_s)
+        lineno = 0
+
+        def fields(n: int, tag: str | None = None) -> list[str]:
+            nonlocal lineno
+            lineno += 1
+            text = fh.readline()
+            if not text:
+                raise ValueError("the file ends early")
+            parts = text.rstrip("\n").split("\t")
+            if len(parts) != n or tag not in (None, parts[0]):
+                start = f" starting {tag!r}" if tag else ""
+                raise ValueError(f"expected {n} tab-separated fields{start}")
+            return parts
+
+        try:
+            (version,) = fields(1)
+            if version != MODEL_VERSION:
+                raise ValueError(f"unsupported model version {version!r}")
+            order = int(fields(2, "order")[1])
+            discounts = [float(d) for d in fields(2, "discount")[1].split(",")]
+            min_count_unk = int(fields(2, "min_count_unk")[1])
+            forms = [fields(1)[0] for _ in range(int(fields(2, "forms")[1]))]
+            raw: list[dict | None] = [None] + [dict() for _ in range(order)]
+            for k in range(1, order + 1):
+                _tag, k_s, n_s = fields(3, "grams")
+                if int(k_s) != k:
+                    raise ValueError(f"expected the order-{k} grams, got order {k_s}")
+                table = raw[k]
+                for _ in range(int(n_s)):
+                    gram_s, count_s = fields(2)
+                    table[tuple(map(int, gram_s.split(" ")))] = int(count_s)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     lm = NGramLM(
         order=order, forms=forms, raw_counts=raw,
-        discount=discounts[0], min_count_unk=int(header["min_count_unk"]),
+        discount=discounts[0], min_count_unk=min_count_unk,
     )
     lm.discounts = [0.0] + discounts
     return lm

@@ -101,7 +101,10 @@ def read_pair_scores(path) -> list[ScoredPair]:
             target = good if member == "good" else bad
             if pair_id in target:
                 raise ValueError(f"{path}: line {lineno}: duplicate {sid!r}")
-            target[pair_id] = float(lp)
+            try:
+                target[pair_id] = float(lp)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: logprob {lp!r} is not a number")
             if member == "good":
                 order.append(pair_id)
     lone = set(good).symmetric_difference(bad)

@@ -174,6 +174,13 @@ def test_table_round_trip(tmp_path):
     assert dict(loaded.counts) == dict(table.counts)
 
 
+def test_table_bad_count_names_file_and_line(tmp_path):
+    path = tmp_path / "table.tsv"
+    path.write_text("verbscope-table/1\nNOUN\tNN\tcat\t3\nVERB\tVBZ\tsits\tmany\n")
+    with pytest.raises(ValueError, match=r"table\.tsv: line 3: count 'many' is not an integer"):
+        load_table(path)
+
+
 def test_table_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("not a table\n")

@@ -35,6 +35,7 @@ class TestConfig:
         assert values["discount"] == 0.75
         assert values["agreement"] is False
         assert values["corpora"] == ["a:x.conllu", "b:y.conllu"]
+        assert parse_flat_config("discount = 1\n") == {"discount": 1}  # a float field takes an int
 
     def test_flat_parser_rejects_garbage(self):
         with pytest.raises(ValueError, match="line 1"):
@@ -55,6 +56,31 @@ class TestConfig:
             ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", threads=0)
         with pytest.raises(ValueError, match="threads must be >= 1, got -5"):
             ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", threads=-5)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('bogus = 1\n', r"c\.cfg: line 1: unknown key 'bogus'"),
+            ('out_dir = "o"\nseeds = 3\n', r"c\.cfg: line 2: seeds must be list, got int 3"),
+            ('threads = "2"\n', r"c\.cfg: line 1: threads must be int, got str '2'"),
+            ("seeds = [1, true]\n", r"c\.cfg: line 1: seeds must hold ints, got True"),
+            ("seeds = [1]\n\nseeds = [2]\n", r"c\.cfg: line 3: seeds is set twice"),
+            ('corpora = ["a:x.conllu"]\n', r"c\.cfg: out_dir not set"),
+        ],
+    )
+    def test_load_config_rejects_bad_input_with_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_config(path)
+
+    def test_run_reports_a_bad_config_as_an_error(self, tmp_path, capsys):
+        from verbscope.cli import main
+
+        path = tmp_path / "c.cfg"
+        path.write_text('corpora = ["a:x.conllu"]\n')
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: out_dir not set (out_dir may come from --out)\n"
 
     def test_load_config_with_overrides(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -256,9 +282,15 @@ class TestRunExperiment:
         ]
         result = run_experiment(config)
         assert result.status == 1
-        assert any(cell == "ghost" for cell, _err in result.failures)
+        assert [cell for cell, _err in result.failures] == ["ghost"]
         # healthy domains still produce results
         assert any(r["train_domain"] == "chat" for r in result.results)
+        # the failed domain's cells count as failed, in the tally and the manifest
+        assert result.summary() == "6 cells: 4 computed, 0 shared, 0 cached, 2 failed"
+        manifest = json.loads((tmp_path / "fail" / "manifest.json").read_text())
+        assert manifest["cells"]["ghost/ORIGINAL/1"] == "failed"
+        assert manifest["cells"]["ghost/REPLACE.WORD/1"] == "failed"
+        assert [name for name, _err in manifest["failures"]] == ["ghost"]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_gc_freeze_is_scoped_to_the_cells(self, tmp_path, small_config, monkeypatch, threads):
@@ -321,22 +353,23 @@ class TestCellCache:
         second = run_experiment(small_config(out))
         assert second.status == 0
         assert second.computed == [("chat", "REPLACE.WORD", 1), ("written", "REPLACE.WORD", 2)]
-        assert json.loads(cut.read_text())["computed_by"] == "chat/REPLACE.WORD/1"
+        assert json.loads(cut.read_text())["rows"] == json.loads(data)["rows"]
         assert lost.is_file()
         canon = lambda rows: sorted(json.dumps(r, sort_keys=True) for r in rows)
         assert canon(first.results) == canon(second.results)
 
-    def test_cut_original_record_is_recomputed_not_served_by_a_repeat(
-        self, tmp_path, small_config
-    ):
+    def test_cut_original_record_is_recomputed(self, tmp_path, small_config):
         out = tmp_path / "out"
         run_experiment(small_config(out))
-        seed1 = out / "chat" / "original" / "seed1"
-        (seed1 / "cell.json").write_text('{"key": "')
-        (seed1 / "scores-chat.tsv").unlink()
+        original = out / "chat" / "original"
+        record = (original / "cell.json").read_bytes()
+        (original / "cell.json").write_text('{"key": "')
+        (original / "scores-chat.tsv").unlink()
         result = run_experiment(small_config(out))
         assert result.computed == [("chat", "ORIGINAL", 1)]
-        assert (seed1 / "scores-chat.tsv").is_file()
+        assert result.shared == [("chat", "ORIGINAL", 2)]
+        assert (original / "cell.json").read_bytes() == record
+        assert (original / "scores-chat.tsv").is_file()
 
     def test_added_seed_computes_only_new_perturbed_cells(
         self, tmp_path, small_config, monkeypatch
@@ -405,8 +438,22 @@ class TestCellCache:
         ]
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert len(manifest["cells"]) == 12
-        repeat = tmp_path / "out" / "chat" / "original" / "seed3"
-        assert json.loads((repeat / "perturb.json").read_text())["seed"] == 3
-        assert json.loads((repeat / "cell.json").read_text())["computed_by"] == "chat/ORIGINAL/1"
-        assert not list(repeat.glob("scores-*.tsv"))
-        assert (repeat.parent / "seed1" / "scores-written.tsv").is_file()
+        original = tmp_path / "out" / "chat" / "original"
+        assert (original / "cell.json").is_file()
+        assert json.loads((original / "perturb.json").read_text())["seed"] is None
+        assert (original / "scores-chat.tsv").is_file()
+        assert (original / "scores-written.tsv").is_file()
+        assert not list(original.glob("seed*"))
+
+    def test_original_unit_does_not_depend_on_the_seeds(self, tmp_path, small_config):
+        trees = []
+        for name, seeds in (("three-one", (3, 1)), ("one-two-three", (1, 2, 3))):
+            out = tmp_path / name
+            run_experiment(small_config(out, seeds=seeds))
+            trees.append({
+                p.relative_to(out): p.read_bytes()
+                for domain in ("chat", "written")
+                for p in (out / domain / "original").rglob("*")
+            })
+        assert trees[0] == trees[1]
+        assert len(trees[0]) == 2 * 4  # cell.json, perturb.json, two score TSVs

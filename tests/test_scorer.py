@@ -204,6 +204,20 @@ class TestModelProperties:
             assert loaded.logprob(probe).logprob == lm.logprob(probe).logprob
         assert loaded.discounts == lm.discounts
 
+    def test_cut_short_header_names_file_and_line(self, tmp_path, capsys):
+        from verbscope.cli import main
+
+        lm = train_ngram(corpus_of("a b c").form_view(), 2)
+        path = tmp_path / "m.lm"
+        save_lm(lm, path)
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:2]))
+        with pytest.raises(ValueError, match=r"m\.lm: line 3: the file ends early"):
+            load_lm(path)
+        (tmp_path / "c.conllu").write_text("1\ta\ta\tX\tX\t_\t0\troot\t_\t_\n\n")
+        args = ["score", "--lm", str(path), "--in", str(tmp_path / "c.conllu"), "--out", str(tmp_path / "s")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {path}: line 3: the file ends early\n"
+
 
 class TestScorePairs:
     def _pair(self, pid, good, bad, idx):
@@ -251,6 +265,12 @@ class TestScorePairs:
         write_scores(scores, tmp_path / "scores.tsv")
         assert read_pair_scores(tmp_path / "scores.tsv") == scored_pairs(pairs, scores)
         assert scored_pairs(pairs, scores) == score_pairs(lm, pairs)
+
+    def test_bad_logprob_names_file_and_line(self, tmp_path):
+        path = tmp_path / "scores.tsv"
+        path.write_text("p::good\t-1.5\t2\np::bad\tabc\t2\n")
+        with pytest.raises(ValueError, match=r"scores\.tsv: line 2: logprob 'abc' is not a number"):
+            read_pair_scores(path)
 
     def test_duplicate_pair_ids_rejected(self):
         lm = train_ngram(corpus_of("a b").form_view(), order=1)
