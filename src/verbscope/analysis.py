@@ -5,7 +5,8 @@ The regression uses treatment (dummy) coding with a reference dataset and
 condition, so the intercept is the reference cell and each interaction
 coefficient is a difference-in-differences. Replicate runs (seeds) enter
 as plain replicate rows. p-values come from an in-package Student-t CDF
-built on the regularized incomplete beta function.
+built on the regularized incomplete beta function. The regression and
+trajectory CSVs are rows handed to ``atomic.write_csv``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, write_csv
 
 # -- Student-t CDF ---------------------------------------------------------
 
@@ -264,14 +265,10 @@ def format_regression(result: RegressionResult) -> str:
 
 
 def write_regression_csv(result: RegressionResult, path) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["term", "estimate", "std_error", "t", "p"])
-        for row in zip(
-            result.terms, result.estimates, result.std_errors,
-            result.t_values, result.p_values,
-        ):
-            writer.writerow([row[0]] + [repr(v) for v in row[1:]])
+    write_csv(path, [("term", "estimate", "std_error", "t", "p"), *zip(
+        result.terms, result.estimates, result.std_errors,
+        result.t_values, result.p_values,
+    )])
 
 
 # -- developmental trajectories ---------------------------------------------
@@ -329,18 +326,9 @@ def trajectory(
 
 
 def write_trajectory_csv(table: TrajectoryTable, path) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["checkpoint", "semantic_acc", "syntactic_acc", "ratio"])
-        for row in table.rows:
-            writer.writerow(
-                [
-                    row.checkpoint,
-                    repr(row.semantic),
-                    repr(row.syntactic),
-                    "" if row.ratio is None else repr(row.ratio),
-                ]
-            )
+    write_csv(path, [("checkpoint", "semantic_acc", "syntactic_acc", "ratio")] + [
+        (r.checkpoint, r.semantic, r.syntactic, r.ratio) for r in table.rows
+    ])
 
 
 # -- SVG charts --------------------------------------------------------------
@@ -483,7 +471,8 @@ def emit_chart(
 
 def read_series_csv(path, x_column: str | None = None) -> dict[str, list[tuple[float, float]]]:
     """Series from a CSV: first (or named) column is x, every other numeric
-    column is one series; blank cells are skipped."""
+    column is one series; blank cells are skipped. A cell that is not a
+    number is a ValueError naming the file and line."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -495,9 +484,12 @@ def read_series_csv(path, x_column: str | None = None) -> dict[str, list[tuple[f
             c: [] for c in reader.fieldnames if c != x_col
         }
         for row in reader:
-            x = float(row[x_col])
-            for col, points in series.items():
-                cell = row[col]
-                if cell is not None and cell.strip() != "":
-                    points.append((x, float(cell)))
+            try:
+                x = float(row[x_col])
+                for col, points in series.items():
+                    cell = row[col]
+                    if cell is not None and cell.strip() != "":
+                        points.append((x, float(cell)))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return {name: pts for name, pts in series.items() if pts}

@@ -1,4 +1,4 @@
-"""Crash-safe text file writes.
+"""Crash-safe text file writes, and the one CSV writer.
 
 A reader of a path written through ``atomic_write`` sees either the old
 file or the whole new one, never a prefix: the text goes to a temp file in
@@ -8,10 +8,15 @@ it is complete. A process killed mid-write leaves at most a stray temp file
 this guards against the process dying, not against the machine losing power.
 The temp name is per process: two writers in one process must not write
 one path at once.
+
+Every result table goes through ``write_csv``, so the CSV format lives here
+alone: comma-separated, the csv module's CRLF line ends, a float as its
+Python repr, and None as an empty cell.
 """
 
 from __future__ import annotations
 
+import csv
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -29,3 +34,9 @@ def atomic_write(path, newline: str | None = None):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, rows) -> None:
+    """Write ``rows``, sequences of cells with the header first, through ``atomic_write``."""
+    with atomic_write(path, newline="") as fh:
+        csv.writer(fh).writerows(rows)

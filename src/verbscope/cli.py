@@ -23,7 +23,7 @@ from .analysis import (
 )
 from .atomic import atomic_write
 from .corpus import build_frequency_table, load_table, save_table
-from .evaluate import Labels, evaluate, result_rows, write_results_csv
+from .evaluate import Labels, evaluate, read_results_csv, result_rows, write_results_csv
 from .experiment import ExperimentConfig, load_config, run_experiment
 from .ingest import (
     FORMATS,
@@ -224,15 +224,8 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _read_results_rows(path) -> list[dict]:
-    import csv as _csv
-
-    with open(path, encoding="utf-8", newline="") as fh:
-        return list(_csv.DictReader(fh))
-
-
 def _cmd_regress(args) -> int:
-    rows = _read_results_rows(args.infile)
+    rows = read_results_csv(args.infile, ("train_domain", "condition", "accuracy"))
     conditions = set(args.conditions.split(",")) if args.conditions else None
     observations = []
     for r in rows:
@@ -242,7 +235,7 @@ def _cmd_regress(args) -> int:
             continue
         if conditions and r["condition"] not in conditions:
             continue
-        observations.append((float(r["accuracy"]), r["train_domain"], r["condition"]))
+        observations.append((r["accuracy"], r["train_domain"], r["condition"]))
     result = ols_interaction(
         observations, ref_dataset=args.ref_dataset, ref_condition=args.ref_condition
     )
@@ -253,20 +246,19 @@ def _cmd_regress(args) -> int:
 
 
 def _cmd_trajectory(args) -> int:
-    rows = _read_results_rows(args.infile)
+    rows = read_results_csv(args.infile, ("paradigm", "accuracy", "n"))
     semantic: dict[str, list[tuple[float, int]]] = {}
     syntactic: dict[str, list[tuple[float, int]]] = {}
     for r in rows:
         checkpoint = r.get("checkpoint", "")
         if not checkpoint:
             continue
-        if r.get("eval_domain") and r["eval_domain"] != r["train_domain"]:
+        if r.get("eval_domain") and r["eval_domain"] != r.get("train_domain"):
             continue
-        acc, n = float(r["accuracy"]), int(r["n"])
         if r["paradigm"] == "semantic-verb":
-            semantic.setdefault(checkpoint, []).append((acc, n))
+            semantic.setdefault(checkpoint, []).append((r["accuracy"], r["n"]))
         elif r["paradigm"].startswith("agr-"):
-            syntactic.setdefault(checkpoint, []).append((acc, n))
+            syntactic.setdefault(checkpoint, []).append((r["accuracy"], r["n"]))
     def collapse(series):
         out = {}
         for label, vals in series.items():

@@ -9,7 +9,9 @@ would bias the comparison.
 Results take one form on their way to the files: ``result_rows`` turns an
 ``EvalResult`` into rows, ``write_results_csv`` is the one results-CSV
 writer, and ``cross_domain_matrix`` averages (train, eval, accuracy)
-triples taken from those rows.
+triples taken from those rows. ``read_results_csv`` is the one reader of
+that file. Both CSV writers here only build rows; ``atomic.write_csv``
+formats them.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .atomic import atomic_write
+from .atomic import write_csv
 
 
 class Labels(NamedTuple):
@@ -174,35 +176,46 @@ def result_rows(result: EvalResult) -> list[dict]:
 
 def write_results_csv(rows: Iterable[dict], path) -> None:
     """The results CSV: ``result_rows`` rows, sorted by every column as text."""
-    rows = sorted(rows, key=lambda r: tuple(str(r[c]) for c in RESULT_COLUMNS))
-    with atomic_write(path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    rows = list(rows)
+    if any(r.keys() != set(RESULT_COLUMNS) for r in rows):
+        raise ValueError(f"a results row must have exactly the columns {RESULT_COLUMNS}")
+    table = sorted(([r[c] for c in RESULT_COLUMNS] for r in rows), key=lambda t: tuple(map(str, t)))
+    write_csv(path, [RESULT_COLUMNS, *table])
+
+
+def read_results_csv(path, columns: Sequence[str]) -> list[dict]:
+    """The rows of a results CSV, each of ``columns`` required in the header.
+
+    ``accuracy`` is parsed as a float and ``n`` as an int where they are in
+    ``columns``. A missing column, a row of the wrong length or a bad number
+    is a ValueError naming the file and line.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: line 1: no column {missing[0]!r}")
+        rows = []
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            if None in row or None in row.values():
+                raise ValueError(f"{where}: expected {len(reader.fieldnames)} fields")
+            for column, parse in (("accuracy", float), ("n", int)):
+                if column in columns:
+                    try:
+                        row[column] = parse(row[column])
+                    except ValueError:
+                        raise ValueError(
+                            f"{where}: {column} must be {parse.__name__}, got {row[column]!r}"
+                        ) from None
+            rows.append(row)
+    return rows
 
 
 def write_matrix_csv(matrix: CrossDomainMatrix, path) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["train\\eval"] + list(matrix.eval_domains))
-        for t in matrix.train_domains:
-            row = [t]
-            for e in matrix.eval_domains:
-                v = matrix.cells.get((t, e))
-                row.append("NA" if v is None else repr(v))
-            writer.writerow(row)
-        writer.writerow([])
-        writer.writerow(
-            [
-                "diagonal_mean",
-                "" if matrix.diagonal_mean is None else repr(matrix.diagonal_mean),
-            ]
-        )
-        writer.writerow(
-            [
-                "off_diagonal_mean",
-                ""
-                if matrix.off_diagonal_mean is None
-                else repr(matrix.off_diagonal_mean),
-            ]
-        )
+    rows = [["train\\eval", *matrix.eval_domains]]
+    for t in matrix.train_domains:
+        rows.append([t] + [matrix.cells.get((t, e), "NA") for e in matrix.eval_domains])
+    rows += [[], ["diagonal_mean", matrix.diagonal_mean],
+             ["off_diagonal_mean", matrix.off_diagonal_mean]]
+    write_csv(path, rows)

@@ -48,7 +48,6 @@ Corpora are "domain:path:format" strings. Full-line comments start with #.
 
 from __future__ import annotations
 
-import csv
 import gc
 import hashlib
 import json
@@ -59,7 +58,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
-from .atomic import atomic_write
+from .atomic import atomic_write, write_csv
 from .corpus import Corpus, Forms, build_frequency_table, save_table
 from .evaluate import (
     Labels,
@@ -143,31 +142,37 @@ class ExperimentConfig:
     keep_models: bool = False
 
     def __post_init__(self):
-        self.corpora = [
-            c if isinstance(c, CorpusSpec) else CorpusSpec.parse(c)
-            for c in self.corpora
-        ]
-        if not self.corpora:
-            raise ValueError("config needs at least one corpus")
-        if not self.conditions:
-            raise ValueError("config needs at least one condition")
-        for cond in self.conditions:
-            if cond not in CONDITIONS:
-                raise ValueError(f"unknown condition {cond!r}")
-        if not self.seeds:
-            raise ValueError("config needs at least one seed")
-        for name in ("conditions", "seeds"):
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ValueError(f"{name} must not repeat, got {values}")
-        domains = [c.domain for c in self.corpora]
-        if len(set(domains)) != len(domains):
-            raise ValueError("corpus domains must be unique")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        self.corpora = _corpus_specs(self.corpora)
+        for name in ("corpora", "conditions", "seeds", "threads"):
+            _check_field(name, getattr(self, name))
 
     def split_spec(self) -> SplitSpec:
         return SplitSpec.parse(self.split) if self.split else DEFAULT_SPLIT
+
+
+def _corpus_specs(corpora: list) -> list:
+    return [c if isinstance(c, CorpusSpec) else CorpusSpec.parse(c) for c in corpora]
+
+
+_SINGULAR = {"corpora": "corpus", "conditions": "condition", "seeds": "seed"}
+
+
+def _check_field(name: str, value) -> None:
+    """Raise ValueError if ``value`` is not a valid value of config field ``name``."""
+    if name in _SINGULAR and not value:
+        raise ValueError(f"config needs at least one {_SINGULAR[name]}")
+    if name == "corpora":
+        domains = [c.domain for c in _corpus_specs(value)]
+        if len(set(domains)) != len(domains):
+            raise ValueError("corpus domains must be unique")
+    elif name == "conditions":
+        unknown = [c for c in value if c not in CONDITIONS]
+        if unknown:
+            raise ValueError(f"unknown condition {unknown[0]!r}")
+    elif name == "threads" and value < 1:
+        raise ValueError(f"threads must be >= 1, got {value}")
+    if name in ("conditions", "seeds") and len(set(value)) != len(value):
+        raise ValueError(f"{name} must not repeat, got {value}")
 
 
 _LIST_ITEMS = {"corpora": "str", "conditions": "str", "seeds": "int"}
@@ -176,8 +181,8 @@ _LIST_ITEMS = {"corpora": "str", "conditions": "str", "seeds": "int"}
 def parse_flat_config(text: str, source: str = "config") -> dict:
     """Parse the flat key = value config dialect into ExperimentConfig fields.
 
-    An unknown, repeated or wrongly typed key is an error naming ``source``
-    and the line.
+    An unknown, repeated, wrongly typed or invalid key is an error naming
+    ``source`` and the line.
     """
     types = {f.name: f.type for f in fields(ExperimentConfig)}
     out: dict = {}
@@ -203,6 +208,10 @@ def parse_flat_config(text: str, source: str = "config") -> dict:
             wrong = [v for v in out[key] if type(v).__name__ != item]
             if wrong:
                 raise ValueError(f"{where}: {key} must hold {item}s, got {wrong[0]!r}")
+        try:
+            _check_field(key, out[key])
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return out
 
 
@@ -436,16 +445,11 @@ def _write_summary_csv(rows: list[dict], path) -> None:
     for r in rows:
         key = (r["train_domain"], r["eval_domain"], r["condition"], r["paradigm"])
         groups.setdefault(key, []).append((float(r["accuracy"]), int(r["n"])))
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["train_domain", "eval_domain", "condition", "paradigm",
-             "mean_accuracy", "n_seeds", "n_pairs"]
-        )
-        for key in sorted(groups):
-            vals = groups[key]
-            mean = sum(a for a, _n in vals) / len(vals)
-            writer.writerow(list(key) + [repr(mean), len(vals), vals[0][1]])
+    write_csv(path, [("train_domain", "eval_domain", "condition", "paradigm",
+                      "mean_accuracy", "n_seeds", "n_pairs")] + [
+        [*key, sum(a for a, _n in vals) / len(vals), len(vals), vals[0][1]]
+        for key, vals in sorted(groups.items())
+    ])
 
 
 def _settle(config: ExperimentConfig, domains: dict, out: Path, unit: tuple, key: str):

@@ -3,18 +3,18 @@
 Type-token ratios are computed over within-sentence n-grams of lowercased
 forms (no n-gram crosses a sentence boundary); that convention is
 documented here precisely so any deviation from externally published
-numbers is attributable to it.
+numbers is attributable to it. The stats and rates CSVs are rows handed to
+``atomic.write_csv``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
-from .atomic import atomic_write
+from .atomic import write_csv
 from .corpus import Corpus
 from .perturb import PerturbReport
 
@@ -139,33 +139,15 @@ def _fmt(v: float | None) -> str:
 
 
 def write_stats_csv(named: Mapping[str, CorpusStats], path) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["domain", "ttr_1", "ttr_2", "ttr_3", "avg_sentence_length",
-             "n_sentences", "n_tokens"]
-        )
-        for domain in sorted(named):
-            s = named[domain]
-            writer.writerow(
-                [
-                    domain,
-                    "" if s.ttr_1 is None else repr(s.ttr_1),
-                    "" if s.ttr_2 is None else repr(s.ttr_2),
-                    "" if s.ttr_3 is None else repr(s.ttr_3),
-                    repr(s.avg_sentence_length),
-                    s.n_sentences,
-                    s.n_tokens,
-                ]
-            )
+    write_csv(path, [("domain", "ttr_1", "ttr_2", "ttr_3", "avg_sentence_length",
+                      "n_sentences", "n_tokens")] + [
+        [d, s.ttr_1, s.ttr_2, s.ttr_3, s.avg_sentence_length, s.n_sentences, s.n_tokens]
+        for d, s in sorted(named.items())
+    ])
 
 
 def write_rates_csv(table: RateTable, path) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["domain", "condition", "replacement_rate"])
-        for domain, condition, rate in table.rows:
-            writer.writerow([domain, condition, repr(rate)])
-        if table.length_correlation is not None:
-            writer.writerow([])
-            writer.writerow(["length_correlation", repr(table.length_correlation)])
+    rows = [["domain", "condition", "replacement_rate"], *table.rows]
+    if table.length_correlation is not None:
+        rows += [[], ["length_correlation", table.length_correlation]]
+    write_csv(path, rows)

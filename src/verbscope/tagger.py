@@ -255,26 +255,34 @@ def save_tagger(model: TaggerModel, path) -> None:
 
 
 def load_tagger(path) -> TaggerModel:
+    """Rebuild a ``save_tagger`` model; a malformed line is a ValueError
+    naming the file and line."""
     with open(path, encoding="utf-8") as fh:
         version = fh.readline().rstrip("\n")
         if version != MODEL_VERSION:
-            raise ValueError(f"{path}: unsupported tagger model version {version!r}")
+            raise ValueError(f"{path}: line 1: unsupported tagger model version {version!r}")
         most_frequent = ""
         accuracy: float | None = None
         accuracy_kind = ""
         pairs: list[tuple[str, str]] = []
         weights: dict[str, dict[str, float]] = {}
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split("\t")
-            if parts[0] == "mft":
-                most_frequent = parts[1]
-            elif parts[0] == "accuracy":
-                accuracy_kind, accuracy = parts[1], float(parts[2])
-            elif parts[0] == "tagpair":
-                pairs.append((parts[1], parts[2]))
-            else:
-                f, t, w = parts
-                weights.setdefault(f, {})[t] = float(w)
+            try:
+                n = 2 if parts[0] == "mft" else 3
+                if len(parts) != n:
+                    raise ValueError(f"expected {n} tab-separated fields")
+                if parts[0] == "mft":
+                    most_frequent = parts[1]
+                elif parts[0] == "accuracy":
+                    accuracy_kind, accuracy = parts[1], float(parts[2])
+                elif parts[0] == "tagpair":
+                    pairs.append((parts[1], parts[2]))
+                else:
+                    f, t, w = parts
+                    weights.setdefault(f, {})[t] = float(w)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     model = TaggerModel(
         feature_weights=weights,
         tag_set=tuple(pairs),

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from verbscope.analysis import (
+    RegressionResult,
+    TrajectoryRow,
+    TrajectoryTable,
     design_matrix,
     emit_chart,
     format_regression,
@@ -15,6 +18,7 @@ from verbscope.analysis import (
     t_cdf,
     trajectory,
     two_sided_p,
+    write_regression_csv,
     write_trajectory_csv,
 )
 
@@ -113,6 +117,19 @@ class TestOLS:
         assert result.n == len(obs) + 3
         assert "n=19, 3 exact duplicate replicates" in format_regression(result)
 
+    def test_regression_csv_bytes(self, tmp_path):
+        result = RegressionResult(
+            ("(Intercept)", "dataset[b]"), (0.1, -0.0), (math.nan, 5e-324),
+            (math.inf, -math.inf), (1 / 3, 0), 0.5, 4, ("a", "X"),
+        )
+        path = tmp_path / "coef.csv"
+        write_regression_csv(result, path)
+        assert path.read_bytes() == (
+            b"term,estimate,std_error,t,p\r\n"
+            b"(Intercept),0.1,nan,inf,0.3333333333333333\r\n"
+            b"dataset[b],-0.0,5e-324,-inf,0\r\n"
+        )
+
     def test_inference_columns_present(self):
         obs = synthetic_observations(KNOWN_COEFFS, replicates=5, noise=0.02)
         result = ols_interaction(obs)
@@ -198,6 +215,21 @@ class TestTrajectory:
         lines = path.read_text().splitlines()
         assert lines[0] == "checkpoint,semantic_acc,syntactic_acc,ratio"
         assert lines[2].endswith(",")  # undefined ratio stays blank
+        assert path.read_bytes() == (
+            b"checkpoint,semantic_acc,syntactic_acc,ratio\r\n"
+            b"1,0.8,0.5,1.6\r\n"
+            b"2,0.9,0.0,\r\n"
+        )
+
+    def test_csv_bytes_of_edge_values(self, tmp_path):
+        rows = (TrajectoryRow("0.5", 5e-324, -0.0, None), TrajectoryRow("1", math.nan, math.inf, 1))
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(TrajectoryTable(rows, 0.75, None, None), path)
+        assert path.read_bytes() == (
+            b"checkpoint,semantic_acc,syntactic_acc,ratio\r\n"
+            b"0.5,5e-324,-0.0,\r\n"
+            b"1,nan,inf,1\r\n"
+        )
 
 
 class TestEmitChart:

@@ -1,7 +1,12 @@
-"""Every writer goes through atomic_write: a failure leaves the old file whole."""
+"""Every writer goes through atomic_write: a failure leaves the old file whole.
+Every CSV table goes through atomic.write_csv, the one CSV writer."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
+import verbscope
 from verbscope.analysis import (
     RegressionResult,
     TrajectoryRow,
@@ -11,6 +16,13 @@ from verbscope.analysis import (
     write_trajectory_csv,
 )
 from verbscope.cli import main
+from verbscope.evaluate import (
+    RESULT_COLUMNS,
+    CrossDomainMatrix,
+    write_matrix_csv,
+    write_results_csv,
+)
+from verbscope.stats import CorpusStats, RateTable, write_rates_csv, write_stats_csv
 from verbscope.tagger import TaggerModel, save_tagger
 
 
@@ -33,6 +45,26 @@ def _trajectory(path, _monkeypatch):
         TrajectoryTable((TrajectoryRow("1", Unprintable(), 0.5, None),), 0.75, None, None),
         path,
     )
+
+
+def _results(path, _monkeypatch):
+    row = dict.fromkeys(RESULT_COLUMNS, "x")
+    write_results_csv([row, dict(row, extra="refused")], path)
+
+
+def _matrix(path, _monkeypatch):
+    write_matrix_csv(
+        CrossDomainMatrix(("a",), ("a", "b"), {("a", "a"): Unprintable()}, None, None, ()),
+        path,
+    )
+
+
+def _stats(path, _monkeypatch):
+    write_stats_csv({"a": CorpusStats(0.5, 0.5, 0.5, 2.0, Unprintable(), 4)}, path)
+
+
+def _rates(path, _monkeypatch):
+    write_rates_csv(RateTable((("a", "REPLACE.WORD", Unprintable()),), None), path)
 
 
 def _chart(path, _monkeypatch):
@@ -64,8 +96,10 @@ def _perturb_report(path, monkeypatch):
 
 @pytest.mark.parametrize(
     "write",
-    [_regression, _trajectory, _chart, _tagger, _perturb_report],
-    ids=["regression-csv", "trajectory-csv", "chart", "tagger", "perturb-report"],
+    [_regression, _trajectory, _results, _matrix, _stats, _rates, _chart, _tagger,
+     _perturb_report],
+    ids=["regression-csv", "trajectory-csv", "results-csv", "matrix-csv", "stats-csv",
+         "rates-csv", "chart", "tagger", "perturb-report"],
 )
 def test_failed_write_leaves_previous_file(tmp_path, monkeypatch, write):
     target = tmp_path / "target"
@@ -74,3 +108,23 @@ def test_failed_write_leaves_previous_file(tmp_path, monkeypatch, write):
         write(target, monkeypatch)
     assert target.read_text(encoding="utf-8") == "previous\n"
     assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_csv_writers_live_only_in_atomic():
+    """No module but atomic.py builds a csv.writer or csv.DictWriter."""
+    writers = {"writer", "DictWriter"}
+    package = Path(verbscope.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "atomic.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "csv":
+                uses = writers & {a.name for a in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                uses = node.value.id == "csv" and node.attr in writers
+            else:
+                continue
+            if uses:
+                offenders.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert not offenders

@@ -161,6 +161,14 @@ def test_regress_trajectory_plot(tmp_path):
     assert main(["regress", "--in", str(results), "--out", str(coef)]) == 0
     assert "condition[SHUFFLE.ORDER]" in coef.read_text()
 
+    bare = tmp_path / "bare.csv"  # no paradigm column: every row is an ALL row
+    bare.write_text("train_domain,condition,accuracy\n" + "".join(
+        f"{f[0]},{f[2]},{f[5]}\n" for f in (r.split(",") for r in rows[1:]) if f[4] == "ALL"
+    ))
+    bare_coef = tmp_path / "bare-coef.csv"
+    assert main(["regress", "--in", str(bare), "--out", str(bare_coef)]) == 0
+    assert bare_coef.read_bytes() == coef.read_bytes()
+
     traj = tmp_path / "traj.csv"
     assert main(["trajectory", "--in", str(results), "--out", str(traj)]) == 0
     assert traj.read_text().startswith("checkpoint,")
@@ -169,6 +177,29 @@ def test_regress_trajectory_plot(tmp_path):
     assert main(["plot", "--in", str(traj), "--x", "checkpoint",
                  "--out", str(chart)]) == 0
     assert "<svg" in chart.read_text()
+
+
+HEADER = "train_domain,eval_domain,condition,checkpoint,paradigm,accuracy,n,ties"
+
+
+@pytest.mark.parametrize(
+    "command, text, where",
+    [
+        ("trajectory", "train_domain,checkpoint,accuracy,n\na,1,0.5,10\n",
+         "line 1: no column 'paradigm'"),
+        ("regress", f"{HEADER}\na,a,X,,ALL,0.5,10,0\nb,b,X,,ALL,x,10,0\n",
+         "line 3: accuracy must be float, got 'x'"),
+        ("trajectory", f"{HEADER}\na,a,X,1,semantic-verb,0.5,ten,0\n",
+         "line 2: n must be int, got 'ten'"),
+        ("plot", "checkpoint,semantic_acc\n1,0.5\n2,0.6\n3,oops\n", "line 4: could not convert"),
+    ],
+    ids=["trajectory-no-paradigm", "regress-bad-accuracy", "trajectory-bad-n", "plot-bad-cell"],
+)
+def test_csv_readers_name_the_file_and_line(tmp_path, capsys, command, text, where):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    assert main([command, "--in", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {where}")
 
 
 def test_run_minimal(tmp_path, fixture_dir, capsys):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import pytest
@@ -144,6 +145,23 @@ class TestCrossDomainMatrix:
         write_matrix_csv(m, path)
         assert "NA" in path.read_text()
 
+    def test_matrix_csv_bytes(self, tmp_path):
+        from verbscope.evaluate import CrossDomainMatrix, write_matrix_csv
+
+        cells = {("a", "a"): 0.1, ("a", "b"): math.nan, ("a", "c"): -0.0,
+                 ("b", "a"): math.inf, ("b", "c"): 5e-324}
+        m = CrossDomainMatrix(("a", "b"), ("a", "b", "c"), cells, None, 1 / 3, (("b", "b"),))
+        path = tmp_path / "m.csv"
+        write_matrix_csv(m, path)
+        assert path.read_bytes() == (
+            b"train\\eval,a,b,c\r\n"
+            b"a,0.1,nan,-0.0\r\n"
+            b"b,inf,NA,5e-324\r\n"
+            b"\r\n"
+            b"diagonal_mean,\r\n"
+            b"off_diagonal_mean,0.3333333333333333\r\n"
+        )
+
 
 class TestResultRows:
     def test_rows_include_all_and_paradigms(self):
@@ -168,3 +186,34 @@ class TestResultRows:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("train_domain,")
         assert lines[1].startswith("a,")
+
+    def test_csv_bytes(self, tmp_path):
+        def row(train, checkpoint, paradigm, accuracy, n, ties):
+            return dict(train_domain=train, eval_domain="e", condition="X", checkpoint=checkpoint,
+                        paradigm=paradigm, accuracy=accuracy, n=n, ties=ties)
+
+        rows = [
+            row("d", None, "ALL", math.nan, 3, 0),
+            row("c", "10", "ALL", -0.0, 2, 1),
+            row("b", "", "agr-simple", 5e-324, 1, 0),
+            row("a", None, "ALL", math.inf, 0, 0),
+        ]
+        rows += result_rows(evaluate([("p1", -1.0, -1.0)], META, Labels("e", "e", "Y", "2")))
+        path = tmp_path / "r.csv"
+        write_results_csv(rows, path)
+        assert path.read_bytes() == (
+            b"train_domain,eval_domain,condition,checkpoint,paradigm,accuracy,n,ties\r\n"
+            b"a,e,X,,ALL,inf,0,0\r\n"
+            b"b,e,X,,agr-simple,5e-324,1,0\r\n"
+            b"c,e,X,10,ALL,-0.0,2,1\r\n"
+            b"d,e,X,,ALL,nan,3,0\r\n"
+            b"e,e,Y,2,ALL,0.5,1,1\r\n"
+            b"e,e,Y,2,semantic-verb,0.5,1,1\r\n"
+        )
+
+    def test_csv_refuses_other_columns(self, tmp_path):
+        rows = result_rows(evaluate([("p1", -1.0, -2.0)], META))
+        rows[0]["extra"] = 1
+        with pytest.raises(ValueError):
+            write_results_csv(rows, tmp_path / "r.csv")
+        assert not (tmp_path / "r.csv").exists()

@@ -66,6 +66,11 @@ class TestConfig:
             ("seeds = [1, true]\n", r"c\.cfg: line 1: seeds must hold ints, got True"),
             ("seeds = [1]\n\nseeds = [2]\n", r"c\.cfg: line 3: seeds is set twice"),
             ('corpora = ["a:x.conllu"]\n', r"c\.cfg: out_dir not set"),
+            ('corpora = ["a:x.conllu"]\nout_dir = "o"\nconditions = ["REVERSE"]\n',
+             r"c\.cfg: line 3: unknown condition 'REVERSE'"),
+            ('seeds = [1, 2, 1]\n', r"c\.cfg: line 1: seeds must not repeat, got \[1, 2, 1\]"),
+            ('corpora = ["a:x.conllu", "a:y.conllu"]\n', r"c\.cfg: line 1: corpus domains must be unique"),
+            ('out_dir = "o"\nthreads = 0\n', r"c\.cfg: line 2: threads must be >= 1, got 0"),
         ],
     )
     def test_load_config_rejects_bad_input_with_file_and_line(self, tmp_path, text, message):

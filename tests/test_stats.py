@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import pytest
@@ -6,9 +7,11 @@ from verbscope.corpus import Corpus
 from verbscope.perturb import ORIGINAL, REPLACE_WORD, PerturbReport
 from verbscope.stats import (
     CorpusStats,
+    RateTable,
     compare_replacement_rates,
     compute_stats,
     format_stats,
+    write_rates_csv,
     write_stats_csv,
 )
 
@@ -127,3 +130,33 @@ def test_format_and_csv(tmp_path, chat_fixture):
     path = tmp_path / "stats.csv"
     write_stats_csv(named, path)
     assert path.read_text().startswith("domain,ttr_1")
+
+
+def test_stats_csv_bytes(tmp_path):
+    named = {
+        "b": CorpusStats(None, None, None, math.nan, 1, 2),
+        "a": CorpusStats(5e-324, 1.0, 1 / 3, math.inf, 2, 7),
+    }
+    path = tmp_path / "stats.csv"
+    write_stats_csv(named, path)
+    assert path.read_bytes() == (
+        b"domain,ttr_1,ttr_2,ttr_3,avg_sentence_length,n_sentences,n_tokens\r\n"
+        b"a,5e-324,1.0,0.3333333333333333,inf,2,7\r\n"
+        b"b,,,,nan,1,2\r\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "correlation, tail",
+    [(None, b""), (math.nan, b"\r\nlength_correlation,nan\r\n"),
+     (-1, b"\r\nlength_correlation,-1\r\n")],
+)
+def test_rates_csv_bytes(tmp_path, correlation, tail):
+    table = RateTable((("a", REPLACE_WORD, -0.0), ("b", REPLACE_WORD, 5e-324)), correlation)
+    path = tmp_path / "rates.csv"
+    write_rates_csv(table, path)
+    assert path.read_bytes() == (
+        b"domain,condition,replacement_rate\r\n"
+        b"a,REPLACE.WORD,-0.0\r\n"
+        b"b,REPLACE.WORD,5e-324\r\n"
+    ) + tail

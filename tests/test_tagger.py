@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
 from verbscope.tagger import (
+    MODEL_VERSION,
     heuristic_root,
     load_tagger,
     save_tagger,
@@ -100,6 +103,20 @@ class TestSerialization:
         path = tmp_path / "bad.model"
         path.write_text("some-other-format/9\n")
         with pytest.raises(ValueError, match="version"):
+            load_tagger(path)
+
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("f\tt", "line 3: expected 3 tab-separated fields"),
+            ("f\tt\tabc", "line 3: could not convert string to float: 'abc'"),
+        ],
+    )
+    def test_malformed_line_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.model"
+        path.write_text(f"{MODEL_VERSION}\nmft\tNOUN/NN\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
             load_tagger(path)
 
 
