@@ -8,10 +8,11 @@ data only; evaluation pairs always come from the original test split, and
 cross-domain scoring runs for ORIGINAL-condition models over every other
 domain's pairs.
 
-Cells perturb and train on a domain's form view (``Corpus.form_view``).
-Each worker builds a domain's perturb plan for a condition on its first
-cell of that condition, so a run whose REPLACE.WORD cells are all cached
-builds none.
+Cells perturb and train on a domain's form view (``Corpus.form_view``)
+through the perturb plans that domain prep builds for the run's
+conditions. A prepared domain keeps only those, its pairs and its stats:
+its Token records are dropped once prep ends, and they are most of a
+corpus's memory.
 
 Cells run in forked worker processes, as many as ``threads`` (at least 1)
 asks for, capped at the number of cache units and the CPU count; one
@@ -28,12 +29,13 @@ Each unit has one directory, ``<domain>/<condition>/seed<N>/`` or
 ``<domain>/original/``, holding its ``cell.json`` record, its
 ``perturb.json`` and its score TSVs. The record is keyed over the inputs
 that determine the unit: the config fields other than threads, out_dir,
-seeds and conditions, plus the unit's condition and seed, and the sha256
+seeds and conditions, plus the unit's condition and seed, the sha256
 of the corpora it reads (its own for a perturbed cell, every prepared
-domain's for ORIGINAL, which scores all their pairs). Adding a seed or a
-condition computes only the new units. A record that is missing,
-unreadable or keyed differently is a cache miss, and every file is
-written whole or not at all (``atomic``). ``original/seed<N>/``
+domain's for ORIGINAL, which scores all their pairs), and
+``CACHE_FORMAT``, bumped by hand whenever what a unit computes or stores
+changes. Adding a seed or a condition computes only the new units. A
+record that is missing, unreadable or keyed differently is a cache miss,
+and every file is written whole or not at all (``atomic``). ``original/seed<N>/``
 directories that earlier versions wrote are neither read nor removed.
 
 Results stay rows (``evaluate.result_rows``) from the cell to the files:
@@ -59,7 +61,7 @@ from pathlib import Path
 
 from . import __version__
 from .atomic import atomic_write, write_csv
-from .corpus import Corpus, Forms, build_frequency_table, save_table
+from .corpus import Forms, build_frequency_table, save_table
 from .evaluate import (
     Labels,
     cross_domain_matrix,
@@ -270,6 +272,11 @@ def _config_hash(config: ExperimentConfig, shas: dict) -> str:
     return _digest(payload)
 
 
+# Bump by hand with any change to the rows, report or files a unit computes,
+# or to its record's layout: every record of an older format is then a miss.
+CACHE_FORMAT = 1
+
+
 def _unit(cell: tuple) -> tuple:
     """The cache unit of a cell: ORIGINAL draws on no seed, so its unit has none."""
     domain, condition, seed = cell
@@ -293,6 +300,7 @@ def _unit_key(config: ExperimentConfig, shas: dict, unit: tuple, prepared) -> st
         if c.domain in read
     ]
     payload["cell"] = list(unit)
+    payload["cache_format"] = CACHE_FORMAT
     return _digest(payload)
 
 
@@ -328,14 +336,12 @@ class ExperimentResult:
 @dataclass
 class _DomainData:
     spec: CorpusSpec
-    train: Corpus
     forms: Forms  # the train split as form tuples: what cells perturb and train on
-    table: object
+    plans: dict  # condition -> its perturb plan, or the ValueError building it raised
     pairs: list
     pairs_meta: dict
     pairs_path: Path
     stats: object
-    plans: dict = field(default_factory=dict)  # condition -> perturb plan, built on first use
 
 
 def _prepare_domain(config: ExperimentConfig, spec: CorpusSpec, out: Path) -> _DomainData:
@@ -375,8 +381,16 @@ def _prepare_domain(config: ExperimentConfig, spec: CorpusSpec, out: Path) -> _D
     with atomic_write(ddir / "pairs" / "genreport.json") as fh:
         json.dump(counters, fh, sort_keys=True, indent=2)
         fh.write("\n")
+    plans = {}
+    for condition in config.conditions:
+        try:
+            plans[condition] = perturb_plan(
+                train, condition, table, config.include_propn, config.pin_final_punct
+            )
+        except ValueError as exc:  # fails the condition's cells, not the domain
+            plans[condition] = exc
     return _DomainData(
-        spec=spec, train=train, forms=train.form_view(), table=table, pairs=pairs,
+        spec=spec, forms=train.form_view(), plans=plans, pairs=pairs,
         pairs_meta={p.pair_id: p.paradigm for p in pairs},
         pairs_path=pairs_path, stats=compute_stats(train),
     )
@@ -389,11 +403,10 @@ def _run_unit(config: ExperimentConfig, domains: dict, unit: tuple, out: Path):
     unit_dir.mkdir(parents=True, exist_ok=True)
     data: _DomainData = domains[domain]
 
-    if condition not in data.plans:
-        data.plans[condition] = perturb_plan(
-            data.train, condition, data.table, config.include_propn, config.pin_final_punct
-        )
-    perturbed, report = perturb_forms(data.forms, condition, data.plans[condition], seed)
+    plan = data.plans[condition]
+    if isinstance(plan, ValueError):
+        raise plan
+    perturbed, report = perturb_forms(data.forms, condition, plan, seed)
     lm = train_ngram(
         perturbed, config.lm_order, min_count_unk=config.min_count_unk,
         discount=config.discount,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 from pathlib import Path
+from sys import intern
 from typing import Callable, NamedTuple
 
 from .corpus import AnnotatedSentence, Corpus, Token
@@ -189,7 +190,7 @@ def _assemble(sid: str, parts: list[_Part], root_pos: int | None) -> AnnotatedSe
         else:
             head, deprel = root_pos, "dep"
         tokens.append(
-            Token(form=part.form, lemma=part.lemma, upos=part.upos,
+            Token(form=intern(part.form), lemma=intern(part.lemma), upos=part.upos,
                   xpos=part.xpos, head=head, deprel=deprel)
         )
     return AnnotatedSentence(tuple(tokens), sid)

@@ -21,6 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from sys import intern
 from typing import Iterable
 
 from .atomic import atomic_write
@@ -95,30 +96,30 @@ def read_conllu(path, domain: str = "") -> Corpus:
             else:
                 source_lines.append(comment)
         id_to_pos = {wid: pos for pos, (wid, *_rest) in enumerate(words)}
-        tokens = []
-        for wid, form, lemma, upos, xpos, head, deprel in words:
-            if head == 0:
-                head_idx = None
-            else:
-                head_idx = id_to_pos.get(head)
-                if head_idx is None:
-                    raise ValueError(
-                        f"{path}: sentence ending at line {lineno}: head {head} "
-                        f"points outside the sentence"
+        try:
+            tokens = []
+            for wid, form, lemma, upos, xpos, head, deprel in words:
+                if head == 0:
+                    head_idx = None
+                else:
+                    head_idx = id_to_pos.get(head)
+                    if head_idx is None:
+                        raise ValueError(f"head {head} points outside the sentence")
+                tokens.append(
+                    Token(
+                        form=form,
+                        lemma=lemma,
+                        upos=upos,
+                        xpos=xpos,
+                        head=head_idx,
+                        deprel=deprel if deprel else None,
                     )
-            tokens.append(
-                Token(
-                    form=form,
-                    lemma=lemma,
-                    upos=upos,
-                    xpos=xpos,
-                    head=head_idx,
-                    deprel=deprel if deprel else None,
                 )
+            sentences.append(
+                AnnotatedSentence(tuple(tokens), sent_id, "\n".join(source_lines))
             )
-        sentences.append(
-            AnnotatedSentence(tuple(tokens), sent_id, "\n".join(source_lines))
-        )
+        except ValueError as exc:
+            raise ValueError(f"{path}: sentence ending at line {lineno}: {exc}") from exc
         comments = []
         words = []
 
@@ -155,30 +156,34 @@ def read_conllu(path, domain: str = "") -> Corpus:
             words.append(
                 (
                     wid_n,
-                    form,
-                    "" if lemma == "_" else lemma,
-                    UNK_TAG if upos == "_" else upos,
-                    UNK_TAG if xpos == "_" else xpos,
+                    intern(form),
+                    "" if lemma == "_" else intern(lemma),
+                    UNK_TAG if upos == "_" else intern(upos),
+                    UNK_TAG if xpos == "_" else intern(xpos),
                     head_n,
-                    "" if deprel == "_" else deprel,
+                    "" if deprel == "_" else intern(deprel),
                 )
             )
         flush(lineno)
     return Corpus(tuple(sentences), domain=domain)
 
 
-def _line_sentences(lines: Iterable[str], tagger) -> list[AnnotatedSentence]:
-    """One whitespace-tokenized sentence per non-empty line, ids s1, s2, ..."""
+def _line_sentences(path, lines: Iterable[tuple[int, str]], tagger) -> list[AnnotatedSentence]:
+    """One whitespace-tokenized sentence per non-empty (line number, text)
+    line, ids s1, s2, ...; a rejected token or sentence names the line."""
     sentences = []
-    for line in lines:
+    for lineno, line in lines:
         forms = line.split()
         if not forms:
             continue
-        sent = AnnotatedSentence(
-            tuple(Token(form=f) for f in forms), f"s{len(sentences) + 1}"
-        )
-        if tagger is not None:
-            sent = tag_sentence(tagger, sent)
+        try:
+            sent = AnnotatedSentence(
+                tuple(Token(form=intern(f)) for f in forms), f"s{len(sentences) + 1}"
+            )
+            if tagger is not None:
+                sent = tag_sentence(tagger, sent)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
         sentences.append(sent)
     return sentences
 
@@ -186,14 +191,14 @@ def _line_sentences(lines: Iterable[str], tagger) -> list[AnnotatedSentence]:
 def read_plaintext(path, tagger=None, domain: str = "") -> Corpus:
     """One whitespace-tokenized sentence per line; empty lines skipped."""
     with open(path, encoding="utf-8") as fh:
-        return Corpus(tuple(_line_sentences(fh, tagger)), domain=domain)
+        return Corpus(tuple(_line_sentences(path, enumerate(fh, start=1), tagger)), domain=domain)
 
 
 def read_chat(path, tagger=None, domain: str = "") -> Corpus:
     """CHAT transcript: clean to plain text, then tokenize like read_plaintext."""
     with open(path, encoding="utf-8") as fh:
-        lines = clean_childes(fh)
-    return Corpus(tuple(_line_sentences(lines, tagger)), domain=domain)
+        lines = ((lineno, _clean_chat_line(line)) for lineno, line in enumerate(fh, start=1))
+        return Corpus(tuple(_line_sentences(path, lines, tagger)), domain=domain)
 
 
 def read_corpus(path, format: str, domain: str = "", tagger=None) -> Corpus:
@@ -231,26 +236,27 @@ def clean_childes(lines: Iterable[str]) -> list[str]:
     earlier one), which is what makes the pass idempotent: running it on
     its own output changes nothing.
     """
-    cleaned = []
-    for line in lines:
-        s = line.strip()
-        prev = None
-        while prev != s:
-            prev = s
-            if not s or s.startswith("%") or s.startswith("@"):
-                s = ""
-                continue
-            s = _SPEAKER_RE.sub("", s)
-            s = _ANGLE_RE.sub(" ", s)
-            s = _BRACKET_RE.sub(" ", s)
-            s = " ".join(
-                tok
-                for tok in s.split()
-                if not tok.startswith("&") and tok not in ("xxx", "yyy")
-            )
-        if s:
-            cleaned.append(s)
-    return cleaned
+    return [s for s in map(_clean_chat_line, lines) if s]
+
+
+def _clean_chat_line(line: str) -> str:
+    """One line of ``clean_childes``: its cleaned text, "" if nothing is left."""
+    s = line.strip()
+    prev = None
+    while prev != s:
+        prev = s
+        if not s or s.startswith("%") or s.startswith("@"):
+            s = ""
+            continue
+        s = _SPEAKER_RE.sub("", s)
+        s = _ANGLE_RE.sub(" ", s)
+        s = _BRACKET_RE.sub(" ", s)
+        s = " ".join(
+            tok
+            for tok in s.split()
+            if not tok.startswith("&") and tok not in ("xxx", "yyy")
+        )
+    return s
 
 
 def split_corpus(

@@ -30,7 +30,7 @@ AGREEMENT_PARADIGMS = ("agr-simple", "agr-pp", "agr-vp-coord", "agr-subj-rel", "
 PARADIGMS = (SEMANTIC_PARADIGM,) + AGREEMENT_PARADIGMS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinimalPair:
     pair_id: str
     paradigm: str
@@ -96,7 +96,9 @@ def gen_semantic_pairs(
             continue
         stream = Stream(mix64(seed, si))
         remaining = list(candidates)
-        forms = sent.forms()
+        good = tuple(sent.forms())  # shared by the sentence's pairs
+        lemma = verb.lemma if verb.lemma else verb.form.lower()
+        band = str(b)
         k = min(max_alts, len(remaining))
         for j in range(1, k + 1):
             cum, acc = [], 0
@@ -105,22 +107,22 @@ def gen_semantic_pairs(
                 cum.append(acc)
             pick = stream.pick_cumulative(cum)
             sub, _sub_count = remaining.pop(pick)
-            bad = list(forms)
+            bad = list(good)
             bad[root] = sub
             pairs.append(
                 MinimalPair(
                     pair_id=f"sem-{sent.sentence_id}-{j}",
                     paradigm=SEMANTIC_PARADIGM,
-                    good=tuple(forms),
+                    good=good,
                     bad=tuple(bad),
                     diff_index=root,
                     source_sentence_id=sent.sentence_id,
                     meta={
                         "original": verb.form,
                         "substitute": sub,
-                        "lemma": verb.lemma if verb.lemma else verb.form.lower(),
+                        "lemma": lemma,
                         "xpos": xpos,
-                        "bin": str(b),
+                        "bin": band,
                     },
                 )
             )

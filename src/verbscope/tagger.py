@@ -13,6 +13,7 @@ part of its determinism contract. Tagging is pure per sentence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from sys import intern
 
 from .atomic import atomic_write
 from .corpus import UNK_TAG, AnnotatedSentence, Corpus, Token
@@ -29,7 +30,7 @@ def _composite(upos: str, xpos: str) -> str:
 
 def _split_composite(tag: str) -> tuple[str, str]:
     upos, _, xpos = tag.partition("|")
-    return upos, xpos
+    return intern(upos), intern(xpos)  # one string per tag, as the readers keep it
 
 
 def _token_features(

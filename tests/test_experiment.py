@@ -347,6 +347,41 @@ class TestRunExperiment:
 class TestCellCache:
     """Cells are cached by content key, computed once per key, and resumable."""
 
+    # sha256 of each cell.json of the seed-1 small grid, valid for one CACHE_FORMAT.
+    # A change that alters these bytes bumps CACHE_FORMAT and re-pins them here.
+    PINNED_RECORDS = (1, {
+        "chat/original/cell.json":
+            "045aa4dd5b926dfd9aafa7865c844727fe10e97ef9db12b33bb00c2a0cac515e",
+        "chat/replace-word/seed1/cell.json":
+            "93af2e381797e59e1a42c7906e048f0b5a2ff66032ecf1f30c88fa6c449de39b",
+        "written/original/cell.json":
+            "448677ba502ea53e488b73afbb0ba741a1f28abf8ed1c8baa93129421687bb34",
+        "written/replace-word/seed1/cell.json":
+            "a09041af29f49a1ef8014fc04edb3c9bdf89a1b8a00bd64d6fcb3cc6b5643f08",
+    })
+
+    def test_record_bytes_are_pinned_to_the_cache_format(self, tmp_path, small_config):
+        import hashlib
+
+        from verbscope.experiment import CACHE_FORMAT
+
+        out = tmp_path / "out"
+        assert run_experiment(small_config(out, seeds=(1,))).status == 0
+        records = {
+            p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("cell.json"))
+        }
+        assert (CACHE_FORMAT, records) == self.PINNED_RECORDS
+
+    def test_bumped_cache_format_recomputes_every_unit(self, tmp_path, small_config, monkeypatch):
+        import verbscope.experiment as exp
+
+        out = tmp_path / "out"
+        run_experiment(small_config(out, seeds=(1,)))
+        monkeypatch.setattr(exp, "CACHE_FORMAT", exp.CACHE_FORMAT + 1)
+        result = run_experiment(small_config(out, seeds=(1,)))
+        assert result.summary() == "4 cells: 4 computed, 0 shared, 0 cached, 0 failed"
+
     def test_cut_record_and_leftover_temp_are_recomputed(self, tmp_path, small_config):
         out = tmp_path / "out"
         first = run_experiment(small_config(out))

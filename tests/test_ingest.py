@@ -1,9 +1,13 @@
+import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from verbscope.corpus import Corpus
+from verbscope import ingest
+from verbscope.corpus import AnnotatedSentence, Corpus, Token
 from verbscope.ingest import (
     DEFAULT_SPLIT,
     SplitSpec,
@@ -61,6 +65,24 @@ class TestReadConllu:
         assert len(corpus) == 1
         assert corpus.sentences[0].forms() == ["cat", "sat"]
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["1\ta\ta\tX\tX\t_\t0\troot\t_\t_", "2\tb\tb\tX\tX\t_\t0\troot\t_\t_"],
+             "sentence 's2' has 2 root tokens"),
+            (["1\t\ta\tX\tX\t_\t0\troot\t_\t_"], "token form must be non-empty"),
+            (["1\ta\ta\tX\tX\t_\t7\tdep\t_\t_"], "head 7 points outside the sentence"),
+        ],
+    )
+    def test_rejected_sentence_names_file_and_closing_line(self, tmp_path, rows, message):
+        path = tmp_path / "bad.conllu"
+        path.write_text("# sent_id = ok\n1\tfine\tfine\tX\tX\t_\t0\troot\t_\t_\n\n"
+                        + "".join(row + "\n" for row in rows) + "\n")
+        closing = 3 + len(rows) + 1  # the blank line after the bad block
+        with pytest.raises(ValueError) as err:
+            read_conllu(path)
+        assert str(err.value) == f"{path}: sentence ending at line {closing}: {message}"
+
     def test_multiword_ranges_skipped(self, tmp_path):
         path = tmp_path / "mwt.conllu"
         path.write_text(
@@ -87,10 +109,63 @@ class TestRoundTrip:
         write_corpus(corpus, path, "text")
         assert path.read_text() == "you want it ?\n"
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_conllu_round_trip_property(self, data):
+        """read_conllu(write_corpus(c)) == c for any corpus the format can hold:
+        "_" marks an absent lemma, tag or relation, so no field holds "_" itself."""
+        corpus = data.draw(_corpora())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rt.conllu"
+            write_corpus(corpus, path, "conllu")
+            assert read_conllu(path, domain=corpus.domain) == corpus
+
     def test_empty_corpus_writes_empty_file(self, tmp_path):
         path = tmp_path / "e.conllu"
         write_corpus(Corpus(()), path, "conllu")
         assert path.read_text() == ""
+
+
+# any text one CoNLL-U field can carry: no tab or line break
+_FIELD_CHARS = st.characters(exclude_characters="\t\n\r", exclude_categories=("Cs",))
+_FIELD = st.text(alphabet=_FIELD_CHARS, max_size=6).filter(lambda s: s != "_")
+_TAG = st.sampled_from(["UNK", "NOUN", "VERB", "Ñ|ü", " "]) | _FIELD
+
+
+@st.composite
+def _sentences(draw, sentence_id):
+    n = draw(st.integers(min_value=1, max_value=6))
+    root = draw(st.none() | st.integers(min_value=0, max_value=n - 1))
+    tokens = []
+    for i in range(n):
+        other = st.integers(min_value=0, max_value=n - 2).map(lambda h, i=i: h + (h >= i))
+        head = None if i == root or n == 1 else draw(st.none() | other)
+        deprel = "root" if i == root else draw(
+            st.none() | _FIELD.filter(lambda s: s not in ("", "root"))
+        )
+        tokens.append(Token(
+            form=draw(st.text(alphabet=_FIELD_CHARS, min_size=1, max_size=6)),
+            lemma=draw(_FIELD), upos=draw(_TAG), xpos=draw(_TAG), head=head, deprel=deprel,
+        ))
+    return AnnotatedSentence(tuple(tokens), sentence_id)
+
+
+@st.composite
+def _corpora(draw):
+    # a "# sent_id = " comment keeps an id with no line break and no trailing blank
+    ids = draw(st.lists(
+        st.text(alphabet=_FIELD_CHARS, min_size=1, max_size=8).map(str.rstrip).filter(bool),
+        max_size=5, unique=True,
+    ))
+    domain = draw(st.sampled_from(["", "chat", "wrïtten"]))
+    return Corpus(tuple(draw(_sentences(sid)) for sid in ids), domain=domain)
+
+
+def _strict_token(form, **fields):
+    """Token with one more check, standing in for a record check that rejects input."""
+    if form == "bad":
+        raise ValueError("token form 'bad' rejected")
+    return Token(form, **fields)
 
 
 class TestReadPlaintext:
@@ -100,6 +175,13 @@ class TestReadPlaintext:
         corpus = read_plaintext(path)
         assert [len(s) for s in corpus] == [4, 2]
         assert corpus.sentences[0].tokens[0].upos == "UNK"
+
+    def test_rejected_token_names_file_and_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "Token", _strict_token)
+        path = tmp_path / "p.txt"
+        path.write_text("fine .\n\nsome bad words\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: token form 'bad' rejected")):
+            read_plaintext(path)
 
     def test_with_tagger_fills_tags(self, tmp_path):
         from verbscope.tagger import train_tagger
@@ -149,6 +231,14 @@ class TestCleanChildes:
         path.write_text("@Begin\n*MOT:\tyou want it ?\n%act:\tpoints\n*CHI:\tyes .\n")
         corpus = read_chat(path)
         assert [" ".join(s.forms()) for s in corpus] == ["you want it ?", "yes ."]
+
+    def test_read_chat_rejected_token_names_file_and_line(self, tmp_path, monkeypatch):
+        """The line is the transcript's, counting the tiers and headers cleaning drops."""
+        monkeypatch.setattr(ingest, "Token", _strict_token)
+        path = tmp_path / "c.cha"
+        path.write_text("@Begin\n*MOT:\tyou want it ?\n%act:\tpoints\n*CHI:\t<no> [/] bad .\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: token form 'bad' rejected")):
+            read_chat(path)
 
 
 class TestSplitSpec:
