@@ -1,4 +1,4 @@
-"""Crash-safe text file writes, and the one CSV writer.
+"""Crash-safe text file writes, and the one CSV writer and JSON writer.
 
 A reader of a path written through ``atomic_write`` sees either the old
 file or the whole new one, never a prefix: the text goes to a temp file in
@@ -11,12 +11,16 @@ one path at once.
 
 Every result table goes through ``write_csv``, so the CSV format lives here
 alone: comma-separated, the csv module's CRLF line ends, a float as its
-Python repr, and None as an empty cell.
+Python repr, and None as an empty cell. Every JSON record (``cell.json``,
+``perturb.json``, ``genreport.json``, ``manifest.json`` and the ``perturb
+--report`` file) goes through ``write_json``: one object, sorted keys, a
+two-space indent and a final newline.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -40,3 +44,10 @@ def write_csv(path, rows) -> None:
     """Write ``rows``, sequences of cells with the header first, through ``atomic_write``."""
     with atomic_write(path, newline="") as fh:
         csv.writer(fh).writerows(rows)
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as one JSON record through ``atomic_write``."""
+    with atomic_write(path) as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")

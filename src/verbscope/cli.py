@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -21,7 +22,7 @@ from .analysis import (
     write_regression_csv,
     write_trajectory_csv,
 )
-from .atomic import atomic_write
+from .atomic import write_json
 from .corpus import build_frequency_table, load_table, save_table
 from .evaluate import Labels, evaluate, read_results_csv, result_rows, write_results_csv
 from .experiment import ExperimentConfig, load_config, run_experiment
@@ -134,8 +135,7 @@ def _cmd_perturb(args) -> int:
     )
     write_corpus(out_corpus, args.out, args.out_format)
     if args.report:
-        with atomic_write(args.report) as fh:
-            fh.write(report.to_json())
+        write_json(args.report, asdict(report))
     print(
         f"{condition}: {report.tokens_replaced}/{report.tokens_total} tokens "
         f"replaced (rate {report.replacement_rate:.4f}) -> {args.out}"
@@ -217,7 +217,7 @@ def _cmd_eval(args) -> int:
         f"accuracy {result.accuracy:.4f} over {result.n_pairs} pairs "
         f"({result.n_ties} ties)"
     )
-    for paradigm, (acc, n) in result.per_paradigm.items():
+    for paradigm, (acc, n, _ties) in result.per_paradigm.items():
         print(f"  {paradigm:15s} {acc:.4f}  (n={n})")
     if args.out:
         write_results_csv(result_rows(result), args.out)
@@ -255,6 +255,12 @@ def _cmd_trajectory(args) -> int:
             continue
         if r.get("eval_domain") and r["eval_domain"] != r.get("train_domain"):
             continue
+        try:
+            float(checkpoint)
+        except ValueError:
+            raise ValueError(
+                f"{args.infile}: checkpoint must be a number, got {checkpoint!r}"
+            ) from None
         if r["paradigm"] == "semantic-verb":
             semantic.setdefault(checkpoint, []).append((r["accuracy"], r["n"]))
         elif r["paradigm"].startswith("agr-"):
@@ -409,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-domain", default="")
     p.add_argument("--eval-domain", default="")
     p.add_argument("--condition", default="")
-    p.add_argument("--checkpoint", default=None)
+    p.add_argument("--checkpoint", default="")
     p.add_argument("--out", help="results CSV")
     p.set_defaults(func=_cmd_eval)
 

@@ -7,18 +7,19 @@ both members back off identically), and silently counting ties either way
 would bias the comparison.
 
 Results take one form on their way to the files: ``result_rows`` turns an
-``EvalResult`` into rows, ``write_results_csv`` is the one results-CSV
-writer, and ``cross_domain_matrix`` averages (train, eval, accuracy)
-triples taken from those rows. ``read_results_csv`` is the one reader of
-that file. Both CSV writers here only build rows; ``atomic.write_csv``
-formats them.
+``EvalResult`` into rows of typed values (``accuracy`` a float, ``n`` and
+``ties`` ints), which ``cell.json`` stores as JSON numbers.
+``write_results_csv`` is the one results-CSV writer, and
+``cross_domain_matrix`` averages (train, eval, accuracy) triples taken
+from those rows. ``read_results_csv`` is the one reader of that file.
+Both CSV writers here only build rows; ``atomic.write_csv`` formats them.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .atomic import write_csv
@@ -28,7 +29,7 @@ class Labels(NamedTuple):
     train_domain: str = ""
     eval_domain: str = ""
     condition: str = ""
-    checkpoint: str | None = None
+    checkpoint: str = ""
 
 
 @dataclass(frozen=True)
@@ -36,12 +37,11 @@ class EvalResult:
     accuracy: float
     n_pairs: int
     n_ties: int
-    per_paradigm: dict  # paradigm -> (accuracy, n)
+    per_paradigm: dict  # paradigm -> (accuracy, n, ties)
     labels: Labels = Labels()
-    per_paradigm_ties: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if sum(n for _a, n in self.per_paradigm.values()) != self.n_pairs:
+        if sum(n for _a, n, _t in self.per_paradigm.values()) != self.n_pairs:
             raise ValueError("per-paradigm counts do not sum to n_pairs")
 
 
@@ -76,7 +76,7 @@ def evaluate(
     if n == 0:
         raise ValueError("no pairs")
     per_paradigm = {
-        p: ((w + 0.5 * t) / m, m) for p, (w, t, m) in sorted(by_paradigm.items())
+        p: ((w + 0.5 * t) / m, m, t) for p, (w, t, m) in sorted(by_paradigm.items())
     }
     return EvalResult(
         accuracy=(wins + 0.5 * ties) / n,
@@ -84,7 +84,6 @@ def evaluate(
         n_ties=ties,
         per_paradigm=per_paradigm,
         labels=labels,
-        per_paradigm_ties={p: t for p, (_w, t, _m) in sorted(by_paradigm.items())},
     )
 
 
@@ -145,37 +144,17 @@ RESULT_COLUMNS = (
 
 def result_rows(result: EvalResult) -> list[dict]:
     """One ALL row plus one row per paradigm, ready for the results CSV."""
-    labels = result.labels
-    base = {
-        "train_domain": labels.train_domain,
-        "eval_domain": labels.eval_domain,
-        "condition": labels.condition,
-        "checkpoint": "" if labels.checkpoint is None else labels.checkpoint,
-    }
-    rows = [
-        dict(
-            base,
-            paradigm="ALL",
-            accuracy=repr(result.accuracy),
-            n=result.n_pairs,
-            ties=result.n_ties,
-        )
-    ]
-    for paradigm, (a, m) in result.per_paradigm.items():
-        rows.append(
-            dict(
-                base,
-                paradigm=paradigm,
-                accuracy=repr(a),
-                n=m,
-                ties=result.per_paradigm_ties.get(paradigm, 0),
-            )
-        )
+    base = result.labels._asdict()
+    rows = [dict(base, paradigm="ALL", accuracy=result.accuracy, n=result.n_pairs,
+                 ties=result.n_ties)]
+    for paradigm, (accuracy, n, ties) in result.per_paradigm.items():
+        rows.append(dict(base, paradigm=paradigm, accuracy=accuracy, n=n, ties=ties))
     return rows
 
 
 def write_results_csv(rows: Iterable[dict], path) -> None:
-    """The results CSV: ``result_rows`` rows, sorted by every column as text."""
+    """The results CSV: ``result_rows`` rows, sorted by every column as text,
+    ``accuracy``, ``n`` and ``ties`` included (``"10"`` sorts before ``"9"``)."""
     rows = list(rows)
     if any(r.keys() != set(RESULT_COLUMNS) for r in rows):
         raise ValueError(f"a results row must have exactly the columns {RESULT_COLUMNS}")

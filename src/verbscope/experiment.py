@@ -33,12 +33,16 @@ seeds and conditions, plus the unit's condition and seed, the sha256
 of the corpora it reads (its own for a perturbed cell, every prepared
 domain's for ORIGINAL, which scores all their pairs), and
 ``CACHE_FORMAT``, bumped by hand whenever what a unit computes or stores
-changes. Adding a seed or a condition computes only the new units. A
-record that is missing, unreadable or keyed differently is a cache miss,
-and every file is written whole or not at all (``atomic``). ``original/seed<N>/``
-directories that earlier versions wrote are neither read nor removed.
+changes. ``_key`` builds that key and the manifest's ``config_hash``
+alike, and keeps threads and out_dir out of both. Adding a seed or a
+condition computes only the new units. A record that is missing,
+unreadable or keyed differently is a cache miss, and every file is
+written whole or not at all (``atomic``); the JSON files go through
+``atomic.write_json``. ``original/seed<N>/`` directories that earlier
+versions wrote are neither read nor removed.
 
-Results stay rows (``evaluate.result_rows``) from the cell to the files:
+Results stay typed rows (``evaluate.result_rows``) from the cell to the
+files: ``cell.json`` stores them with ``accuracy`` as a JSON number,
 ``results.csv`` goes through ``evaluate.write_results_csv``, and each
 ``cross_domain.csv`` cell is the mean of the ORIGINAL seeds' ALL rows for
 its (train, eval) domains.
@@ -60,7 +64,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
-from .atomic import atomic_write, write_csv
+from .atomic import write_csv, write_json
 from .corpus import Forms, build_frequency_table, save_table
 from .evaluate import (
     Labels,
@@ -258,23 +262,25 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _digest(payload: dict) -> str:
+def _key(config: ExperimentConfig, drop=(), **extra) -> str:
+    """sha256 of the config's fields but ``drop``, with ``extra`` set over them.
+
+    threads and out_dir never enter a key: where and how the work is
+    scheduled must not change what it computes.
+    """
+    payload = asdict(config)
+    for name in ("threads", "out_dir", *drop):
+        payload.pop(name)
+    payload.update(extra)
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, default=str).encode()
     ).hexdigest()
 
 
-def _config_hash(config: ExperimentConfig, shas: dict) -> str:
-    payload = asdict(config)
-    payload.pop("threads")  # scheduling must not change outputs
-    payload.pop("out_dir")
-    payload["corpus_files"] = shas
-    return _digest(payload)
-
-
 # Bump by hand with any change to the rows, report or files a unit computes,
 # or to its record's layout: every record of an older format is then a miss.
-CACHE_FORMAT = 1
+# 2: a row's accuracy is a JSON number, not its repr string.
+CACHE_FORMAT = 2
 
 
 def _unit(cell: tuple) -> tuple:
@@ -290,18 +296,16 @@ def _unit_key(config: ExperimentConfig, shas: dict, unit: tuple, prepared) -> st
     corpus, ORIGINAL the pairs of every prepared domain too.
     """
     domain, condition, _seed = unit
-    payload = asdict(config)
-    for name in ("threads", "out_dir", "seeds", "conditions", "corpora"):
-        payload.pop(name)
     read = prepared if condition == ORIGINAL else (domain,)
-    payload["corpora"] = [
+    corpora = [
         {"domain": c.domain, "format": c.format, "sha256": shas[c.domain]}
         for c in config.corpora
         if c.domain in read
     ]
-    payload["cell"] = list(unit)
-    payload["cache_format"] = CACHE_FORMAT
-    return _digest(payload)
+    return _key(
+        config, drop=("seeds", "conditions"), corpora=corpora, cell=list(unit),
+        cache_format=CACHE_FORMAT,
+    )
 
 
 def _cell_name(cell: tuple) -> str:
@@ -378,9 +382,7 @@ def _prepare_domain(config: ExperimentConfig, spec: CorpusSpec, out: Path) -> _D
     counters["semantic_verb_lemmas"] = distinct_verb_lemmas(pairs)
     if agreement_note:
         counters["agreement_skipped"] = agreement_note
-    with atomic_write(ddir / "pairs" / "genreport.json") as fh:
-        json.dump(counters, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(ddir / "pairs" / "genreport.json", counters)
     plans = {}
     for condition in config.conditions:
         try:
@@ -426,7 +428,7 @@ def _run_unit(config: ExperimentConfig, domains: dict, unit: tuple, out: Path):
         result = evaluate(
             scored_pairs(pairs, scores),
             domains[eval_domain].pairs_meta,
-            Labels(domain, eval_domain, condition, None),
+            Labels(domain, eval_domain, condition),
         )
         rows.extend(result_rows(result))
     return rows, asdict(report)
@@ -445,11 +447,9 @@ def _load_record(out: Path, unit: tuple, key: str) -> dict | None:
 def _write_record(out: Path, unit: tuple, key: str, rows, report: dict):
     """A unit's perturb.json, then its cell.json."""
     unit_dir = _unit_dir(out, unit)
-    with atomic_write(unit_dir / "perturb.json") as fh:
-        fh.write(PerturbReport(**report).to_json())
-    with atomic_write(unit_dir / "cell.json") as fh:
-        json.dump({"key": key, "rows": rows, "report": report}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    PerturbReport(**report)  # refuse to store a report that fails its checks
+    write_json(unit_dir / "perturb.json", report)
+    write_json(unit_dir / "cell.json", {"key": key, "rows": rows, "report": report})
 
 
 def _write_summary_csv(rows: list[dict], path) -> None:
@@ -457,7 +457,7 @@ def _write_summary_csv(rows: list[dict], path) -> None:
     groups: dict[tuple, list] = {}
     for r in rows:
         key = (r["train_domain"], r["eval_domain"], r["condition"], r["paradigm"])
-        groups.setdefault(key, []).append((float(r["accuracy"]), int(r["n"])))
+        groups.setdefault(key, []).append((r["accuracy"], r["n"]))
     write_csv(path, [("train_domain", "eval_domain", "condition", "paradigm",
                       "mean_accuracy", "n_seeds", "n_pairs")] + [
         [*key, sum(a for a, _n in vals) / len(vals), len(vals), vals[0][1]]
@@ -566,7 +566,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     _write_summary_csv(all_rows, out / "summary.csv")
 
     cross = [
-        (r["train_domain"], r["eval_domain"], float(r["accuracy"]))
+        (r["train_domain"], r["eval_domain"], r["accuracy"])
         for r in all_rows
         if r["condition"] == ORIGINAL and r["paradigm"] == "ALL"
     ]
@@ -587,14 +587,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             **{k: v for k, v in asdict(config).items() if k != "corpora"},
             "corpora": [asdict(c) for c in config.corpora],
         },
-        "config_hash": _config_hash(config, shas),
+        "config_hash": _key(config, corpus_files=shas),
         "cells": {_cell_name(c): "failed" if c in failed else "ok" for c in cells},
         "failures": sorted(failures),
         "pairs_files": {d: str(data.pairs_path) for d, data in domains.items()},
     }
-    with atomic_write(out / "manifest.json") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
 
     return ExperimentResult(
         status=1 if failures else 0,

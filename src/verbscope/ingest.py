@@ -79,6 +79,7 @@ def read_conllu(path, domain: str = "") -> Corpus:
     comments: list[str] = []
     words: list[tuple[int, str, str, str, str, int, str]] = []
     auto_id = 0
+    seen_ids: set[str] = set()
 
     def flush(lineno: int) -> None:
         nonlocal auto_id, comments, words
@@ -93,10 +94,15 @@ def read_conllu(path, domain: str = "") -> Corpus:
                 sent_id = comment[len("sent_id = "):]
             elif comment.startswith("source = "):
                 source_lines.append(comment[len("source = "):])
+            elif comment == "source =":  # "# source = " as write_corpus writes an empty line
+                source_lines.append("")
             else:
                 source_lines.append(comment)
         id_to_pos = {wid: pos for pos, (wid, *_rest) in enumerate(words)}
         try:
+            if sent_id in seen_ids:
+                raise ValueError(f"duplicate sentence_id {sent_id!r}")
+            seen_ids.add(sent_id)
             tokens = []
             for wid, form, lemma, upos, xpos, head, deprel in words:
                 if head == 0:

@@ -23,9 +23,8 @@ same draws to whole sentences for ``verbscope perturb``.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from .corpus import (
     AnnotatedSentence,
@@ -75,13 +74,6 @@ class PerturbReport:
             )
         if self.condition == SHUFFLE_ORDER and self.tokens_replaced:
             raise ValueError("SHUFFLE.ORDER never replaces tokens")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "PerturbReport":
-        return cls(**json.loads(text))
 
 
 def replace_plan(

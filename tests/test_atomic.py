@@ -1,5 +1,6 @@
 """Every writer goes through atomic_write: a failure leaves the old file whole.
-Every CSV table goes through atomic.write_csv, the one CSV writer."""
+Every CSV table goes through atomic.write_csv, the one CSV writer, and every
+JSON record through atomic.write_json, the one JSON writer."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,7 @@ from verbscope.evaluate import (
     write_matrix_csv,
     write_results_csv,
 )
+from verbscope.perturb import perturb_corpus
 from verbscope.stats import CorpusStats, RateTable, write_rates_csv, write_stats_csv
 from verbscope.tagger import TaggerModel, save_tagger
 
@@ -79,12 +81,15 @@ def _tagger(path, _monkeypatch):
 
 
 def _perturb_report(path, monkeypatch):
-    from verbscope.perturb import PerturbReport
+    from dataclasses import replace
 
-    def refuse(self):
-        raise ValueError("report refused")
+    import verbscope.cli
 
-    monkeypatch.setattr(PerturbReport, "to_json", refuse)
+    def unwritable_seed(*args, **kwargs):  # json.dump fails after the keys before "seed"
+        out, report = perturb_corpus(*args, **kwargs)
+        return out, replace(report, seed=object())
+
+    monkeypatch.setattr(verbscope.cli, "perturb_corpus", unwritable_seed)
     corpus = path.parent / "in.txt"
     corpus.write_text("the dog naps .\n", encoding="utf-8")
     status = main(["perturb", "--condition", "shuffle-order", "--format", "text",
@@ -111,18 +116,19 @@ def test_failed_write_leaves_previous_file(tmp_path, monkeypatch, write):
 
 
 def test_csv_writers_live_only_in_atomic():
-    """No module but atomic.py builds a csv.writer or csv.DictWriter."""
-    writers = {"writer", "DictWriter"}
+    """No module but atomic.py builds a csv.writer or csv.DictWriter or calls
+    json.dump; json.dumps, for one JSONL line or a key payload, is allowed."""
+    writers = {("csv", "writer"), ("csv", "DictWriter"), ("json", "dump")}
     package = Path(verbscope.__file__).parent
     offenders = []
     for path in sorted(package.rglob("*.py")):
         if path == package / "atomic.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and node.module == "csv":
-                uses = writers & {a.name for a in node.names}
+            if isinstance(node, ast.ImportFrom):
+                uses = writers & {(node.module, a.name) for a in node.names}
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                uses = node.value.id == "csv" and node.attr in writers
+                uses = (node.value.id, node.attr) in writers
             else:
                 continue
             if uses:

@@ -192,8 +192,11 @@ HEADER = "train_domain,eval_domain,condition,checkpoint,paradigm,accuracy,n,ties
         ("trajectory", f"{HEADER}\na,a,X,1,semantic-verb,0.5,ten,0\n",
          "line 2: n must be int, got 'ten'"),
         ("plot", "checkpoint,semantic_acc\n1,0.5\n2,0.6\n3,oops\n", "line 4: could not convert"),
+        ("trajectory", f"{HEADER}\na,a,X,final,semantic-verb,0.5,10,0\n",
+         "checkpoint must be a number, got 'final'"),
     ],
-    ids=["trajectory-no-paradigm", "regress-bad-accuracy", "trajectory-bad-n", "plot-bad-cell"],
+    ids=["trajectory-no-paradigm", "regress-bad-accuracy", "trajectory-bad-n", "plot-bad-cell",
+         "trajectory-bad-checkpoint"],
 )
 def test_csv_readers_name_the_file_and_line(tmp_path, capsys, command, text, where):
     path = tmp_path / "in.csv"

@@ -27,8 +27,8 @@ class TestEvaluate:
         assert result.accuracy == pytest.approx((2 + 0.5) / 4, abs=1e-12)
         assert result.n_pairs == 4
         assert result.n_ties == 1
-        assert result.per_paradigm["semantic-verb"] == (1.0, 2)
-        assert result.per_paradigm["agr-simple"] == (0.25, 2)
+        assert result.per_paradigm["semantic-verb"] == (1.0, 2, 0)
+        assert result.per_paradigm["agr-simple"] == (0.25, 2, 1)
 
     def test_all_ties_is_half(self):
         scored = [(p, -5.0, -5.0) for p in META]
@@ -49,7 +49,7 @@ class TestEvaluate:
     def test_per_paradigm_counts_sum(self):
         scored = [(p, -1.0, -2.0) for p in META]
         result = evaluate(scored, META)
-        assert sum(n for _a, n in result.per_paradigm.values()) == result.n_pairs
+        assert sum(n for _a, n, _t in result.per_paradigm.values()) == result.n_pairs
 
     @given(
         st.lists(

@@ -349,15 +349,15 @@ class TestCellCache:
 
     # sha256 of each cell.json of the seed-1 small grid, valid for one CACHE_FORMAT.
     # A change that alters these bytes bumps CACHE_FORMAT and re-pins them here.
-    PINNED_RECORDS = (1, {
+    PINNED_RECORDS = (2, {
         "chat/original/cell.json":
-            "045aa4dd5b926dfd9aafa7865c844727fe10e97ef9db12b33bb00c2a0cac515e",
+            "6f05c8031e82f020c1e000102dc21131ba439e783bbd7a69e0f830edb4238a7e",
         "chat/replace-word/seed1/cell.json":
-            "93af2e381797e59e1a42c7906e048f0b5a2ff66032ecf1f30c88fa6c449de39b",
+            "0de7b88de4641de947d8b7b8413539c39dbef601b3990fffe8296b4b1ad77a75",
         "written/original/cell.json":
-            "448677ba502ea53e488b73afbb0ba741a1f28abf8ed1c8baa93129421687bb34",
+            "a22b720f8ed49feb806c87b0347694b88800e05f23a73218d6a29e937a2b3585",
         "written/replace-word/seed1/cell.json":
-            "a09041af29f49a1ef8014fc04edb3c9bdf89a1b8a00bd64d6fcb3cc6b5643f08",
+            "0ef1569fc2cc891f17e53b6b90ebd00a7c4740a0bb8eeb1f11361fb97cc50d78",
     })
 
     def test_record_bytes_are_pinned_to_the_cache_format(self, tmp_path, small_config):

@@ -83,6 +83,14 @@ class TestReadConllu:
             read_conllu(path)
         assert str(err.value) == f"{path}: sentence ending at line {closing}: {message}"
 
+    def test_duplicate_sent_id_names_file_and_closing_line(self, tmp_path):
+        path = tmp_path / "dup.conllu"
+        block = "# sent_id = a\n1\tfine\tfine\tX\tX\t_\t0\troot\t_\t_\n\n"
+        path.write_text(block + block)
+        with pytest.raises(ValueError) as err:
+            read_conllu(path)
+        assert str(err.value) == f"{path}: sentence ending at line 6: duplicate sentence_id 'a'"
+
     def test_multiword_ranges_skipped(self, tmp_path):
         path = tmp_path / "mwt.conllu"
         path.write_text(
@@ -113,7 +121,8 @@ class TestRoundTrip:
     @given(st.data())
     def test_conllu_round_trip_property(self, data):
         """read_conllu(write_corpus(c)) == c for any corpus the format can hold:
-        "_" marks an absent lemma, tag or relation, so no field holds "_" itself."""
+        "_" marks an absent lemma, tag or relation, so no field holds "_" itself,
+        and no id or source line ends in whitespace."""
         corpus = data.draw(_corpora())
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "rt.conllu"
@@ -130,6 +139,11 @@ class TestRoundTrip:
 _FIELD_CHARS = st.characters(exclude_characters="\t\n\r", exclude_categories=("Cs",))
 _FIELD = st.text(alphabet=_FIELD_CHARS, max_size=6).filter(lambda s: s != "_")
 _TAG = st.sampled_from(["UNK", "NOUN", "VERB", "Ñ|ü", " "]) | _FIELD
+# a "# source = " comment keeps a line with no line break and no trailing blank,
+# and an empty line too
+_SOURCE = st.lists(
+    st.just("") | st.text(alphabet=_FIELD_CHARS, max_size=6).map(str.rstrip), max_size=3
+).map("\n".join)
 
 
 @st.composite
@@ -147,7 +161,7 @@ def _sentences(draw, sentence_id):
             form=draw(st.text(alphabet=_FIELD_CHARS, min_size=1, max_size=6)),
             lemma=draw(_FIELD), upos=draw(_TAG), xpos=draw(_TAG), head=head, deprel=deprel,
         ))
-    return AnnotatedSentence(tuple(tokens), sentence_id)
+    return AnnotatedSentence(tuple(tokens), sentence_id, draw(_SOURCE))
 
 
 @st.composite

@@ -1,6 +1,10 @@
+import json
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from verbscope.atomic import write_json
 from verbscope.corpus import Corpus, bin_index, build_frequency_table, tag_pair
 from verbscope.perturb import (
     ORIGINAL,
@@ -43,9 +47,10 @@ class TestPerturbReport:
         with pytest.raises(ValueError, match="never replaces"):
             PerturbReport(SHUFFLE_ORDER, 100, 1, 0.01, seed=1)
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         report = PerturbReport(REPLACE_WORD, 100, 10, 0.1, seed=7)
-        assert PerturbReport.from_json(report.to_json()) == report
+        write_json(tmp_path / "report.json", asdict(report))
+        assert PerturbReport(**json.loads((tmp_path / "report.json").read_text())) == report
 
 
 STOOL_SENTENCE = (
