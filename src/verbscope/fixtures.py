@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import argparse
 from pathlib import Path
-from sys import intern
 from typing import Callable, NamedTuple
 
-from .corpus import AnnotatedSentence, Corpus, Token
+from .corpus import AnnotatedSentence, Corpus, Token, token_pool
 from .ingest import write_corpus
 from .rng import Stream, mix64
 
@@ -180,7 +179,9 @@ def _verb_part(verb: _Verb, xpos: str) -> _Part:
     return _Part(form, verb.base, "VERB", xpos)
 
 
-def _assemble(sid: str, parts: list[_Part], root_pos: int | None) -> AnnotatedSentence:
+def _assemble(
+    sid: str, parts: list[_Part], root_pos: int | None, token: Callable[..., Token]
+) -> AnnotatedSentence:
     tokens = []
     for i, part in enumerate(parts):
         if root_pos is None:
@@ -189,10 +190,7 @@ def _assemble(sid: str, parts: list[_Part], root_pos: int | None) -> AnnotatedSe
             head, deprel = None, "root"
         else:
             head, deprel = root_pos, "dep"
-        tokens.append(
-            Token(form=intern(part.form), lemma=intern(part.lemma), upos=part.upos,
-                  xpos=part.xpos, head=head, deprel=deprel)
-        )
+        tokens.append(token(*part, head, deprel))
     return AnnotatedSentence(tuple(tokens), sid)
 
 
@@ -393,13 +391,14 @@ def build_fixture_corpus(
     lex_fn, make = _MAKERS[domain]
     lex = lex_fn()
     cum = _verb_cumweights(lex.verbs)
+    token = token_pool(Token)
     sentences = []
     total = 0
     i = 0
     while total < target_tokens:
         i += 1
         parts, root = make(stream, lex, cum)
-        sent = _assemble(f"{domain}-{i:06d}", parts, root)
+        sent = _assemble(f"{domain}-{i:06d}", parts, root, token)
         sentences.append(sent)
         total += len(sent)
     return Corpus(tuple(sentences), domain=domain)

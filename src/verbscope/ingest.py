@@ -21,11 +21,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from sys import intern
 from typing import Iterable
 
 from .atomic import atomic_write
-from .corpus import UNK_TAG, AnnotatedSentence, Corpus, Token
+from .corpus import UNK_TAG, AnnotatedSentence, Corpus, Token, token_pool
 from .rng import Stream, mix64
 from .tagger import tag as tag_sentence
 
@@ -80,6 +79,7 @@ def read_conllu(path, domain: str = "") -> Corpus:
     words: list[tuple[int, str, str, str, str, int, str]] = []
     auto_id = 0
     seen_ids: set[str] = set()
+    token = token_pool(Token)
 
     def flush(lineno: int) -> None:
         nonlocal auto_id, comments, words
@@ -98,7 +98,7 @@ def read_conllu(path, domain: str = "") -> Corpus:
                 source_lines.append("")
             else:
                 source_lines.append(comment)
-        id_to_pos = {wid: pos for pos, (wid, *_rest) in enumerate(words)}
+        id_to_pos = {word[0]: pos for pos, word in enumerate(words)}
         try:
             if sent_id in seen_ids:
                 raise ValueError(f"duplicate sentence_id {sent_id!r}")
@@ -111,16 +111,7 @@ def read_conllu(path, domain: str = "") -> Corpus:
                     head_idx = id_to_pos.get(head)
                     if head_idx is None:
                         raise ValueError(f"head {head} points outside the sentence")
-                tokens.append(
-                    Token(
-                        form=form,
-                        lemma=lemma,
-                        upos=upos,
-                        xpos=xpos,
-                        head=head_idx,
-                        deprel=deprel if deprel else None,
-                    )
-                )
+                tokens.append(token(form, lemma, upos, xpos, head_idx, deprel or None))
             sentences.append(
                 AnnotatedSentence(tuple(tokens), sent_id, "\n".join(source_lines))
             )
@@ -133,10 +124,10 @@ def read_conllu(path, domain: str = "") -> Corpus:
         lineno = 0
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line.strip():
+            if not line or line.isspace():
                 flush(lineno)
                 continue
-            if line.startswith("#"):
+            if line[0] == "#":
                 comments.append(line[1:].strip())
                 continue
             cols = line.split("\t")
@@ -162,12 +153,12 @@ def read_conllu(path, domain: str = "") -> Corpus:
             words.append(
                 (
                     wid_n,
-                    intern(form),
-                    "" if lemma == "_" else intern(lemma),
-                    UNK_TAG if upos == "_" else intern(upos),
-                    UNK_TAG if xpos == "_" else intern(xpos),
+                    form,
+                    "" if lemma == "_" else lemma,
+                    UNK_TAG if upos == "_" else upos,
+                    UNK_TAG if xpos == "_" else xpos,
                     head_n,
-                    "" if deprel == "_" else intern(deprel),
+                    "" if deprel == "_" else deprel,
                 )
             )
         flush(lineno)
@@ -178,14 +169,13 @@ def _line_sentences(path, lines: Iterable[tuple[int, str]], tagger) -> list[Anno
     """One whitespace-tokenized sentence per non-empty (line number, text)
     line, ids s1, s2, ...; a rejected token or sentence names the line."""
     sentences = []
+    token = token_pool(Token)
     for lineno, line in lines:
         forms = line.split()
         if not forms:
             continue
         try:
-            sent = AnnotatedSentence(
-                tuple(Token(form=intern(f)) for f in forms), f"s{len(sentences) + 1}"
-            )
+            sent = AnnotatedSentence(tuple(map(token, forms)), f"s{len(sentences) + 1}")
             if tagger is not None:
                 sent = tag_sentence(tagger, sent)
         except ValueError as exc:

@@ -1,9 +1,10 @@
 """Sentence scoring: the native Kneser-Ney model and the external protocol.
 
 ``ngram`` is the one native scoring and training implementation. Each
-model memoizes its n-gram log-probabilities, filled lazily, and
-``score_sentences`` scores each distinct sentence once; scores are
-bit-identical to the direct sequential sum.
+model memoizes its n-gram log-probabilities, filled lazily; scores are
+bit-identical to the direct sequential sum. ``score_sentences`` scores
+each distinct sentence once, with any scorer: an external command is sent
+each distinct text once, under the first id it appears with.
 """
 
 from .external import ExternalScorer, ExternalScorerError, external_score

@@ -1,9 +1,12 @@
 """Score minimal pairs with any scorer, native or external.
 
 Both members of a pair go through the identical scorer and tokenization;
-output order matches input order. On disk, pair members live in the
+output order matches input order. ``score_sentences`` is the one scoring
+path: native model or external command, each distinct token sequence is
+scored once and its repeats copy the score (semantic pairs of one source
+sentence share their good member). On disk, pair members live in the
 ordinary score TSV under composite ids "<pair_id>::good" and
-"<pair_id>::bad".
+"<pair_id>::bad", one row per id.
 """
 
 from __future__ import annotations
@@ -34,28 +37,23 @@ def score_sentences(
 ) -> list[SentenceScore]:
     """(sentence_id, tokens) -> SentenceScore rows, input order preserved.
 
-    A native model scores each distinct token sequence once; repeats copy
-    its score under their own id. An external scorer receives every id.
+    Each distinct token sequence is scored once, under the id it first
+    appears with, by a native model or an external scorer alike; a repeat
+    copies that score under its own id. A scorer's total depends only on
+    the text it is sent, so no score changes.
     """
-    if isinstance(scorer, NGramLM):
-        return _score_distinct(scorer, sentences)
-    results = scorer.score_texts([(sid, " ".join(tokens)) for sid, tokens in sentences])
-    return [SentenceScore(sid, *results[sid]) for sid, _tokens in sentences]
-
-
-def _score_distinct(
-    lm: NGramLM, sentences: Sequence[tuple[str, list[str]]]
-) -> list[SentenceScore]:
-    first: dict[tuple, SentenceScore] = {}
-    rows: list[SentenceScore] = []
+    first: dict[tuple, str] = {}  # each distinct sequence -> the id it is scored under
     for sid, tokens in sentences:
-        key = tuple(tokens)
-        seen = first.get(key)
-        if seen is None:
-            row = first[key] = lm.logprob(tokens, sid)
-        else:
-            row = SentenceScore(sid, seen.logprob, seen.num_tokens)
-        rows.append(row)
+        first.setdefault(tuple(tokens), sid)
+    if isinstance(scorer, NGramLM):
+        scored = {key: scorer.logprob(key, sid) for key, sid in first.items()}
+    else:
+        results = scorer.score_texts([(sid, " ".join(key)) for key, sid in first.items()])
+        scored = {key: SentenceScore(sid, *results[sid]) for key, sid in first.items()}
+    rows = []
+    for sid, tokens in sentences:
+        row = scored[tuple(tokens)]
+        rows.append(row if row.sentence_id == sid else SentenceScore(sid, row.logprob, row.num_tokens))
     return rows
 
 

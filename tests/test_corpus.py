@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,9 +16,34 @@ from verbscope.corpus import (
     load_table,
     save_table,
     tag_pair,
+    token_pool,
 )
 
 from conftest import corpus_of, sent
+
+
+class TestTokenPool:
+    def test_equal_fields_give_one_object(self):
+        token = token_pool(Token)
+        cat = token("cat", "cat", "NOUN", "NN", 1, "nsubj")
+        assert token("cat", "cat", "NOUN", "NN", 1, "nsubj") is cat
+        assert token("cat", "cat", "NOUN", "NN", 2, "nsubj") is not cat
+        assert token("x") is token("x", "", "UNK", "UNK", None, None)
+        assert token("x") == Token("x")
+
+    def test_pools_are_independent(self):
+        fields = ("cat", "cat", "NOUN", "NN", 1, "nsubj")
+        assert token_pool(Token)(*fields) is not token_pool(Token)(*fields)
+
+    def test_strings_are_interned(self):
+        tok = token_pool(Token)("".join(["ca", "t"]), lemma="".join(["ca", "t"]))
+        assert tok.form is sys.intern("cat") and tok.lemma is tok.form
+
+    def test_rejected_token_is_not_pooled(self):
+        token = token_pool(Token)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape("token form 'a\\tb'")):
+                token("a\tb")
 
 
 class TestTypes:
@@ -49,6 +75,10 @@ class TestTypes:
     def test_sentence_needs_tokens(self):
         with pytest.raises(ValueError):
             AnnotatedSentence((), "s1")
+
+    def test_sentence_needs_an_id(self):
+        with pytest.raises(ValueError, match="sentence_id must be non-empty"):
+            AnnotatedSentence((Token("a"),), "")
 
     def test_corpus_rejects_duplicate_ids(self):
         s = sent("a/DET/DT")

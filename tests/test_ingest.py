@@ -255,6 +255,83 @@ class TestCleanChildes:
             read_chat(path)
 
 
+def _reference_read(path) -> Corpus:
+    """A CoNLL-U reader that builds one new Token per line, for files whose
+    token ids run 1..n and whose only comments are sent_ids."""
+    sentences, tokens, sent_id = [], [], None
+    for line in Path(path).read_text(encoding="utf-8").splitlines() + [""]:
+        if line.startswith("# sent_id = "):
+            sent_id = line[len("# sent_id = "):]
+        elif line:
+            _wid, form, lemma, upos, xpos, _f, head, deprel, _d, _m = line.split("\t")
+            tokens.append(Token(
+                form, "" if lemma == "_" else lemma, "UNK" if upos == "_" else upos,
+                "UNK" if xpos == "_" else xpos, None if head == "0" else int(head) - 1,
+                None if deprel == "_" else deprel,
+            ))
+        elif tokens:
+            sentences.append(AnnotatedSentence(tuple(tokens), sent_id))
+            tokens = []
+    return Corpus(tuple(sentences))
+
+
+def _distinct_conllu(path, n_tokens: int) -> None:
+    """Every token differs from every other in its form."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, n_tokens, 5):
+            fh.write(f"# sent_id = d{start}\n")
+            for i in range(1, 6):
+                head, deprel = (0, "root") if i == 2 else (2, "dep")
+                fh.write(f"{i}\tw{start + i}\tl{start + i}\tX\t_\t_\t{head}\t{deprel}\t_\t_\n")
+            fh.write("\n")
+
+
+def _assert_equal_tokens_shared(corpus: Corpus) -> int:
+    """Every token is the first one read with its fields; the count of distinct ones."""
+    first: dict[Token, Token] = {}
+    for sent in corpus:
+        for tok in sent.tokens:
+            assert first.setdefault(tok, tok) is tok
+    return len(first)
+
+
+class TestTokenPool:
+    @pytest.mark.parametrize("fmt", ["conllu", "text", "chat"])
+    def test_equal_tokens_are_one_object_per_read(self, tmp_path, chat_fixture, fmt):
+        path = tmp_path / f"c.{fmt}"
+        subset = Corpus(chat_fixture.sentences[:300])
+        if fmt == "chat":
+            path.write_text("@Begin\n" + "".join(f"*MOT:\t{' '.join(s.forms())}\n%act:\tx\n"
+                                                 for s in subset))
+        else:
+            write_corpus(subset, path, "conllu" if fmt == "conllu" else "text")
+        corpus = ingest.read_corpus(path, fmt)
+        assert [s.forms() for s in corpus] == [s.forms() for s in subset]
+        assert _assert_equal_tokens_shared(corpus) < corpus.n_tokens // 5
+
+    def test_fixture_reads_equal_to_a_token_per_line_build(self, tmp_path, chat_fixture):
+        path = tmp_path / "chat.conllu"
+        write_corpus(chat_fixture, path)
+        corpus = read_conllu(path)
+        assert corpus == _reference_read(path)
+        assert corpus.sentences == chat_fixture.sentences
+        assert _assert_equal_tokens_shared(corpus) < 1_000
+
+    def test_all_distinct_corpus_reads_equal_to_a_token_per_line_build(self, tmp_path):
+        path = tmp_path / "distinct.conllu"
+        _distinct_conllu(path, 2_000)
+        corpus = read_conllu(path)
+        assert corpus == _reference_read(path)
+        assert _assert_equal_tokens_shared(corpus) == corpus.n_tokens == 2_000
+
+    def test_two_reads_share_no_tokens(self, tmp_path):
+        path = tmp_path / "a.conllu"
+        path.write_text(CONLLU_BLOCK)
+        one, two = read_conllu(path), read_conllu(path)
+        assert one == two
+        assert {id(t) for t in one.sentences[0].tokens}.isdisjoint(map(id, two.sentences[0].tokens))
+
+
 class TestSplitSpec:
     def test_parse_normalizes_ratios(self):
         spec = SplitSpec.parse("10,2.5,2.5")

@@ -395,21 +395,23 @@ class TestMemoizedScoring:
             alone = train_ngram(_forms_corpus(*self.TRAIN).form_view(), 3).logprob(tokens, sid)
             assert row == alone
 
-    def test_external_scorer_receives_every_id(self):
+    def test_external_scorer_receives_each_distinct_text_once(self):
         class FakeScorer:
             def __init__(self):
                 self.received = []
 
             def score_texts(self, items):
                 self.received.extend(items)
-                return {sid: (-float(len(text)), 1) for sid, text in items}
+                return {sid: (-float(len(text)), len(text.split()) + 1) for sid, text in items}
 
-        sentences = [("a", ["x", "y"]), ("b", ["x", "y"]), ("c", ["z"]), ("d", ["x", "y"])]
+        sentences = [("a", ["x", "y"]), ("b", ["x", "y"]), ("c", ["z"]), ("d", ["x", "y"]),
+                     ("e", []), ("f", ["z"])]
         fake = FakeScorer()
         rows = score_sentences(fake, sentences)
-        assert fake.received == [("a", "x y"), ("b", "x y"), ("c", "z"), ("d", "x y")]
-        assert [(r.sentence_id, r.logprob) for r in rows] == [
-            ("a", -3.0), ("b", -3.0), ("c", -1.0), ("d", -3.0)
+        assert fake.received == [("a", "x y"), ("c", "z"), ("e", "")]  # under its first id
+        assert [(r.sentence_id, r.logprob, r.num_tokens) for r in rows] == [
+            ("a", -3.0, 3), ("b", -3.0, 3), ("c", -1.0, 2), ("d", -3.0, 3),
+            ("e", 0.0, 1), ("f", -1.0, 2),
         ]
 
 
