@@ -14,7 +14,6 @@ from .corpus import (
     Corpus,
     FrequencyTable,
     Token,
-    bin_candidates,
     build_frequency_table,
 )
 from .evaluate import EvalResult, Labels, cross_domain_matrix, evaluate
@@ -50,7 +49,6 @@ __all__ = [
     "SHUFFLE_ORDER",
     "SentenceScore",
     "Token",
-    "bin_candidates",
     "build_frequency_table",
     "cross_domain_matrix",
     "evaluate",

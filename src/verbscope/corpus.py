@@ -1,14 +1,16 @@
 """Core corpus types and the tag/frequency-bin machinery.
 
-Word replacement and semantic pair generation both operate on strata of
-words sharing a (coarse tag, fine tag) pair and a power-of-two frequency
-band, so the binning rule lives here:
+Word replacement and semantic pair generation both draw a word's
+alternatives from its stratum: the words sharing its (coarse tag, fine
+tag) pair and its power-of-two frequency band, under the binning rule
 
     bin(count) = floor(log2(count))
 
-computed exactly on integer counts. Tokens without a fine tag fall back to
-their coarse tag for binning, so raw-text pipelines still stratify (a
-degraded mode: one stratum per coarse tag).
+computed exactly on integer counts. Both ask ``FrequencyTable.alternatives``
+for a stratum, so the rule and the strata live here and nowhere else.
+Tokens without a fine tag fall back to their coarse tag for binning, so
+raw-text pipelines still stratify (a degraded mode: one stratum per
+coarse tag).
 
 All types are immutable after construction.
 
@@ -18,19 +20,21 @@ memory at once, so the records are lean: ``Token`` and
 dataclasses with no per-instance ``__dict__``, and the corpus readers,
 the tagger and the fixtures intern the strings they put into tokens
 (``sys.intern``), so all tokens of one form, lemma, tag or relation
-share one string object. The readers and the fixtures go one step
-further and build their tokens through a ``token_pool``: within one read
-or one fixture build, tokens with equal fields are one object. Tokens
-repeat as often as their strings do (the 100k-token fixture ``chat``
-has about 500 distinct ones), so a 1M-token corpus takes well under a
-quarter of the memory it would with a dict and string copies per token,
-and reads in about half the time. Strings and tokens are compared by
-value everywhere, so neither interning nor sharing changes any output.
+share one string object. The readers, a tagged read's tagger and the
+fixtures go one step further and build their tokens through a
+``token_pool``: within one read or one fixture build, tokens with equal
+fields are one object. Tokens repeat as often as their strings do (the
+100k-token fixture ``chat`` has about 500 distinct ones), so a 1M-token
+corpus takes well under a quarter of the memory it would with a dict and
+string copies per token, and reads in about half the time. Strings and
+tokens are compared by value everywhere, so neither interning nor
+sharing changes any output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as _dc_replace
+from itertools import accumulate
 from sys import intern
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -73,16 +77,15 @@ class Token:
                     )
 
 
-def token_pool(make: Callable[..., Token]) -> Callable[..., Token]:
+def token_pool() -> Callable[..., Token]:
     """A Token constructor that returns one shared token per distinct field tuple.
 
     Make one pool per read or corpus build and let it go with the corpus;
     never keep one in module state. A hit builds nothing but the lookup
-    key. On a miss ``make`` (``Token`` or a stricter stand-in) builds and
-    checks the token from interned strings, so every check runs once per
-    distinct token and a rejected one raises as ``make`` does; the pool
-    then keys the token on those same strings, so it holds no copy of its
-    caller's.
+    key. A miss builds and checks the token from interned strings, so
+    every check runs once per distinct token and a rejected one raises as
+    ``Token`` does; the pool then keys the token on those same strings,
+    so it holds no copy of its caller's.
     """
     pool: dict[tuple, Token] = {}
 
@@ -92,7 +95,7 @@ def token_pool(make: Callable[..., Token]) -> Callable[..., Token]:
             form, lemma, upos, xpos = intern(form), intern(lemma), intern(upos), intern(xpos)
             if deprel is not None:
                 deprel = intern(deprel)
-            tok = make(form=form, lemma=lemma, upos=upos, xpos=xpos, head=head, deprel=deprel)
+            tok = Token(form=form, lemma=lemma, upos=upos, xpos=xpos, head=head, deprel=deprel)
             pool[form, lemma, upos, xpos, head, deprel] = tok
         return tok
 
@@ -195,11 +198,12 @@ def bin_index(count: int) -> int:
 
 
 class FrequencyTable:
-    """Token frequencies keyed by (upos, xpos, form), with log2 bins.
+    """Token frequencies keyed by (upos, xpos, form), with each form's alternatives.
 
-    Within each (upos, xpos, bin) stratum the forms are held in
-    lexicographic order together with their counts and cumulative counts,
-    ready for deterministic frequency-weighted sampling.
+    The forms of one (upos, xpos, bin) stratum are one another's
+    frequency-matched alternatives. Each stratum is built once, its
+    members sorted by form with their cumulative counts, ready for
+    deterministic frequency-weighted sampling.
     """
 
     def __init__(self, counts: Mapping[TagKey, int]):
@@ -207,20 +211,17 @@ class FrequencyTable:
             if c < 1:
                 raise ValueError(f"count for {key} must be >= 1, got {c}")
         self._counts: dict[TagKey, int] = dict(counts)
-        self._bins: dict[TagKey, int] = {
-            key: bin_index(c) for key, c in self._counts.items()
-        }
         strata: dict[tuple[str, str, int], list[tuple[str, int]]] = {}
         for (upos, xpos, form), c in self._counts.items():
             strata.setdefault((upos, xpos, bin_index(c)), []).append((form, c))
-        self._strata = {k: sorted(v) for k, v in strata.items()}
-        self._cumulative: dict[tuple[str, str, int], list[int]] = {}
-        for k, members in self._strata.items():
-            acc, cum = 0, []
-            for _, c in members:
-                acc += c
-                cum.append(acc)
-            self._cumulative[k] = cum
+        self._alternatives: dict[TagKey, tuple] = {}
+        for (upos, xpos, _bin), members in strata.items():
+            if len(members) < 2:
+                continue  # a form alone in its stratum has no alternative
+            members = tuple(sorted(members))
+            cumulative = tuple(accumulate(c for _form, c in members))
+            for index, (form, _c) in enumerate(members):
+                self._alternatives[upos, xpos, form] = (members, cumulative, index)
 
     @property
     def counts(self) -> Mapping[TagKey, int]:
@@ -229,18 +230,16 @@ class FrequencyTable:
     def count(self, upos: str, xpos: str, form: str) -> int | None:
         return self._counts.get((upos, xpos, form))
 
-    def bin_of(self, upos: str, xpos: str, form: str) -> int | None:
-        return self._bins.get((upos, xpos, form))
+    def alternatives(self, upos: str, xpos: str, form: str) -> tuple | None:
+        """A form's frequency-matched alternatives, as (members, cumulative, index).
 
-    def total_tokens(self) -> int:
-        return sum(self._counts.values())
-
-    def stratum(self, upos: str, xpos: str, bin: int) -> list[tuple[str, int]]:
-        """All (form, count) entries of one (upos, xpos, bin) stratum, sorted."""
-        return self._strata.get((upos, xpos, bin), [])
-
-    def stratum_cumulative(self, upos: str, xpos: str, bin: int) -> list[int]:
-        return self._cumulative.get((upos, xpos, bin), [])
+        ``members`` holds the (form, count) entries of the form's (upos,
+        xpos, bin) stratum sorted by form, ``cumulative`` their running
+        count totals, and ``members[index]`` is the form's own entry. The
+        tuple is built once and shared by every caller. None when the form
+        is not in the table or is alone in its stratum.
+        """
+        return self._alternatives.get((upos, xpos, form))
 
     def forms_by_upos(self, upos: str) -> list[tuple[str, int]]:
         """Aggregated (form, count) for one coarse tag, most frequent first."""
@@ -262,13 +261,6 @@ def build_frequency_table(corpus: Corpus) -> FrequencyTable:
             key = (upos, xpos, tok.form)
             counts[key] = counts.get(key, 0) + 1
     return FrequencyTable(counts)
-
-
-def bin_candidates(
-    table: FrequencyTable, upos: str, xpos: str, bin: int, exclude: str
-) -> list[tuple[str, int]]:
-    """Forms sharing (upos, xpos, bin), minus ``exclude``, lexicographic order."""
-    return [(f, c) for f, c in table.stratum(upos, xpos, bin) if f != exclude]
 
 
 def save_table(table: FrequencyTable, path) -> None:

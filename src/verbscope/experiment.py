@@ -339,7 +339,6 @@ class ExperimentResult:
 
 @dataclass
 class _DomainData:
-    spec: CorpusSpec
     forms: Forms  # the train split as form tuples: what cells perturb and train on
     plans: dict  # condition -> its perturb plan, or the ValueError building it raised
     pairs: list
@@ -392,7 +391,7 @@ def _prepare_domain(config: ExperimentConfig, spec: CorpusSpec, out: Path) -> _D
         except ValueError as exc:  # fails the condition's cells, not the domain
             plans[condition] = exc
     return _DomainData(
-        spec=spec, forms=train.form_view(), plans=plans, pairs=pairs,
+        forms=train.form_view(), plans=plans, pairs=pairs,
         pairs_meta={p.pair_id: p.paradigm for p in pairs},
         pairs_path=pairs_path, stats=compute_stats(train),
     )

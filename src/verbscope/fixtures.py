@@ -391,7 +391,7 @@ def build_fixture_corpus(
     lex_fn, make = _MAKERS[domain]
     lex = lex_fn()
     cum = _verb_cumweights(lex.verbs)
-    token = token_pool(Token)
+    token = token_pool()
     sentences = []
     total = 0
     i = 0

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .atomic import atomic_write
-from .corpus import UNK_TAG, AnnotatedSentence, Corpus, Token, token_pool
+from .corpus import UNK_TAG, AnnotatedSentence, Corpus, token_pool
 from .rng import Stream, mix64
 from .tagger import tag as tag_sentence
 
@@ -79,7 +79,7 @@ def read_conllu(path, domain: str = "") -> Corpus:
     words: list[tuple[int, str, str, str, str, int, str]] = []
     auto_id = 0
     seen_ids: set[str] = set()
-    token = token_pool(Token)
+    token = token_pool()
 
     def flush(lineno: int) -> None:
         nonlocal auto_id, comments, words
@@ -169,7 +169,7 @@ def _line_sentences(path, lines: Iterable[tuple[int, str]], tagger) -> list[Anno
     """One whitespace-tokenized sentence per non-empty (line number, text)
     line, ids s1, s2, ...; a rejected token or sentence names the line."""
     sentences = []
-    token = token_pool(Token)
+    token = token_pool()
     for lineno, line in lines:
         forms = line.split()
         if not forms:
@@ -177,7 +177,7 @@ def _line_sentences(path, lines: Iterable[tuple[int, str]], tagger) -> list[Anno
         try:
             sent = AnnotatedSentence(tuple(map(token, forms)), f"s{len(sentences) + 1}")
             if tagger is not None:
-                sent = tag_sentence(tagger, sent)
+                sent = tag_sentence(tagger, sent, token)
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
         sentences.append(sent)
@@ -206,7 +206,8 @@ def read_corpus(path, format: str, domain: str = "", tagger=None) -> Corpus:
         corpus = read_conllu(path, domain=domain)
         if tagger is None:
             return corpus
-        return Corpus(tuple(tag_sentence(tagger, s) for s in corpus), domain=domain)
+        token = token_pool()
+        return Corpus(tuple(tag_sentence(tagger, s, token) for s in corpus), domain=domain)
     if format == "text":
         return read_plaintext(path, tagger=tagger, domain=domain)
     if format == "chat":

@@ -2,8 +2,9 @@
 
 Semantic pairs take each test sentence of suitable length, find its root
 verb, and swap in up to five other verbs from the same (upos, xpos,
-frequency-bin) stratum of the *training* table, drawn frequency-weighted
-without replacement. The bad member is therefore matched to the good one
+frequency-bin) stratum of the *training* table (its ``alternatives``, the
+pool REPLACE.WORD draws from), drawn frequency-weighted without
+replacement. The bad member is therefore matched to the good one
 in everything but the verb's contextual fit; individual alternatives are
 not guaranteed to be unacceptable, only contextually mismatched, and are
 evaluated statistically.
@@ -21,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 
 from .atomic import atomic_write
-from .corpus import Corpus, FrequencyTable, bin_candidates, bin_index, tag_pair
+from .corpus import Corpus, FrequencyTable, bin_index, tag_pair
 from .rng import Stream, mix64
 from .tagger import heuristic_root
 
@@ -49,6 +50,9 @@ class MinimalPair:
             object.__setattr__(self, "bad", tuple(self.bad))
         if len(self.good) != len(self.bad):
             raise ValueError(f"pair {self.pair_id}: members differ in length")
+        # an empty token would be written as a double space and scored as <unk>
+        if "" in self.good or "" in self.bad:
+            raise ValueError(f"pair {self.pair_id}: a member holds an empty token")
         diffs = [i for i, (g, b) in enumerate(zip(self.good, self.bad)) if g != b]
         if diffs != [self.diff_index]:
             raise ValueError(
@@ -89,16 +93,17 @@ def gen_semantic_pairs(
         if count is None:
             skip["verb_not_in_table"] += 1
             continue
-        b = bin_index(count)
-        candidates = bin_candidates(train_table, upos, xpos, b, exclude=verb.form)
-        if not candidates:
+        alternatives = train_table.alternatives(upos, xpos, verb.form)
+        if alternatives is None:
             skip["no_candidates"] += 1
             continue
+        members, _cumulative, index = alternatives
         stream = Stream(mix64(seed, si))
-        remaining = list(candidates)
+        remaining = list(members)
+        del remaining[index]  # the original verb
         good = tuple(sent.forms())  # shared by the sentence's pairs
         lemma = verb.lemma if verb.lemma else verb.form.lower()
-        band = str(b)
+        band = str(bin_index(count))
         k = min(max_alts, len(remaining))
         for j in range(1, k + 1):
             cum, acc = [], 0

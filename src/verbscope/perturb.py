@@ -23,7 +23,6 @@ same draws to whole sentences for ``verbscope perturb``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from .corpus import (
@@ -32,7 +31,6 @@ from .corpus import (
     Forms,
     FrequencyTable,
     UNK_TAG,
-    bin_index,
     tag_pair,
 )
 from .rng import Stream, mix64
@@ -81,9 +79,9 @@ def replace_plan(
 ) -> tuple:
     """The REPLACE.WORD targets of one sentence, in position order.
 
-    A target is a content word whose (upos, xpos, bin) stratum holds another
-    form, given as (position, stratum members, cumulative weights, index of
-    the original). The root verb and function words are never targets.
+    A target is a content word with a frequency-matched alternative, given
+    as (position, the table's ``alternatives`` of its form). The root verb
+    and function words are never targets.
     """
     if any(not t.upos or t.upos == UNK_TAG for t in sentence.tokens):
         raise ValueError(f"replace_word requires tags (sentence {sentence.sentence_id!r})")
@@ -93,16 +91,9 @@ def replace_plan(
     for i, tok in enumerate(sentence.tokens):
         if not (tok.upos in targets or (tok.upos == "VERB" and i != root_idx)):
             continue
-        upos, xpos = tag_pair(tok)
-        count = table.count(upos, xpos, tok.form)
-        if count is None:
-            continue
-        b = bin_index(count)
-        cumulative = table.stratum_cumulative(upos, xpos, b)
-        if cumulative[-1] == count:
-            continue  # bin holds only the original
-        members = table.stratum(upos, xpos, b)  # sorted by form
-        plan.append((i, members, cumulative, bisect_left(members, (tok.form,))))
+        alternatives = table.alternatives(*tag_pair(tok), tok.form)
+        if alternatives is not None:
+            plan.append((i, alternatives))
     return tuple(plan)
 
 
@@ -110,8 +101,8 @@ def replace_word(plan: tuple, stream: Stream) -> list[tuple[int, str]]:
     """The (position, new form) replacements: one frequency-weighted draw per
     target, the original form excluded, so every target is replaced."""
     return [
-        (i, members[stream.pick_cumulative(cumulative, exclude=pos)][0])
-        for i, members, cumulative, pos in plan
+        (i, members[stream.pick_cumulative(cumulative, exclude=index)][0])
+        for i, (members, cumulative, index) in plan
     ]
 
 

@@ -202,14 +202,18 @@ def _accuracy(model: TaggerModel, corpus: Corpus) -> float:
     return right / total if total else 0.0
 
 
-def tag(model: TaggerModel, sentence: AnnotatedSentence) -> AnnotatedSentence:
-    """Fill upos/xpos on every token; existing tags are overwritten."""
+def tag(model: TaggerModel, sentence: AnnotatedSentence, token=Token) -> AnnotatedSentence:
+    """Fill upos/xpos on every token; existing tags are overwritten.
+
+    Tokens are built by ``token``: a reader passes its ``token_pool`` so
+    that a tagged read shares equal tokens as an untagged one does.
+    """
     predicted = model.predict(sentence.forms())
     tokens = []
     for tok, ptag in zip(sentence.tokens, predicted):
         upos, xpos = _split_composite(ptag)
         tokens.append(
-            Token(
+            token(
                 form=tok.form,
                 lemma=tok.lemma,
                 upos=upos,

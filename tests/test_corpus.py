@@ -10,7 +10,6 @@ from verbscope.corpus import (
     Corpus,
     FrequencyTable,
     Token,
-    bin_candidates,
     bin_index,
     build_frequency_table,
     load_table,
@@ -24,7 +23,7 @@ from conftest import corpus_of, sent
 
 class TestTokenPool:
     def test_equal_fields_give_one_object(self):
-        token = token_pool(Token)
+        token = token_pool()
         cat = token("cat", "cat", "NOUN", "NN", 1, "nsubj")
         assert token("cat", "cat", "NOUN", "NN", 1, "nsubj") is cat
         assert token("cat", "cat", "NOUN", "NN", 2, "nsubj") is not cat
@@ -33,14 +32,14 @@ class TestTokenPool:
 
     def test_pools_are_independent(self):
         fields = ("cat", "cat", "NOUN", "NN", 1, "nsubj")
-        assert token_pool(Token)(*fields) is not token_pool(Token)(*fields)
+        assert token_pool()(*fields) is not token_pool()(*fields)
 
     def test_strings_are_interned(self):
-        tok = token_pool(Token)("".join(["ca", "t"]), lemma="".join(["ca", "t"]))
+        tok = token_pool()("".join(["ca", "t"]), lemma="".join(["ca", "t"]))
         assert tok.form is sys.intern("cat") and tok.lemma is tok.form
 
     def test_rejected_token_is_not_pooled(self):
-        token = token_pool(Token)
+        token = token_pool()
         for _ in range(2):
             with pytest.raises(ValueError, match=re.escape("token form 'a\\tb'")):
                 token("a\tb")
@@ -116,7 +115,7 @@ class TestBuildFrequencyTable:
     def test_single_sentence_counts(self):
         table = build_frequency_table(corpus_of("the/DET/DT cat/NOUN/NN sat/VERB/VBD"))
         assert table.counts[("DET", "DT", "the")] == 1
-        assert table.bin_of("DET", "DT", "the") == 0
+        assert bin_index(table.count("DET", "DT", "the")) == 0
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
@@ -124,7 +123,7 @@ class TestBuildFrequencyTable:
 
     def test_total_tokens_equals_corpus_tokens(self, chat_fixture):
         table = build_frequency_table(chat_fixture)
-        assert table.total_tokens() == chat_fixture.n_tokens
+        assert sum(table.counts.values()) == chat_fixture.n_tokens
 
     def test_tag_totals_match_tokens_carrying_pair(self):
         corpus = corpus_of(
@@ -141,6 +140,8 @@ class TestBuildFrequencyTable:
 
 
 class TestBinCandidates:
+    """A form's same-bin candidates, as ``FrequencyTable.alternatives`` gives them."""
+
     @pytest.fixture
     def table(self):
         return FrequencyTable(
@@ -154,20 +155,27 @@ class TestBinCandidates:
         )
 
     def test_exclusion_exhausts_bin(self, table):
-        assert bin_candidates(table, "NOUN", "NN", 1, exclude="d") == []
+        # "d" and "e" are alone in their strata: excluding them leaves nothing
+        assert table.alternatives("NOUN", "NN", "d") is None
+        assert table.alternatives("VERB", "VBD", "e") is None
 
     def test_same_bin_forms_sorted(self, table):
         # independent oracle: enumerate all forms, keep floor(log2(c)) == 2
         expected = sorted(
             (f, c)
             for (u, x, f), c in table.counts.items()
-            if (u, x) == ("NOUN", "NN") and math.floor(math.log2(c)) == 2 and f != "a"
+            if (u, x) == ("NOUN", "NN") and math.floor(math.log2(c)) == 2
         )
-        assert expected == [("b", 5), ("c", 7)]
-        assert bin_candidates(table, "NOUN", "NN", 2, exclude="a") == expected
+        assert expected == [("a", 4), ("b", 5), ("c", 7)]
+        members, cumulative, index = table.alternatives("NOUN", "NN", "a")
+        assert (list(members), list(cumulative), index) == (expected, [4, 9, 16], 0)
+        assert table.alternatives("NOUN", "NN", "c") == (members, cumulative, 2)
+        assert table.alternatives("NOUN", "NN", "c")[0] is members
 
     def test_unpopulated_tag_pair_is_empty(self, table):
-        assert bin_candidates(table, "ADJ", "JJ", 2, exclude="x") == []
+        assert table.alternatives("ADJ", "JJ", "a") is None
+        assert table.alternatives("NOUN", "NN", "x") is None
+        assert table.alternatives("NOUN", "NNS", "a") is None
 
     @given(
         st.dictionaries(
@@ -180,18 +188,25 @@ class TestBinCandidates:
             min_size=1,
             max_size=25,
         ),
-        st.integers(min_value=0, max_value=8),
     )
-    def test_candidates_verified_by_brute_force(self, counts, bin):
+    def test_candidates_verified_by_brute_force(self, counts):
         table = FrequencyTable(counts)
-        for upos, xpos in {(u, x) for (u, x, _f) in counts}:
-            got = bin_candidates(table, upos, xpos, bin, exclude="zzz")
+        for (upos, xpos, form), count in counts.items():
             brute = sorted(
                 (f, c)
                 for (u, x, f), c in counts.items()
-                if u == upos and x == xpos and bin_index(c) == bin
+                if u == upos and x == xpos and bin_index(c) == bin_index(count)
             )
-            assert got == brute
+            got = table.alternatives(upos, xpos, form)
+            if len(brute) == 1:
+                assert got is None
+                continue
+            members, cumulative, index = got
+            assert list(members) == brute
+            running = [sum(c for _f, c in brute[: k + 1]) for k in range(len(brute))]
+            assert list(cumulative) == running
+            assert members[index] == (form, count)
+        assert table.alternatives("NOUN", "NN", "zzzzz") is None
 
 
 def test_table_round_trip(tmp_path):

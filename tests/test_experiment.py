@@ -360,18 +360,63 @@ class TestCellCache:
             "0ef1569fc2cc891f17e53b6b90ebd00a7c4740a0bb8eeb1f11361fb97cc50d78",
     })
 
-    def test_record_bytes_are_pinned_to_the_cache_format(self, tmp_path, small_config):
+    # sha256 of the seed-1 small grid's pair files, perturb reports and score
+    # TSVs. No cache format covers these bytes: a change to them changes what
+    # pair generation, perturbation or scoring computes, and must say so.
+    PINNED_OUTPUTS = {
+        "chat/pairs/pairs.jsonl":
+            "b5216848549e9a7b3e28b7d0d915934c0bfab5043d4d6513de0eebbdddb51629",
+        "written/pairs/pairs.jsonl":
+            "6fcb8961a3e18e0a01d71041023ae1a4fd47613b13cb4219cf55120bb412bbdb",
+        "chat/original/perturb.json":
+            "4941d023fad3c59be84645606d83aa94133df1e2b6317bf354d30ad5dc87e0f6",
+        "chat/replace-word/seed1/perturb.json":
+            "efe6d9306d97cf6102d47df9be4672c49107d8ac440ee9dd1cbfdb666a195b05",
+        "written/original/perturb.json":
+            "4941d023fad3c59be84645606d83aa94133df1e2b6317bf354d30ad5dc87e0f6",
+        "written/replace-word/seed1/perturb.json":
+            "45238b20574483ae572473154f2c7c11c9bed1868b3397c8c3d23211d74fbcea",
+        "chat/original/scores-chat.tsv":
+            "7e31ca9a4c68c0e3cdbcf9be20d30e8126f4321ca2d49cc2007e5af44c07a1fd",
+        "chat/original/scores-written.tsv":
+            "1d7efcd3c9bff09c43e7f6cbad0d546d4b8bb222203d1bf5ac873d2bda5d778c",
+        "chat/replace-word/seed1/scores-chat.tsv":
+            "618fb09625119a9d5df1a5800e9f1bfd9ff2aebb10020a646eeab5d5f2ad5039",
+        "written/original/scores-chat.tsv":
+            "16613efcdbf15d7547584d20943d7ec4eea216dac94df5dd36dbeb2a6fa11980",
+        "written/original/scores-written.tsv":
+            "7a78bcb7a48f209c658f9e00f04ef5f84a083d0b3978be44ff73a2516b62a1b1",
+        "written/replace-word/seed1/scores-written.tsv":
+            "f2c06ce72e8d3d91813e194ee2a8ecbc8261d2230ade34a375fa1926f6c75cbe",
+    }
+
+    @pytest.fixture(scope="class")
+    def seed1_grid(self, tmp_path_factory, small_config):
+        out = tmp_path_factory.mktemp("seed1_grid") / "out"
+        assert run_experiment(small_config(out, seeds=(1,))).status == 0
+        return out
+
+    @staticmethod
+    def _sha256s(out: Path, *patterns: str) -> dict:
         import hashlib
 
+        return {
+            p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for pattern in patterns
+            for p in sorted(out.glob(pattern))
+        }
+
+    def test_record_bytes_are_pinned_to_the_cache_format(self, seed1_grid):
         from verbscope.experiment import CACHE_FORMAT
 
-        out = tmp_path / "out"
-        assert run_experiment(small_config(out, seeds=(1,))).status == 0
-        records = {
-            p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.rglob("cell.json"))
-        }
+        records = self._sha256s(seed1_grid, "**/cell.json")
         assert (CACHE_FORMAT, records) == self.PINNED_RECORDS
+
+    def test_pair_perturb_and_score_bytes_are_pinned(self, seed1_grid):
+        outputs = self._sha256s(
+            seed1_grid, "*/pairs/pairs.jsonl", "**/perturb.json", "**/scores-*.tsv"
+        )
+        assert outputs == self.PINNED_OUTPUTS
 
     def test_bumped_cache_format_recomputes_every_unit(self, tmp_path, small_config, monkeypatch):
         import verbscope.experiment as exp

@@ -191,7 +191,7 @@ class TestReadPlaintext:
         assert corpus.sentences[0].tokens[0].upos == "UNK"
 
     def test_rejected_token_names_file_and_line(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ingest, "Token", _strict_token)
+        monkeypatch.setattr("verbscope.corpus.Token", _strict_token)
         path = tmp_path / "p.txt"
         path.write_text("fine .\n\nsome bad words\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: token form 'bad' rejected")):
@@ -248,7 +248,7 @@ class TestCleanChildes:
 
     def test_read_chat_rejected_token_names_file_and_line(self, tmp_path, monkeypatch):
         """The line is the transcript's, counting the tiers and headers cleaning drops."""
-        monkeypatch.setattr(ingest, "Token", _strict_token)
+        monkeypatch.setattr("verbscope.corpus.Token", _strict_token)
         path = tmp_path / "c.cha"
         path.write_text("@Begin\n*MOT:\tyou want it ?\n%act:\tpoints\n*CHI:\t<no> [/] bad .\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: token form 'bad' rejected")):
@@ -308,6 +308,20 @@ class TestTokenPool:
         corpus = ingest.read_corpus(path, fmt)
         assert [s.forms() for s in corpus] == [s.forms() for s in subset]
         assert _assert_equal_tokens_shared(corpus) < corpus.n_tokens // 5
+
+    @pytest.mark.parametrize("fmt", ["conllu", "text"])
+    def test_tagged_read_shares_equal_tokens(self, tmp_path, chat_fixture, fmt):
+        from verbscope.tagger import tag, train_tagger
+
+        model = train_tagger(Corpus(chat_fixture.sentences[:100]), epochs=1, seed=1)
+        path = tmp_path / f"c.{fmt}"
+        write_corpus(Corpus(chat_fixture.sentences[:300]), path, fmt)
+        corpus = ingest.read_corpus(path, fmt, tagger=model)
+        # the corpus a read gives that builds a new Token per tagged token
+        assert corpus == Corpus(tuple(tag(model, s) for s in ingest.read_corpus(path, fmt)))
+        distinct = _assert_equal_tokens_shared(corpus)
+        assert distinct == len({id(t) for s in corpus for t in s.tokens})
+        assert distinct < corpus.n_tokens // 5
 
     def test_fixture_reads_equal_to_a_token_per_line_build(self, tmp_path, chat_fixture):
         path = tmp_path / "chat.conllu"

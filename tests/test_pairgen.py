@@ -34,6 +34,12 @@ class TestMinimalPairType:
         with pytest.raises(ValueError, match="paradigm"):
             MinimalPair("p1", "nope", ("a",), ("b",), 0)
 
+    @pytest.mark.parametrize("good, bad", [(("a", "", "b"), ("a", "", "c")), (("",), ("b",))])
+    def test_empty_token_rejected(self, good, bad):
+        # such a pair would be written as "a  b" and scored with an extra <unk>
+        with pytest.raises(ValueError, match="pair p2: a member holds an empty token"):
+            MinimalPair("p2", "agr-simple", good, bad, len(good) - 1)
+
 
 def _eligible(verb_form: str, sid: str) -> str:
     # 11 tokens, parsed root on the verb
@@ -290,4 +296,13 @@ class TestPairsIO:
             '{"pair_id": "bad", "paradigm": "semantic-verb", "good": "a b", "bad": "x y", "diff_index": 0, "meta": {}}\n'
         )
         with pytest.raises(ValueError, match="record 2"):
+            read_pairs(path)
+
+    def test_double_space_rejected_with_record_number(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"pair_id": "ok", "paradigm": "semantic-verb", "good": "a b", "bad": "a c", "diff_index": 1, "meta": {}}\n'
+            '{"pair_id": "p2", "paradigm": "semantic-verb", "good": "The  dog barks .", "bad": "The  dog bites .", "diff_index": 3, "meta": {}}\n'
+        )
+        with pytest.raises(ValueError, match="record 2: pair p2: a member holds an empty token"):
             read_pairs(path)

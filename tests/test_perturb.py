@@ -307,3 +307,44 @@ def test_replace_invariants_on_fixture_sample(seed):
                 assert bin_index(table.counts[(up, xp, a.form)]) == bin_index(
                     table.counts[(up, xp, b.form)]
                 )
+
+
+def test_replacements_and_semantic_substitutes_follow_one_rule(chat_fixture):
+    """REPLACE.WORD and the semantic pairs both draw a word's substitute from
+    the table's ``alternatives`` of it, and leave a word alone in its
+    stratum as it is."""
+    from verbscope.ingest import split_corpus
+    from verbscope.pairgen import gen_semantic_pairs
+    from verbscope.tagger import heuristic_root
+
+    train, _dev, test = split_corpus(Corpus(chat_fixture.sentences[:600]))
+    table = build_frequency_table(train)
+
+    def alternatives(tok):
+        return table.alternatives(*tag_pair(tok), tok.form)
+
+    out, report = perturb_corpus(train, REPLACE_WORD, table, seed=1)
+    replaced = alone = 0
+    for before, after in zip(train, out):
+        for b, a in zip(before.tokens, after.tokens):
+            if alternatives(b) is None:
+                alone += b.upos in ("NOUN", "ADJ", "ADV", "VERB")
+                assert a.form == b.form
+            elif a.form != b.form:
+                replaced += 1
+                assert a.form in {form for form, _c in alternatives(b)[0]}
+    assert replaced == report.tokens_replaced > 0 and alone > 0
+
+    pairs = gen_semantic_pairs(test, table, seed=1)
+    sources = {s.sentence_id: s for s in test}
+    for pair in pairs:
+        verb = sources[pair.source_sentence_id].tokens[pair.diff_index]
+        substitute = pair.bad[pair.diff_index]
+        assert substitute != verb.form
+        assert substitute in {form for form, _c in alternatives(verb)[0]}
+    paired = {pair.source_sentence_id for pair in pairs}
+    lone_verbs = [
+        s.sentence_id for s in test
+        if heuristic_root(s) is not None and alternatives(s.tokens[heuristic_root(s)]) is None
+    ]
+    assert lone_verbs and paired.isdisjoint(lone_verbs)
