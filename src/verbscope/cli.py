@@ -24,7 +24,7 @@ from .analysis import (
 )
 from .atomic import write_json
 from .corpus import build_frequency_table, load_table, save_table
-from .evaluate import Labels, evaluate, read_results_csv, result_rows, write_results_csv
+from .evaluate import ALL_ROW, Labels, evaluate, read_results_csv, result_rows, write_results_csv
 from .experiment import ExperimentConfig, load_config, run_experiment
 from .ingest import (
     FORMATS,
@@ -36,6 +36,7 @@ from .ingest import (
 )
 from .pairgen import (
     AGREEMENT_PARADIGMS,
+    SEMANTIC_PARADIGM,
     build_lemma_index,
     distinct_verb_lemmas,
     extract_agreement_lexicon,
@@ -44,18 +45,10 @@ from .pairgen import (
     read_pairs,
     write_pairs,
 )
-from .perturb import CONDITIONS, condition_slug, perturb_corpus
-from .scorer import (
-    ExternalScorer,
-    ExternalScorerError,
-    corpus_perplexity,
-    load_lm,
-    save_lm,
-    score_sentences,
-    train_ngram,
-    write_scores,
-)
-from .scorer.scoring import pair_items, read_pair_scores
+from .perturb import CONDITIONS, REPLACE_WORD, condition_slug, perturb_corpus
+from .scorer.external import ExternalScorer, ExternalScorerError
+from .scorer.ngram import corpus_perplexity, load_lm, save_lm, train_ngram
+from .scorer.scoring import pair_items, read_pair_scores, score_sentences, write_scores
 from .stats import compute_stats, format_stats, write_stats_csv
 from .tagger import load_tagger, save_tagger, train_tagger
 
@@ -125,7 +118,7 @@ def _cmd_perturb(args) -> int:
     table = None
     if args.table:
         table = load_table(args.table)
-    elif condition == "REPLACE.WORD":
+    elif condition == REPLACE_WORD:
         table = build_frequency_table(corpus)
         print("note: no --table given; using the input corpus's own table")
     out_corpus, report = perturb_corpus(
@@ -229,7 +222,7 @@ def _cmd_regress(args) -> int:
     conditions = set(args.conditions.split(",")) if args.conditions else None
     observations = []
     for r in rows:
-        if r.get("paradigm", "ALL") != "ALL":
+        if r.get("paradigm", ALL_ROW) != ALL_ROW:
             continue
         if r.get("eval_domain") and r["eval_domain"] != r["train_domain"]:
             continue
@@ -261,7 +254,7 @@ def _cmd_trajectory(args) -> int:
             raise ValueError(
                 f"{args.infile}: checkpoint must be a number, got {checkpoint!r}"
             ) from None
-        if r["paradigm"] == "semantic-verb":
+        if r["paradigm"] == SEMANTIC_PARADIGM:
             semantic.setdefault(checkpoint, []).append((r["accuracy"], r["n"]))
         elif r["paradigm"].startswith("agr-"):
             syntactic.setdefault(checkpoint, []).append((r["accuracy"], r["n"]))

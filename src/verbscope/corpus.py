@@ -64,17 +64,21 @@ class Token:
     deprel: str | None = None
 
     def __post_init__(self):
-        if not self.form:
-            raise ValueError("token form must be non-empty")
-        # tab, newline and CR would break every tab- and line-delimited file;
-        # isprintable() is a cheap pre-check that all three fail
-        if not (self.form.isprintable() and self.lemma.isprintable()):
-            for name in ("form", "lemma"):
-                value = getattr(self, name)
-                if "\t" in value or "\n" in value or "\r" in value:
-                    raise ValueError(
-                        f"token {name} {value!r} contains a tab, newline or carriage return"
-                    )
+        # isprintable() is a cheap pre-check that tab, newline and CR all fail
+        if not self.form or not (self.form.isprintable() and self.lemma.isprintable()):
+            check_field("token form", self.form)
+            if self.lemma:
+                check_field("token lemma", self.lemma)
+
+
+def check_field(what: str, value: str) -> None:
+    """Raise ValueError if ``value`` is empty or holds a tab, newline or
+    carriage return: it could not be stored as one field of the tab- and
+    line-delimited files (CoNLL-U, tables, pairs, score TSVs)."""
+    if not value:
+        raise ValueError(f"{what} must be non-empty")
+    if "\t" in value or "\n" in value or "\r" in value:
+        raise ValueError(f"{what} {value!r} contains a tab, newline or carriage return")
 
 
 def token_pool() -> Callable[..., Token]:
@@ -115,8 +119,7 @@ class AnnotatedSentence:
 
     def __post_init__(self):
         # an empty id would be written as "# sent_id = " and read back as a source line
-        if not self.sentence_id:
-            raise ValueError("sentence_id must be non-empty")
+        check_field("sentence_id", self.sentence_id)
         if not isinstance(self.tokens, tuple):
             object.__setattr__(self, "tokens", tuple(self.tokens))
         if not self.tokens:

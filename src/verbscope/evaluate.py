@@ -24,6 +24,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .atomic import write_csv
 
+ALL_ROW = "ALL"  # the paradigm label of a result's row over all its pairs
+
 
 class Labels(NamedTuple):
     train_domain: str = ""
@@ -145,7 +147,7 @@ RESULT_COLUMNS = (
 def result_rows(result: EvalResult) -> list[dict]:
     """One ALL row plus one row per paradigm, ready for the results CSV."""
     base = result.labels._asdict()
-    rows = [dict(base, paradigm="ALL", accuracy=result.accuracy, n=result.n_pairs,
+    rows = [dict(base, paradigm=ALL_ROW, accuracy=result.accuracy, n=result.n_pairs,
                  ties=result.n_ties)]
     for paradigm, (accuracy, n, ties) in result.per_paradigm.items():
         rows.append(dict(base, paradigm=paradigm, accuracy=accuracy, n=n, ties=ties))

@@ -67,6 +67,7 @@ from . import __version__
 from .atomic import write_csv, write_json
 from .corpus import Forms, build_frequency_table, save_table
 from .evaluate import (
+    ALL_ROW,
     Labels,
     cross_domain_matrix,
     evaluate,
@@ -100,8 +101,8 @@ from .perturb import (
     perturb_forms,
     perturb_plan,
 )
-from .scorer import score_sentences, train_ngram, write_scores
-from .scorer.scoring import pair_items, scored_pairs
+from .scorer.ngram import save_lm, train_ngram
+from .scorer.scoring import pair_items, score_sentences, scored_pairs, write_scores
 from .stats import compare_replacement_rates, compute_stats, write_rates_csv, write_stats_csv
 
 
@@ -114,6 +115,12 @@ class CorpusSpec:
     def __post_init__(self):
         if self.format not in FORMATS:
             raise ValueError(f"unknown corpus format {self.format!r}")
+        # the domain names the run's directory for it, so it must be one plain name
+        if self.domain in ("", ".", "..") or any(c in self.domain for c in "/\\:"):
+            raise ValueError(
+                f"corpus spec {self.domain}:{self.path}:{self.format}: domain {self.domain!r}"
+                " must be a directory name, not empty, '.' or '..', without '/', '\\' or ':'"
+            )
 
     @classmethod
     def parse(cls, text: str) -> "CorpusSpec":
@@ -413,8 +420,6 @@ def _run_unit(config: ExperimentConfig, domains: dict, unit: tuple, out: Path):
         discount=config.discount,
     )
     if config.keep_models:
-        from .scorer import save_lm
-
         save_lm(lm, unit_dir / "lm.txt")
 
     rows: list[dict] = []
@@ -567,7 +572,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     cross = [
         (r["train_domain"], r["eval_domain"], r["accuracy"])
         for r in all_rows
-        if r["condition"] == ORIGINAL and r["paradigm"] == "ALL"
+        if r["condition"] == ORIGINAL and r["paradigm"] == ALL_ROW
     ]
     if cross:
         write_matrix_csv(cross_domain_matrix(cross), out / "cross_domain.csv")

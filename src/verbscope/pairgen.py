@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 
 from .atomic import atomic_write
-from .corpus import Corpus, FrequencyTable, bin_index, tag_pair
+from .corpus import Corpus, FrequencyTable, bin_index, check_field, tag_pair
 from .rng import Stream, mix64
 from .tagger import heuristic_root
 
@@ -42,6 +42,8 @@ class MinimalPair:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # the id is written into score TSV ids as "<pair_id>::good"
+        check_field("pair_id", self.pair_id)
         if self.paradigm not in PARADIGMS:
             raise ValueError(f"unknown paradigm {self.paradigm!r}")
         if not isinstance(self.good, tuple):

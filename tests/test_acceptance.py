@@ -36,7 +36,8 @@ from verbscope.perturb import (
     SHUFFLE_ORDER,
     perturb_corpus,
 )
-from verbscope.scorer import score_pairs, train_ngram
+from verbscope.scorer.ngram import train_ngram
+from verbscope.scorer.scoring import score_pairs
 from verbscope.tagger import heuristic_root
 
 SEEDS = (1, 2, 3)
@@ -343,7 +344,7 @@ def test_criterion_9_external_protocol():
     import sys
 
     import verbscope.echo_scorer
-    from verbscope.scorer import ExternalScorerError, external_score
+    from verbscope.scorer.external import ExternalScorerError, external_score
 
     echo = [sys.executable, verbscope.echo_scorer.__file__]
     items = [(f"id{i}", "x " * (i + 1)) for i in range(8)]

@@ -1,6 +1,7 @@
 """Every writer goes through atomic_write: a failure leaves the old file whole.
 Every CSV table goes through atomic.write_csv, the one CSV writer, and every
-JSON record through atomic.write_json, the one JSON writer."""
+JSON record through atomic.write_json, the one JSON writer. Every name has
+one import path, the module that defines it."""
 
 import ast
 from pathlib import Path
@@ -133,4 +134,32 @@ def test_csv_writers_live_only_in_atomic():
                 continue
             if uses:
                 offenders.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert not offenders
+
+
+def _imported_module(path: Path, package: Path, node: ast.ImportFrom) -> str:
+    """The absolute name of the module a ``from ... import`` in ``path`` reads."""
+    if node.level == 0:
+        return node.module
+    parts = ["verbscope", *path.relative_to(package).parent.parts]
+    return ".".join(parts[: len(parts) - node.level + 1] + [node.module or ""]).rstrip(".")
+
+
+def test_each_name_has_one_import_path():
+    """The package files re-export nothing: ``verbscope`` binds only its
+    docstring and ``__version__``, ``verbscope.scorer`` only its docstring,
+    and every name is imported from the module that defines it."""
+    package = Path(verbscope.__file__).parent
+    top = ast.parse((package / "__init__.py").read_text(encoding="utf-8")).body
+    assert [type(node) for node in top] == [ast.Expr, ast.Assign]
+    assert [t.id for t in top[1].targets] == ["__version__"]
+    scorer = ast.parse((package / "scorer" / "__init__.py").read_text(encoding="utf-8")).body
+    assert [type(node) for node in scorer] == [ast.Expr]
+    offenders = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and _imported_module(path, package, node) == "verbscope.scorer"
+    ]
     assert not offenders

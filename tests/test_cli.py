@@ -251,6 +251,15 @@ def test_run_rejects_nonpositive_threads(tmp_path, fixture_dir, capsys):
     assert not out.exists()
 
 
+def test_run_rejects_a_domain_outside_its_directory(tmp_path, fixture_dir, capsys):
+    out = tmp_path / "exp"
+    assert main([
+        "run", "--corpus", f"..:{fixture_dir / 'chat.conllu'}:conllu", "--out", str(out),
+    ]) == 1
+    assert "domain '..' must be a directory name" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_run_config_and_corpus_are_exclusive(tmp_path, capsys):
     config = tmp_path / "exp.cfg"
     config.write_text(f'corpora = ["a:x.conllu"]\nout_dir = "{tmp_path / "out"}"\n')

@@ -1,9 +1,11 @@
 import math
 import re
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from verbscope.corpus import (
     AnnotatedSentence,
@@ -217,6 +219,36 @@ def test_table_round_trip(tmp_path):
     save_table(table, path)
     loaded = load_table(path)
     assert dict(loaded.counts) == dict(table.counts)
+
+
+def _token_form(form: str) -> bool:
+    try:
+        Token(form)
+    except ValueError:
+        return False
+    return True
+
+
+_TABLE_KEYS = st.tuples(
+    st.sampled_from(["NOUN", "VERB", "UNK", "Ñ|ü", "_", ""]),
+    st.sampled_from(["NN", "VBZ", "UNK", " "]),
+    st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=6).filter(_token_form),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(_TABLE_KEYS, st.integers(min_value=1, max_value=40), max_size=30))
+def test_table_round_trip_property(counts):
+    """load_table(save_table(t)) has t's counts and alternatives, for any
+    form a Token accepts."""
+    table = FrequencyTable(counts)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.tsv"
+        save_table(table, path)
+        loaded = load_table(path)
+    assert loaded.counts == table.counts
+    for key in counts:
+        assert loaded.alternatives(*key) == table.alternatives(*key)
 
 
 def test_table_bad_count_names_file_and_line(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,14 @@ class TestConfig:
 
     def test_corpus_spec_default_format(self):
         assert CorpusSpec.parse("chat:x.conllu").format == "conllu"
+
+    @pytest.mark.parametrize("domain", ["", ".", "..", "a/b", "a\\b", "x:y"])
+    def test_corpus_spec_rejects_a_domain_that_is_not_a_directory_name(self, domain):
+        spec = f"{domain}:x.conllu:conllu"
+        with pytest.raises(ValueError, match=re.escape(f"corpus spec {spec}: domain {domain!r}")):
+            CorpusSpec(domain, "x.conllu")
+        with pytest.raises(ValueError, match="must be a directory name"):
+            ExperimentConfig(corpora=[spec], out_dir="o")
 
     def test_flat_parser(self):
         values = parse_flat_config(
@@ -71,6 +80,8 @@ class TestConfig:
             ('seeds = [1, 2, 1]\n', r"c\.cfg: line 1: seeds must not repeat, got \[1, 2, 1\]"),
             ('corpora = ["a:x.conllu", "a:y.conllu"]\n', r"c\.cfg: line 1: corpus domains must be unique"),
             ('out_dir = "o"\nthreads = 0\n', r"c\.cfg: line 2: threads must be >= 1, got 0"),
+            ('out_dir = "o"\ncorpora = ["..:x.conllu"]\n',
+             r"c\.cfg: line 2: corpus spec \.\.:x\.conllu:conllu: domain '\.\.'"),
         ],
     )
     def test_load_config_rejects_bad_input_with_file_and_line(self, tmp_path, text, message):

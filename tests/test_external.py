@@ -1,10 +1,14 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import verbscope.echo_scorer
 from verbscope.pairgen import MinimalPair
-from verbscope.scorer import ExternalScorer, ExternalScorerError, external_score, score_pairs
+from verbscope.scorer.external import ExternalScorer, ExternalScorerError, external_score
+from verbscope.scorer.scoring import score_pairs
 
 # the module is stdlib-only, so the child needs no import path setup
 ECHO = [sys.executable, verbscope.echo_scorer.__file__]
@@ -32,6 +36,16 @@ class TestEchoScorer:
         rows = score_pairs(ExternalScorer(ECHO), pairs)
         assert rows[0] == ("p1", -4.0, -4.0)
         assert rows[1] == ("p2", -2.0, -1.0)
+
+
+def test_echo_scorer_loads_no_other_verbscope_module():
+    """A scorer child starts without importing the pipeline."""
+    code = ("import sys, verbscope.echo_scorer; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'verbscope'))")
+    src = str(Path(verbscope.echo_scorer.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out == "['verbscope', 'verbscope.echo_scorer']\n"
 
 
 class TestProtocolViolations:

@@ -72,6 +72,8 @@ class TestReadConllu:
              "sentence 's2' has 2 root tokens"),
             (["1\t\ta\tX\tX\t_\t0\troot\t_\t_"], "token form must be non-empty"),
             (["1\ta\ta\tX\tX\t_\t7\tdep\t_\t_"], "head 7 points outside the sentence"),
+            (["# sent_id = a\tb", "1\ta\ta\tX\tX\t_\t0\troot\t_\t_"],
+             "sentence_id 'a\\tb' contains a tab, newline or carriage return"),
         ],
     )
     def test_rejected_sentence_names_file_and_closing_line(self, tmp_path, rows, message):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from verbscope.corpus import FrequencyTable, bin_index, build_frequency_table
@@ -297,6 +299,20 @@ class TestPairsIO:
         )
         with pytest.raises(ValueError, match="record 2"):
             read_pairs(path)
+
+    @pytest.mark.parametrize(
+        "pair_id, message",
+        [("", "pair_id must be non-empty"),
+         ("a\tb", "pair_id 'a\\tb' contains a tab, newline or carriage return")],
+    )
+    def test_unstorable_pair_id_rejected_with_record_number(self, tmp_path, pair_id, message):
+        path = tmp_path / "bad.jsonl"
+        ok = {"pair_id": "ok", "paradigm": "semantic-verb", "good": "a b", "bad": "a c",
+              "diff_index": 1, "meta": {}}
+        path.write_text(json.dumps(ok) + "\n" + json.dumps(dict(ok, pair_id=pair_id)) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_pairs(path)
+        assert str(err.value) == f"{path}: record 2: {message}"
 
     def test_double_space_rejected_with_record_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"

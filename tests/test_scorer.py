@@ -1,25 +1,27 @@
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from verbscope.corpus import AnnotatedSentence, Corpus, Token
-from verbscope.scorer import (
+from verbscope.pairgen import MinimalPair
+from verbscope.scorer.ngram import (
     BOS,
     EOS,
     UNK,
     SentenceScore,
     corpus_perplexity,
     load_lm,
+    ngram_prob,
     save_lm,
-    score_pairs,
     train_ngram,
 )
-from verbscope.pairgen import MinimalPair
-from verbscope.scorer.ngram import ngram_prob
 from verbscope.scorer.scoring import (
     pair_items,
     read_pair_scores,
+    score_pairs,
     score_sentences,
     scored_pairs,
     write_scores,
@@ -277,6 +279,37 @@ class TestScorePairs:
         pair = self._pair("p", ["a"], ["b"], 0)
         with pytest.raises(ValueError, match="unique"):
             score_pairs(lm, [pair, pair])
+
+
+def _storable_pair_id(pair_id: str) -> bool:
+    try:
+        MinimalPair(pair_id, "semantic-verb", ("a", "b"), ("a", "c"), 1)
+    except ValueError:
+        return False
+    return True
+
+
+_PAIR_IDS = st.just("::") | st.text(
+    st.characters(exclude_categories=("Cs",)), max_size=8
+).filter(_storable_pair_id)
+_LOGPROBS = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_PAIR_IDS, _LOGPROBS, _LOGPROBS), max_size=6,
+                unique_by=lambda row: row[0]))
+def test_score_tsv_round_trip_property(rows):
+    """read_pair_scores(write_scores(s)) gives back every pair's two scores,
+    in order, for any id a MinimalPair accepts ("::" included)."""
+    scores = [
+        SentenceScore(f"{pair_id}::{member}", logprob, 2)
+        for pair_id, good, bad in rows
+        for member, logprob in (("good", good), ("bad", bad))
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scores.tsv"
+        write_scores(scores, path)
+        assert read_pair_scores(path) == rows
 
 
 class TestSentenceScoreType:
