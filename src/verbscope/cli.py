@@ -100,8 +100,12 @@ def _cmd_stats(args) -> int:
     if args.save_table and len(args.infile) > 1:
         raise ValueError("--save-table works with a single --in corpus")
     named = {}
+    paths: dict[str, str] = {}
     for path in args.infile:
         domain = Path(path).stem
+        if domain in paths:
+            raise ValueError(f"--in {paths[domain]} and --in {path} share the corpus name {domain!r}")
+        paths[domain] = path
         corpus = read_corpus(path, args.format, domain)
         named[domain] = compute_stats(corpus)
         if args.save_table:
@@ -345,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tag)
 
     p = sub.add_parser("stats", help="descriptive corpus statistics")
-    p.add_argument("--in", dest="infile", nargs="+", required=True)
+    p.add_argument("--in", dest="infile", nargs="+", action="extend", required=True)
     p.add_argument("--format", choices=FORMATS, default="conllu")
     p.add_argument("--out", help="CSV output")
     p.add_argument("--save-table", help="also write the frequency table (TSV)")

@@ -1,16 +1,17 @@
 """Interpolated Kneser-Ney n-gram language model.
 
-Absolute discounting with a fixed per-order discount (default 0.75), true
-counts at the top order and continuation counts below, and full backoff
+Absolute discounting with one discount D at every order (default 0.75),
+true counts at the top order and continuation counts below, and full backoff
 through unseen contexts down to a uniform floor over the scorable
 vocabulary. That floor guarantees every conditional distribution sums to
 exactly 1 and every symbol keeps nonzero mass, UNK included.
 
 The scorable vocabulary is the kept training forms plus UNK and EOS. BOS
 is a context-only padding symbol: it can never be predicted, so it takes
-no probability mass. Training reads form sequences only. Forms seen fewer
-than min_count_unk times are mapped to UNK at training time; unknown forms
-map to UNK at scoring time.
+no probability mass. Training reads form sequences only. Training and
+scoring share one form-to-id map, ``_symbol_ids``: forms seen fewer than
+min_count_unk times, unknown forms and ``<unk>`` itself map to UNK, ``</s>``
+to EOS.
 
 Scores are total (not length-normalized) natural-log probabilities
 including the EOS event. Minimal-pair members always have equal token
@@ -18,11 +19,13 @@ counts, so normalization would cancel anyway. A ``SentenceScore`` holds
 only what the score TSV stores: the sentence id, the log-probability and
 the event count.
 
-Table layout: ``_counts``, ``_totals`` and ``_types`` are lists indexed by
-level k (index 0 unused). ``_counts[k]`` maps k-length id tuples to
-occurrence counts (raw counts at the top level, continuation counts
-below), ``_totals[k]`` and ``_types[k]`` map (k-1)-length context tuples to
-their count mass and distinct-continuation count.
+Table layout: ``counts`` maps each top-order id tuple (BOS-padded) to its
+count, in first-seen order; it is the model's only count table. The lists
+``_counts``, ``_totals`` and ``_types``, indexed by level k (index 0 unused),
+derive from it top-down: ``_counts[k]`` is ``counts`` at the top and the
+continuation counts below, ``_totals[k]`` and ``_types[k]`` map (k-1)-length
+contexts to their count mass and distinct-continuation count. A model file
+also lists each lower order's raw counts, the top table's suffix sums.
 
 Each model memoizes ``ln p(w | ctx)`` per scored n-gram ``ctx + (w,)`` (one
 stored log-probability per n-gram, as in ARPA files), filled lazily on
@@ -58,7 +61,7 @@ class SentenceScore:
             raise ValueError(f"num_tokens must be >= 1, got {self.num_tokens}")
 
 
-def ngram_prob(w, ctx, discounts, counts, totals, types, inv_vocab):
+def ngram_prob(w, ctx, discount, counts, totals, types, inv_vocab):
     """p(w | ctx) folded bottom-up over levels 1..len(ctx)+1.
 
     Levels whose context is unseen are skipped entirely (full backoff); the
@@ -74,12 +77,28 @@ def ngram_prob(w, ctx, discounts, counts, totals, types, inv_vocab):
             continue
         c = counts[k].get(sub + (w,), 0)
         ty = types[k][sub]
-        d = discounts[k]
-        disc = c - d
+        disc = c - discount
         if disc < 0.0:
             disc = 0.0
-        p = disc / tot + (d * ty / tot) * p
+        p = disc / tot + (discount * ty / tot) * p
     return p
+
+
+def _symbol_ids(forms: list[str]) -> dict[str, int]:
+    """The form -> event id map of training and scoring: the forms in list
+    order, then UNK and EOS. A form not in it scores as UNK."""
+    ids = {f: i for i, f in enumerate(forms)}
+    ids[UNK] = len(forms)
+    ids[EOS] = len(forms) + 1
+    return ids
+
+
+def _suffix_counts(table: dict, k: int) -> dict:
+    """Each gram's count summed into its last k ids."""
+    sums: dict = {}
+    for gram, c in table.items():
+        sums[gram[-k:]] = sums.get(gram[-k:], 0) + c
+    return sums
 
 
 class NGramLM:
@@ -94,7 +113,7 @@ class NGramLM:
         self,
         order: int,
         forms: list[str],
-        raw_counts: list[dict | None],
+        counts: dict,
         discount: float = 0.75,
         min_count_unk: int = 1,
     ):
@@ -102,31 +121,23 @@ class NGramLM:
             raise ValueError("order must be >= 1")
         self.order = order
         self.min_count_unk = min_count_unk
-        self.discounts = [0.0] + [float(discount)] * order  # index 0 unused
+        self.discount = float(discount)
         self.forms = list(forms)  # sorted kept forms; ids follow list order
-        self.unk_id = len(self.forms)
-        self.eos_id = len(self.forms) + 1
-        # form -> event id; the UNK and EOS symbols win over same-named forms
-        self._ids = {f: i for i, f in enumerate(self.forms)}
-        self._ids[UNK] = self.unk_id
-        self._ids[EOS] = self.eos_id
+        self._ids = _symbol_ids(self.forms)
+        self.unk_id, self.eos_id = self._ids[UNK], self._ids[EOS]
         self.bos_id = len(self.forms) + 2  # context-only, outside the event space
         self.vocab_size = len(self.forms) + 2  # forms + UNK + EOS
         self._inv_vocab = 1.0 / self.vocab_size
-        self._raw = raw_counts
+        self.counts = counts
         self._logp: dict[tuple, float] = {}  # ctx + (w,) -> ln p(w | ctx)
         self._derive_tables()
 
     def _derive_tables(self) -> None:
         order = self.order
         counts: list[dict | None] = [None] * (order + 1)
-        counts[order] = self._raw[order]
-        for k in range(1, order):
-            cont: dict = {}
-            for gram in self._raw[k + 1]:
-                suffix = gram[1:]
-                cont[suffix] = cont.get(suffix, 0) + 1
-            counts[k] = cont
+        counts[order] = self.counts
+        for k in range(order - 1, 0, -1):  # each distinct (k+1)-gram counts once
+            counts[k] = _suffix_counts(dict.fromkeys(counts[k + 1], 1), k)
         totals: list[dict | None] = [None] * (order + 1)
         types: list[dict | None] = [None] * (order + 1)
         for k in range(1, order + 1):
@@ -157,7 +168,7 @@ class NGramLM:
     # -- probabilities ----------------------------------------------------
     def prob_ids(self, w_id: int, ctx_ids: tuple) -> float:
         return ngram_prob(
-            w_id, ctx_ids, self.discounts, self._counts, self._totals,
+            w_id, ctx_ids, self.discount, self._counts, self._totals,
             self._types, self._inv_vocab,
         )
 
@@ -192,38 +203,32 @@ def train_ngram(
     corpus: Sequence[Sequence[str]], order: int, min_count_unk: int = 1,
     discount: float = 0.75,
 ) -> NGramLM:
-    """Count n-grams of every order up to ``order`` and build the model.
+    """Count the top-order n-grams and build the model.
 
     ``corpus`` holds the training sentences as form sequences, such as a
     ``Corpus.form_view()``. Deterministic: no randomness anywhere, forms are
     id-assigned in sorted order. Forms occurring at most min_count_unk - 1
     times become UNK.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
     if len(corpus) == 0:
         raise ValueError("empty corpus")
 
     form_counts = Counter(f for sent in corpus for f in sent)
-    forms = sorted(f for f, c in form_counts.items() if c >= min_count_unk)
+    forms = sorted(
+        f for f, c in form_counts.items() if c >= min_count_unk and f not in (UNK, EOS)
+    )
+    ids = _symbol_ids(forms)
+    unk_id, eos_id = ids[UNK], ids[EOS]
+    pad = [eos_id + 1] * (order - 1)  # BOS
 
-    ids = {f: i for i, f in enumerate(forms)}
-    unk_id = len(forms)
-    eos_id = len(forms) + 1
-    bos_id = len(forms) + 2
-
-    # Counters keep first-seen insertion order, the order of the raw tables
-    counters = [Counter() for _ in range(order + 1)]
+    counter: Counter = Counter()  # keeps first-seen insertion order
     for sent in corpus:
-        event_ids = [ids.get(f, unk_id) for f in sent]
-        event_ids.append(eos_id)
-        for k in range(1, order + 1):
-            seq = [bos_id] * (k - 1) + event_ids
-            counters[k].update(zip(*[seq[j:] for j in range(k)]))
-    raw: list[dict | None] = [None] + [dict(c) for c in counters[1:]]
+        seq = pad + [ids.get(f, unk_id) for f in sent]
+        seq.append(eos_id)
+        counter.update(zip(*[seq[j:] for j in range(order)]))
 
     return NGramLM(
-        order=order, forms=forms, raw_counts=raw,
+        order=order, forms=forms, counts=dict(counter),
         discount=discount, min_count_unk=min_count_unk,
     )
 
@@ -243,17 +248,18 @@ MODEL_VERSION = "verbscope-ngram/1"
 
 
 def save_lm(lm: NGramLM, path) -> None:
-    """Sorted-text count tables; loading rebuilds the derived tables."""
+    """Sorted-text count tables, one per order: the top table and its
+    suffix sums. Loading rebuilds the model from the top table."""
     with atomic_write(path) as fh:
         fh.write(MODEL_VERSION + "\n")
         fh.write(f"order\t{lm.order}\n")
-        fh.write("discount\t" + ",".join(repr(d) for d in lm.discounts[1:]) + "\n")
+        fh.write("discount\t" + ",".join([repr(lm.discount)] * lm.order) + "\n")
         fh.write(f"min_count_unk\t{lm.min_count_unk}\n")
         fh.write(f"forms\t{len(lm.forms)}\n")
         for f in lm.forms:
             fh.write(f + "\n")
         for k in range(1, lm.order + 1):
-            table = lm._raw[k]
+            table = _suffix_counts(lm.counts, k)
             fh.write(f"grams\t{k}\t{len(table)}\n")
             for gram in sorted(table):
                 fh.write(" ".join(map(str, gram)) + f"\t{table[gram]}\n")
@@ -282,23 +288,40 @@ def load_lm(path) -> NGramLM:
             if version != MODEL_VERSION:
                 raise ValueError(f"unsupported model version {version!r}")
             order = int(fields(2, "order")[1])
-            discounts = [float(d) for d in fields(2, "discount")[1].split(",")]
+            discounts = fields(2, "discount")[1].split(",")
+            if len(discounts) != order or len(set(map(float, discounts))) != 1:
+                raise ValueError(f"expected one discount repeated {order} times")
             min_count_unk = int(fields(2, "min_count_unk")[1])
             forms = [fields(1)[0] for _ in range(int(fields(2, "forms")[1]))]
-            raw: list[dict | None] = [None] + [dict() for _ in range(order)]
+            bos_id = len(forms) + 2
+            tables: list[dict] = []
+            starts: list[int] = []
             for k in range(1, order + 1):
                 _tag, k_s, n_s = fields(3, "grams")
                 if int(k_s) != k:
                     raise ValueError(f"expected the order-{k} grams, got order {k_s}")
-                table = raw[k]
+                starts.append(lineno)
+                table: dict = {}
                 for _ in range(int(n_s)):
                     gram_s, count_s = fields(2)
-                    table[tuple(map(int, gram_s.split(" ")))] = int(count_s)
+                    gram = tuple(map(int, gram_s.split(" ")))
+                    if len(gram) != k:
+                        raise ValueError(f"an order-{k} gram has {len(gram)} ids")
+                    if min(gram) < 0 or max(gram) > bos_id or gram[-1] == bos_id:
+                        raise ValueError(f"gram {gram_s!r}: ids run 0..{bos_id - 1}, "
+                                         f"and {bos_id} (BOS) only in the context")
+                    if gram in table or int(count_s) < 1:
+                        raise ValueError(f"gram {gram_s!r} repeats or counts below 1")
+                    table[gram] = int(count_s)
+                tables.append(table)
+            for k, table in enumerate(tables[:-1], start=1):
+                if table != _suffix_counts(tables[-1], k):
+                    lineno = starts[k - 1]
+                    raise ValueError(f"the order-{k} grams are not the suffix sums "
+                                     f"of the order-{order} grams")
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    lm = NGramLM(
-        order=order, forms=forms, raw_counts=raw,
-        discount=discounts[0], min_count_unk=min_count_unk,
+    return NGramLM(
+        order=order, forms=forms, counts=tables[-1],
+        discount=float(discounts[0]), min_count_unk=min_count_unk,
     )
-    lm.discounts = [0.0] + discounts
-    return lm

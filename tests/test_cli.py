@@ -57,6 +57,23 @@ def test_stats_and_table(split_dir, tmp_path, capsys):
     assert table.exists() and csv_out.exists()
 
 
+def test_stats_refuses_two_corpora_with_one_name(split_dir, tmp_path, capsys):
+    first = split_dir / "train.conllu"
+    second = tmp_path / "other" / "train.conllu"
+    second.parent.mkdir()
+    second.write_text((split_dir / "test.conllu").read_text())
+    csv_out = tmp_path / "stats.csv"
+    assert main(["stats", "--in", str(first), "--in", str(second), "--out", str(csv_out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --in {first} and --in {second} share the corpus name 'train'\n"
+    )
+    assert not csv_out.exists()
+    assert main(["stats", "--in", str(first), "--in", str(split_dir / "test.conllu")]) == 0
+    assert capsys.readouterr().out.startswith("Statistic            test  train\n")
+
+
 def test_perturb_train_lm_genpairs_score_eval(split_dir, tmp_path, capsys):
     table = tmp_path / "table.tsv"
     main(["stats", "--in", str(split_dir / "train.conllu"), "--save-table", str(table)])

@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -204,7 +205,7 @@ class TestModelProperties:
         loaded = load_lm(path)
         for probe in (["a", "b", "c"], ["c", "z"], []):
             assert loaded.logprob(probe).logprob == lm.logprob(probe).logprob
-        assert loaded.discounts == lm.discounts
+        assert loaded.discount == lm.discount
 
     def test_cut_short_header_names_file_and_line(self, tmp_path, capsys):
         from verbscope.cli import main
@@ -219,6 +220,41 @@ class TestModelProperties:
         args = ["score", "--lm", str(path), "--in", str(tmp_path / "c.conllu"), "--out", str(tmp_path / "s")]
         assert main(args) == 1
         assert capsys.readouterr().err == f"error: {path}: line 3: the file ends early\n"
+
+    @pytest.mark.parametrize("edits, line, message", [
+        ({3: "discount\t0.75,0.75"}, 3, "expected one discount repeated 3 times"),
+        ({3: "discount\t0.75,0.75,0.75,0.75"}, 3, "expected one discount repeated 3 times"),
+        ({3: "discount\t0.75,0.5,0.75"}, 3, "expected one discount repeated 3 times"),
+        ({18: "grams\t2\t15", 19: "0 0\t1\n0 2\t1"}, 18,
+         "the order-2 grams are not the suffix sums of the order-3 grams"),
+        ({12: "0\t5"}, 11, "the order-1 grams are not the suffix sums of the order-3 grams"),
+        ({34: "0 1\t1"}, 34, "an order-3 gram has 2 ids"),
+        ({34: "0 0 99\t1"}, 34, r"gram '0 0 99': ids run 0\.\.6, and 7 \(BOS\) only in the context"),
+        ({34: "0 -1 1\t1"}, 34, "gram '0 -1 1': ids run"),
+        ({34: "0 0 7\t1"}, 34, "gram '0 0 7': ids run"),
+        ({34: "0 0 1\t0"}, 34, "gram '0 0 1' repeats or counts below 1"),
+        ({35: "0 0 1\t1"}, 35, "gram '0 0 1' repeats or counts below 1"),
+    ], ids=["fewer-discounts", "more-discounts", "unequal-discounts", "extra-bigram",
+            "changed-unigram", "short-gram", "id-99", "negative-id", "bos-predicted",
+            "zero-count", "repeated-gram"])
+    def test_malformed_model_names_file_and_line(self, edits, line, message, tmp_path, capsys):
+        from verbscope.cli import main
+
+        lm = train_ngram(corpus_of("a b c", "c b a", "a a b b", "d e").form_view(), 3)
+        path = tmp_path / "m.lm"
+        save_lm(lm, path)
+        lines = path.read_text().splitlines()
+        assert (lines[2], lines[17], lines[33]) == ("discount\t0.75,0.75,0.75", "grams\t2\t14", "0 0 1\t1")
+        for lineno, text in edits.items():
+            lines[lineno - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {line}: {message}"):
+            load_lm(path)
+        (tmp_path / "c.conllu").write_text("1\ta\ta\tX\tX\t_\t0\troot\t_\t_\n\n")
+        args = ["score", "--lm", str(path), "--in", str(tmp_path / "c.conllu"), "--out", str(tmp_path / "s")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {re.escape(str(path))}: line {line}: {message}.*\n", err), err
 
 
 class TestScorePairs:
@@ -312,6 +348,35 @@ def test_score_tsv_round_trip_property(rows):
         assert read_pair_scores(path) == rows
 
 
+_LM_FORMS = st.sampled_from([UNK, EOS, BOS, "a", "b"]) | st.text(
+    st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r"),
+    min_size=1, max_size=4,
+)
+_LM_SENTENCES = st.lists(_LM_FORMS, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_LM_SENTENCES, min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=3),
+    st.floats(min_value=0.01, max_value=1.0),
+    st.lists(_LM_SENTENCES, max_size=4),
+)
+def test_lm_round_trip_property(corpus, order, min_count_unk, discount, probes):
+    """save_lm -> load_lm -> save_lm gives the same bytes, and the loaded
+    model scores every probe, unseen forms included, as the trained one."""
+    lm = train_ngram(corpus, order, min_count_unk, discount)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.lm", Path(tmp) / "b.lm"
+        save_lm(lm, first)
+        loaded = load_lm(first)
+        save_lm(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+    for probe in corpus + probes:
+        assert loaded.logprob(probe).logprob == lm.logprob(probe).logprob, probe
+
+
 class TestSentenceScoreType:
     def test_positive_logprob_rejected(self):
         with pytest.raises(ValueError, match="logprob"):
@@ -328,7 +393,7 @@ def _direct_logprob(lm, tokens) -> float:
     ctx = (lm.bos_id,) * (lm.order - 1)
     for w in [lm.symbol_id(f) for f in tokens] + [lm.eos_id]:
         lp += math.log(ngram_prob(
-            w, ctx, lm.discounts, lm._counts, lm._totals, lm._types, lm._inv_vocab
+            w, ctx, lm.discount, lm._counts, lm._totals, lm._types, lm._inv_vocab
         ))
         if lm.order > 1:
             ctx = ctx[1:] + (w,)
@@ -368,12 +433,21 @@ class TestMemoizedScoring:
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_cold_memo_equals_direct_sum(self, order):
         lm = train_ngram(_forms_corpus(*self.TRAIN).form_view(), order)
-        assert UNK in lm.forms and EOS in lm.forms  # trained as plain forms
+        assert UNK not in lm.forms and EOS not in lm.forms  # never vocabulary forms
         assert (lm.symbol_id(UNK), lm.symbol_id(EOS)) == (lm.unk_id, lm.eos_id)
         for probe in self.PROBES:
             lm = train_ngram(_forms_corpus(*self.TRAIN).form_view(), order)
             assert not lm._logp
             assert lm.logprob(probe).logprob == _direct_logprob(lm, probe), probe
+
+    def test_literal_unk_and_eos_train_as_the_symbols_they_score_as(self):
+        train = [["the", UNK, "ran"]] * 5 + [["the", "dog", "ran"], ["the", "cat", EOS]]
+        lm = train_ngram(_forms_corpus(*train).form_view(), 2)
+        assert lm.forms == ["cat", "dog", "ran", "the"]
+        assert lm.counts[(lm.eos_id, lm.eos_id)] == 1
+        unk = lm.logprob(["the", UNK, "ran"]).logprob
+        assert unk == lm.logprob(["the", "zebra", "ran"]).logprob
+        assert unk > lm.logprob(["the", "dog", "ran"]).logprob
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_warm_memo_equals_direct_sum(self, order):
@@ -394,9 +468,11 @@ class TestMemoizedScoring:
                 assert lm.logprob(probe).logprob == _direct_logprob(lm, probe)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_raw_counts_match_sliding_window_in_first_seen_order(self, order, chat_fixture):
+    def test_raw_counts_match_sliding_window_in_first_seen_order(self, order, chat_fixture, tmp_path):
         corpus = Corpus(chat_fixture.sentences[:300], domain="chat")
         lm = train_ngram(corpus.form_view(), order)
+        save_lm(lm, tmp_path / "m.lm")
+        lines = (tmp_path / "m.lm").read_text().splitlines()
         for k in range(1, order + 1):
             want: dict = {}
             for sent in corpus:
@@ -405,8 +481,13 @@ class TestMemoizedScoring:
                 for t in range(k - 1, len(seq)):
                     gram = tuple(seq[t - k + 1 : t + 1])
                     want[gram] = want.get(gram, 0) + 1
-            assert list(lm._raw[k].items()) == list(want.items())
-            assert type(lm._raw[k]) is dict
+            start = lines.index(f"grams\t{k}\t{len(want)}") + 1
+            assert lines[start : start + len(want)] == [
+                " ".join(map(str, gram)) + f"\t{c}" for gram, c in sorted(want.items())
+            ]
+            if k == order:
+                assert list(lm.counts.items()) == list(want.items())
+                assert type(lm.counts) is dict
 
     def test_repeated_sentences_give_one_row_per_id_in_order(self):
         lm = train_ngram(_forms_corpus(*self.TRAIN).form_view(), 3)
