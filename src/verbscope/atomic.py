@@ -14,7 +14,8 @@ alone: comma-separated, the csv module's CRLF line ends, a float as its
 Python repr, and None as an empty cell. Every JSON record (``cell.json``,
 ``perturb.json``, ``genreport.json``, ``manifest.json`` and the ``perturb
 --report`` file) goes through ``write_json``: one object, sorted keys, a
-two-space indent and a final newline.
+two-space indent and a final newline. JSON Lines input (pair files,
+external-scorer responses) is decoded one line at a time by ``loads_line``.
 """
 
 from __future__ import annotations
@@ -51,3 +52,24 @@ def write_json(path, obj) -> None:
     with atomic_write(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+_scan = json.JSONDecoder().scan_once
+
+
+def loads_line(line: str):
+    """``json.loads(line)`` for one line of JSON Lines input, with its result
+    and its errors.
+
+    A line that is one JSON value from its first character, followed by at
+    most a newline, is decoded by the scanner alone, without ``json.loads``'s
+    whitespace and trailing-data passes. Any other line goes through
+    ``json.loads``, which gives the same value or the exact error.
+    """
+    try:
+        value, end = _scan(line, 0)
+    except (StopIteration, ValueError):
+        return json.loads(line)
+    if end == len(line) or line[end:] == "\n":
+        return value
+    return json.loads(line)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
@@ -189,17 +190,19 @@ def _cmd_score(args) -> int:
         raise ValueError("score needs exactly one of --lm or --external")
     if not args.pairs and not args.infile:
         raise ValueError("score needs --pairs or --in")
-    scorer = load_lm(args.lm) if args.lm else ExternalScorer(
-        args.external, timeout=args.timeout
-    )
-    if args.pairs:
-        pairs = read_pairs(args.pairs)
-        scores = score_sentences(scorer, pair_items(pairs))
-    else:
-        corpus = read_corpus(args.infile, args.format)
-        scores = score_sentences(
-            scorer, [(s.sentence_id, list(s.forms())) for s in corpus]
-        )
+    # an external scorer's child starts now and loads while the input is read
+    with (
+        ExternalScorer(args.external, timeout=args.timeout) if args.external
+        else nullcontext(load_lm(args.lm))
+    ) as scorer:
+        if args.pairs:
+            pairs = read_pairs(args.pairs)
+            scores = score_sentences(scorer, pair_items(pairs))
+        else:
+            corpus = read_corpus(args.infile, args.format)
+            scores = score_sentences(
+                scorer, [(s.sentence_id, list(s.forms())) for s in corpus]
+            )
     write_scores(scores, args.out)
     print(f"scored {len(scores)} sentences -> {args.out}")
     return 0

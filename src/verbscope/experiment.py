@@ -49,7 +49,8 @@ its (train, eval) domains.
 
 Config files are flat key = value text (a TOML subset, parsed in-package):
 strings quoted, booleans true/false, numbers bare, lists in brackets.
-Corpora are "domain:path:format" strings. Full-line comments start with #.
+Corpora are "domain:path[:format]" strings (``CorpusSpec.parse``). Full-line
+comments start with #.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ from .perturb import (
     perturb_forms,
     perturb_plan,
 )
-from .scorer.ngram import save_lm, train_ngram
+from .scorer.ngram import check_discount, save_lm, train_ngram
 from .scorer.scoring import pair_items, score_sentences, scored_pairs, write_scores
 from .stats import compare_replacement_rates, compute_stats, write_rates_csv, write_stats_csv
 
@@ -124,12 +125,16 @@ class CorpusSpec:
 
     @classmethod
     def parse(cls, text: str) -> "CorpusSpec":
-        parts = text.rsplit(":", 2) if text.count(":") >= 2 else text.split(":")
-        if len(parts) == 2:
-            return cls(parts[0], parts[1])
-        if len(parts) == 3:
-            return cls(parts[0], parts[1], parts[2])
-        raise ValueError(f"corpus spec {text!r} is not domain:path[:format]")
+        """``domain:path[:format]``. The domain ends at the first ':', and a
+        last ':'-segment is the format only when it is one of FORMATS, so a
+        path may hold ':'."""
+        domain, sep, rest = text.partition(":")
+        if not sep:
+            raise ValueError(f"corpus spec {text!r} is not domain:path[:format]")
+        path, sep, format = rest.rpartition(":")
+        if sep and format in FORMATS:
+            return cls(domain, path, format)
+        return cls(domain, rest)
 
 
 @dataclass
@@ -156,7 +161,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.corpora = _corpus_specs(self.corpora)
-        for name in ("corpora", "conditions", "seeds", "threads"):
+        for name in ("corpora", "conditions", "seeds", "threads", "discount"):
             _check_field(name, getattr(self, name))
 
     def split_spec(self) -> SplitSpec:
@@ -184,6 +189,8 @@ def _check_field(name: str, value) -> None:
             raise ValueError(f"unknown condition {unknown[0]!r}")
     elif name == "threads" and value < 1:
         raise ValueError(f"threads must be >= 1, got {value}")
+    elif name == "discount":
+        check_discount(value)
     if name in ("conditions", "seeds") and len(set(value)) != len(value):
         raise ValueError(f"{name} must not repeat, got {value}")
 

@@ -15,9 +15,10 @@ deviation (unparseable line, unknown or duplicate id, positive logprob,
 missing answers, nonzero exit, batch timeout) raises
 ExternalScorerError naming the offending line or ids.
 
-``ExternalScorer`` holds only the command and its timeout. Its scores
-carry no scorer or checkpoint label: a checkpoint is named where the
-scores are evaluated (``evaluate.Labels``, ``eval --checkpoint``).
+``ExternalScorer`` holds the command, its timeout and, inside its
+context, the child started for the next batch. Its scores carry no scorer
+or checkpoint label: a checkpoint is named where the scores are evaluated
+(``evaluate.Labels``, ``eval --checkpoint``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,10 @@ from __future__ import annotations
 import json
 import shlex
 import subprocess
+from json.encoder import encode_basestring as _encode
 from typing import Iterable, Sequence
+
+from ..atomic import loads_line
 
 
 class ExternalScorerError(Exception):
@@ -40,40 +44,71 @@ def _listed(ids: Iterable[str], limit: int = 10) -> str:
     return shown
 
 
-def external_score(
-    command: str | Sequence[str],
-    items: Sequence[tuple[str, str]],
-    timeout: float = 300.0,
-) -> dict[str, tuple[float, int]]:
-    """Score (id, text) items through one child process; returns id -> (logprob, num_tokens)."""
-    argv = shlex.split(command) if isinstance(command, str) else list(command)
-    expected = {item_id for item_id, _ in items}
-    if len(expected) != len(items):
-        raise ExternalScorerError("request ids must be unique")
-    request = "".join(
-        json.dumps({"id": item_id, "text": text}, ensure_ascii=False) + "\n"
-        for item_id, text in items
-    )
+def _argv(command: str | Sequence[str]) -> list[str]:
+    return shlex.split(command) if isinstance(command, str) else list(command)
+
+
+def _request(items: Sequence[tuple[str, str]]) -> bytes:
+    """The request lines: each is ``json.dumps({"id": ..., "text": ...},
+    ensure_ascii=False)`` byte for byte, without its per-line overhead."""
+    return "".join(
+        f'{{"id": {_encode(item_id)}, "text": {_encode(text)}}}\n' for item_id, text in items
+    ).encode("utf-8")
+
+
+def _launch(argv: list[str]) -> subprocess.Popen:
+    """Start a scorer child with piped stdin, stdout and stderr."""
     try:
-        proc = subprocess.run(
-            argv,
-            input=request.encode("utf-8"),
-            capture_output=True,
-            timeout=timeout,
-        )
-    except subprocess.TimeoutExpired:
-        raise ExternalScorerError(
-            f"external scorer timed out after {timeout}s: {argv[0]}"
+        return subprocess.Popen(
+            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE
         )
     except OSError as exc:
         raise ExternalScorerError(f"could not launch external scorer: {exc}")
 
+
+def _reap(proc: subprocess.Popen) -> None:
+    """Kill the child if it still runs, close its pipes and wait for it."""
+    proc.kill()  # a no-op once the child has been waited for
+    with proc:
+        pass
+
+
+def external_score(
+    command: str | Sequence[str],
+    items: Sequence[tuple[str, str]],
+    timeout: float = 300.0,
+    child: subprocess.Popen | None = None,
+) -> dict[str, tuple[float, int]]:
+    """Score (id, text) items through one child process; returns id -> (logprob, num_tokens).
+
+    ``child`` is a child already started for ``command``; without one, a
+    child is launched here. Either way the child is reaped before this
+    returns or raises. The timeout counts from when the request is sent.
+    """
+    argv = _argv(command)
+    try:
+        expected = {item_id for item_id, _ in items}
+        if len(expected) != len(items):
+            raise ExternalScorerError("request ids must be unique")
+        request = _request(items)
+        if child is None:
+            child = _launch(argv)
+        try:
+            stdout, stderr = child.communicate(request, timeout=timeout)
+        except subprocess.TimeoutExpired:
+            raise ExternalScorerError(
+                f"external scorer timed out after {timeout}s: {argv[0]}"
+            ) from None
+    finally:
+        if child is not None:
+            _reap(child)
+
     results: dict[str, tuple[float, int]] = {}
-    for lineno, line in enumerate(proc.stdout.decode("utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(stdout.decode("utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
+            row = loads_line(line)
         except json.JSONDecodeError as exc:
             raise ExternalScorerError(f"response line {lineno}: not valid JSON ({exc})")
         if not isinstance(row, dict) or "id" not in row:
@@ -105,21 +140,39 @@ def external_score(
         raise ExternalScorerError(
             f"external scorer exited before answering: missing ids {_listed(missing)}"
         )
-    if proc.returncode != 0:
-        stderr = proc.stderr.decode("utf-8", "replace").strip()
+    if child.returncode != 0:
+        stderr = stderr.decode("utf-8", "replace").strip()
         raise ExternalScorerError(
-            f"external scorer exited with status {proc.returncode}"
+            f"external scorer exited with status {child.returncode}"
             + (f": {stderr[:200]}" if stderr else "")
         )
     return results
 
 
 class ExternalScorer:
-    """Wraps a command so it can stand in wherever a native model scores."""
+    """Wraps a command so it can stand in wherever a native model scores.
+
+    Used as a context manager, it starts its child on entry, so the
+    child's interpreter starts while the caller loads the batch; the next
+    ``score_texts`` sends its batch to that child. Leaving the context
+    kills and reaps a child that no batch took. Each later batch, and
+    every batch outside a context, gets a fresh child.
+    """
 
     def __init__(self, command: str | Sequence[str], timeout: float = 300.0):
         self.command = command
         self.timeout = timeout
+        self._child: subprocess.Popen | None = None
+
+    def __enter__(self) -> "ExternalScorer":
+        self._child = _launch(_argv(self.command))
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        child, self._child = self._child, None
+        if child is not None:
+            _reap(child)
 
     def score_texts(self, items: Sequence[tuple[str, str]]) -> dict[str, tuple[float, int]]:
-        return external_score(self.command, items, timeout=self.timeout)
+        child, self._child = self._child, None
+        return external_score(self.command, items, timeout=self.timeout, child=child)

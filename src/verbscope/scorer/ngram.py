@@ -1,10 +1,11 @@
 """Interpolated Kneser-Ney n-gram language model.
 
-Absolute discounting with one discount D at every order (default 0.75),
-true counts at the top order and continuation counts below, and full backoff
-through unseen contexts down to a uniform floor over the scorable
-vocabulary. That floor guarantees every conditional distribution sums to
-exactly 1 and every symbol keeps nonzero mass, UNK included.
+Absolute discounting with one discount D, 0 < D <= 1, at every order
+(default 0.75), true counts at the top order and continuation counts
+below, and full backoff through unseen contexts down to a uniform floor
+over the scorable vocabulary. That floor guarantees every conditional
+distribution sums to exactly 1 and every symbol keeps nonzero mass, UNK
+included.
 
 The scorable vocabulary is the kept training forms plus UNK and EOS. BOS
 is a context-only padding symbol: it can never be predicted, so it takes
@@ -84,6 +85,13 @@ def ngram_prob(w, ctx, discount, counts, totals, types, inv_vocab):
     return p
 
 
+def check_discount(discount: float) -> None:
+    """Raise ValueError unless 0 < D <= 1: a larger D gives distributions
+    that sum to more than 1, and D = 0 gives zero probabilities."""
+    if not 0 < discount <= 1:
+        raise ValueError(f"discount must be in (0, 1], got {discount!r}")
+
+
 def _symbol_ids(forms: list[str]) -> dict[str, int]:
     """The form -> event id map of training and scoring: the forms in list
     order, then UNK and EOS. A form not in it scores as UNK."""
@@ -122,6 +130,7 @@ class NGramLM:
         self.order = order
         self.min_count_unk = min_count_unk
         self.discount = float(discount)
+        check_discount(self.discount)
         self.forms = list(forms)  # sorted kept forms; ids follow list order
         self._ids = _symbol_ids(self.forms)
         self.unk_id, self.eos_id = self._ids[UNK], self._ids[EOS]
@@ -291,8 +300,16 @@ def load_lm(path) -> NGramLM:
             discounts = fields(2, "discount")[1].split(",")
             if len(discounts) != order or len(set(map(float, discounts))) != 1:
                 raise ValueError(f"expected one discount repeated {order} times")
+            check_discount(float(discounts[0]))
             min_count_unk = int(fields(2, "min_count_unk")[1])
-            forms = [fields(1)[0] for _ in range(int(fields(2, "forms")[1]))]
+            forms: list[str] = []
+            for _ in range(int(fields(2, "forms")[1])):
+                (form,) = fields(1)
+                if form in (UNK, EOS):
+                    raise ValueError(f"form {form!r} is a reserved symbol")
+                if forms and form <= forms[-1]:
+                    raise ValueError(f"form {form!r} repeats or breaks the sorted order")
+                forms.append(form)
             bos_id = len(forms) + 2
             tables: list[dict] = []
             starts: list[int] = []

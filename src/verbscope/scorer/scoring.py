@@ -20,20 +20,21 @@ from .ngram import NGramLM, SentenceScore
 ScoredPair = tuple[str, float, float]  # (pair_id, logprob_good, logprob_bad)
 
 
-def pair_items(pairs: Sequence[MinimalPair]) -> list[tuple[str, list[str]]]:
-    """Both members of every pair as (composite id, tokens) rows."""
+def pair_items(pairs: Sequence[MinimalPair]) -> list[tuple[str, tuple[str, ...]]]:
+    """Both members of every pair as (composite id, tokens) rows; the
+    tokens are the pair's own member tuples."""
     ids = [p.pair_id for p in pairs]
     if len(set(ids)) != len(ids):
         raise ValueError("pair ids must be unique")
-    items: list[tuple[str, list[str]]] = []
+    items: list[tuple[str, tuple[str, ...]]] = []
     for p in pairs:
-        items.append((p.pair_id + "::good", list(p.good)))
-        items.append((p.pair_id + "::bad", list(p.bad)))
+        items.append((p.pair_id + "::good", p.good))
+        items.append((p.pair_id + "::bad", p.bad))
     return items
 
 
 def score_sentences(
-    scorer, sentences: Sequence[tuple[str, list[str]]]
+    scorer, sentences: Sequence[tuple[str, Sequence[str]]]
 ) -> list[SentenceScore]:
     """(sentence_id, tokens) -> SentenceScore rows, input order preserved.
 

@@ -1,12 +1,15 @@
 """Every writer goes through atomic_write: a failure leaves the old file whole.
 Every CSV table goes through atomic.write_csv, the one CSV writer, and every
-JSON record through atomic.write_json, the one JSON writer. Every name has
-one import path, the module that defines it."""
+JSON record through atomic.write_json, the one JSON writer; JSON Lines input
+decodes through atomic.loads_line as json.loads would. Every name has one
+import path, the module that defines it."""
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import verbscope
 from verbscope.analysis import (
@@ -17,6 +20,7 @@ from verbscope.analysis import (
     write_regression_csv,
     write_trajectory_csv,
 )
+from verbscope.atomic import loads_line
 from verbscope.cli import main
 from verbscope.evaluate import (
     RESULT_COLUMNS,
@@ -163,3 +167,33 @@ def test_each_name_has_one_import_path():
         and _imported_module(path, package, node) == "verbscope.scorer"
     ]
     assert not offenders
+
+
+_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _JSON.map(json.dumps),
+    st.sampled_from(["", "\n", " \n", "x", "\n\n", " ", "\ufeff"]),
+    st.sampled_from(["", " ", "\ufeff"]),
+    st.integers(min_value=0, max_value=40),
+)
+def test_loads_line_matches_json_loads(text, tail, head, cut):
+    """Whole, cut, padded and trailing-junk lines decode to json.loads's
+    value or fail with its exact message."""
+    for line in (head + text + tail, text[:cut]):
+        try:
+            expected = ("ok", json.loads(line))
+        except json.JSONDecodeError as exc:
+            expected = ("error", str(exc))
+        try:
+            got = ("ok", loads_line(line))
+        except json.JSONDecodeError as exc:
+            got = ("error", str(exc))
+        assert repr(got) == repr(expected)  # repr: nan != nan

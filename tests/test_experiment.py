@@ -22,11 +22,28 @@ class TestConfig:
     def test_corpus_spec_default_format(self):
         assert CorpusSpec.parse("chat:x.conllu").format == "conllu"
 
+    @pytest.mark.parametrize("text, path, format", [
+        ("chat:/mnt/a:b/x.conllu:conllu", "/mnt/a:b/x.conllu", "conllu"),
+        ("chat:/mnt/a:b/x.txt:text", "/mnt/a:b/x.txt", "text"),
+        ("chat:/mnt/a:b/x.conllu", "/mnt/a:b/x.conllu", "conllu"),
+        ("chat:c:/x.cha:chat", "c:/x.cha", "chat"),
+        ("chat:/mnt/a:conllu:b", "/mnt/a:conllu:b", "conllu"),
+    ])
+    def test_corpus_spec_path_may_hold_colons(self, text, path, format):
+        assert CorpusSpec.parse(text) == CorpusSpec("chat", path, format)
+
+    def test_corpus_spec_needs_a_colon(self):
+        with pytest.raises(ValueError, match=re.escape("corpus spec 'x.conllu' is not domain:path[:format]")):
+            CorpusSpec.parse("x.conllu")
+
     @pytest.mark.parametrize("domain", ["", ".", "..", "a/b", "a\\b", "x:y"])
     def test_corpus_spec_rejects_a_domain_that_is_not_a_directory_name(self, domain):
         spec = f"{domain}:x.conllu:conllu"
         with pytest.raises(ValueError, match=re.escape(f"corpus spec {spec}: domain {domain!r}")):
             CorpusSpec(domain, "x.conllu")
+        if ":" in domain:  # a spec's domain ends at its first ':'
+            assert CorpusSpec.parse(spec) == CorpusSpec("x", "y:x.conllu", "conllu")
+            return
         with pytest.raises(ValueError, match="must be a directory name"):
             ExperimentConfig(corpora=[spec], out_dir="o")
 
@@ -65,6 +82,10 @@ class TestConfig:
             ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", threads=0)
         with pytest.raises(ValueError, match="threads must be >= 1, got -5"):
             ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", threads=-5)
+        for discount in (0, 0.0, -0.5, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=re.escape(f"discount must be in (0, 1], got {discount!r}")):
+                ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", discount=discount)
+        assert ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", discount=1).discount == 1
 
     @pytest.mark.parametrize(
         "text, message",
@@ -80,6 +101,8 @@ class TestConfig:
             ('seeds = [1, 2, 1]\n', r"c\.cfg: line 1: seeds must not repeat, got \[1, 2, 1\]"),
             ('corpora = ["a:x.conllu", "a:y.conllu"]\n', r"c\.cfg: line 1: corpus domains must be unique"),
             ('out_dir = "o"\nthreads = 0\n', r"c\.cfg: line 2: threads must be >= 1, got 0"),
+            ('out_dir = "o"\ndiscount = 1.5\n', r"c\.cfg: line 2: discount must be in \(0, 1\], got 1\.5"),
+            ('discount = 0\n', r"c\.cfg: line 1: discount must be in \(0, 1\], got 0"),
             ('out_dir = "o"\ncorpora = ["..:x.conllu"]\n',
              r"c\.cfg: line 2: corpus spec \.\.:x\.conllu:conllu: domain '\.\.'"),
         ],

@@ -1,11 +1,18 @@
+import hashlib
+import json
 import os
+import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import verbscope.echo_scorer
+import verbscope.scorer.external as external
+from verbscope.cli import main
 from verbscope.pairgen import MinimalPair
 from verbscope.scorer.external import ExternalScorer, ExternalScorerError, external_score
 from verbscope.scorer.scoring import score_pairs
@@ -101,3 +108,97 @@ class TestProtocolViolations:
     def test_duplicate_request_ids_rejected(self):
         with pytest.raises(ExternalScorerError, match="unique"):
             external_score(ECHO, [("same", "a"), ("same", "b")])
+
+
+_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TEXT, _TEXT)
+def test_request_lines_are_json_dumps_bytes(item_id, text):
+    expected = json.dumps({"id": item_id, "text": text}, ensure_ascii=False) + "\n"
+    assert external._request([(item_id, text)]) == expected.encode("utf-8")
+
+
+class TestChildLifecycle:
+    @pytest.fixture
+    def launched(self, monkeypatch):
+        """Every Popen the scorer starts, in launch order."""
+        children = []
+        launch = external._launch
+
+        def record(argv):
+            children.append(launch(argv))
+            return children[-1]
+
+        monkeypatch.setattr(external, "_launch", record)
+        return children
+
+    def test_a_load_failure_kills_and_reaps_the_child(self, tmp_path, capsys, launched):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text('{"pair_id": "p1", "paradigm": "semantic-verb", "good": "a b"\n')
+        hang = shlex.join([sys.executable, "-c", "import time; time.sleep(60)"])
+        args = ["score", "--external", hang, "--pairs", str(pairs), "--out", str(tmp_path / "s")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pairs}: record 1: ") and err.count("\n") == 1
+        assert len(launched) == 1 and launched[0].returncode is not None
+
+    def test_an_unlaunchable_command_fails_before_the_input_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "never-opened.jsonl"
+        args = ["score", "--external", "/definitely/not/a/binary", "--pairs", str(missing),
+                "--out", str(tmp_path / "s")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not launch external scorer: ") and err.count("\n") == 1
+
+    def test_each_batch_gets_its_own_child(self, launched):
+        with ExternalScorer(ECHO) as scorer:
+            assert scorer.score_texts(_items(2))["id1"] == (-10.0, 2)
+            assert scorer.score_texts(_items(3))["id2"] == (-15.0, 3)
+        assert len(launched) == 2
+        assert all(child.returncode == 0 for child in launched)
+
+    def test_the_timeout_counts_from_the_request(self):
+        with ExternalScorer(ECHO, timeout=1.0) as scorer:
+            time.sleep(1.2)  # the child waits on its stdin meanwhile
+            assert scorer.score_texts(_items(1)) == {"id0": (-5.0, 1)}
+
+    def test_a_timed_out_child_is_killed_and_reaped(self, launched):
+        slow = [sys.executable, "-c", "import time,sys; sys.stdin.read(); time.sleep(30)"]
+        with pytest.raises(ExternalScorerError, match="timed out"):
+            external_score(slow, _items(2), timeout=1.0)
+        assert launched[0].returncode is not None
+
+
+def test_score_and_eval_bytes_are_pinned(tmp_path):
+    """``score --external`` and ``eval --out`` on the fixture pairs keep
+    their pinned bytes, whatever the protocol's encoding and child handling."""
+    fx = tmp_path / "fx"
+    from verbscope.fixtures import write_fixture_corpora
+
+    write_fixture_corpora(fx, target_tokens=20_000)
+    p = tmp_path / "p"
+    assert main(["ingest", "--in", str(fx / "chat.conllu"), "--split", "2/3,1/6,1/6",
+                 "--out", str(p)]) == 0
+    assert main(["stats", "--in", str(p / "train.conllu"), "--save-table", str(p / "table.tsv")]) == 0
+    assert main(["genpairs", "semantic", "--test", str(p / "test.conllu"), "--table",
+                 str(p / "table.tsv"), "--out", str(p / "sem.jsonl")]) == 0
+    assert main(["genpairs", "agreement", "--train", str(p / "train.conllu"), "--n", "20",
+                 "--out", str(p / "agr.jsonl")]) == 0
+    pairs = p / "pairs.jsonl"
+    pairs.write_bytes((p / "sem.jsonl").read_bytes() + (p / "agr.jsonl").read_bytes())
+    assert main(["score", "--external", shlex.join(ECHO), "--pairs", str(pairs),
+                 "--out", str(p / "s.tsv")]) == 0
+    assert main(["eval", "--pairs", str(pairs), "--scores", str(p / "s.tsv"),
+                 "--train-domain", "chat", "--eval-domain", "chat", "--condition", "ORIGINAL",
+                 "--checkpoint", "500", "--out", str(p / "r.csv")]) == 0
+    digests = {
+        name: hashlib.sha256((p / name).read_bytes()).hexdigest()
+        for name in ("pairs.jsonl", "s.tsv", "r.csv")
+    }
+    assert digests == {
+        "pairs.jsonl": "d7361604f7f441352a7a2e0ce7e8ec9e5df5e11c471241bc7df115041d7884ec",
+        "s.tsv": "f2aee2357583581784cb9c094fa16e7766403feccf6a61b831b0c9bb3a37786f",
+        "r.csv": "0674a8af2e814333a46affab355fe12f049bd38522b80c9c9976f4d3f84fae4b",
+    }

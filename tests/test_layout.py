@@ -8,7 +8,7 @@ import pytest
 
 from verbscope.corpus import AnnotatedSentence, Token, build_frequency_table
 from verbscope.ingest import read_chat, read_conllu, read_plaintext
-from verbscope.pairgen import MinimalPair, gen_semantic_pairs
+from verbscope.pairgen import MinimalPair, gen_semantic_pairs, read_pairs, write_pairs
 from verbscope.tagger import tag, train_tagger
 
 from conftest import corpus_of
@@ -90,3 +90,17 @@ def test_semantic_pairs_share_one_good_member_per_sentence():
     for goods in by_source.values():
         assert all(good is goods[0] for good in goods)
     assert by_source["s1"][0] is not by_source["s2"][0]
+
+
+def test_pairs_read_from_a_file_share_one_good_member_per_text(tmp_path):
+    good = ("he", "eats", "it")
+    pairs = [
+        MinimalPair(f"p{i}", "semantic-verb", tuple(good), ("he", verb, "it"), 1)
+        for i, verb in enumerate(("sees", "hits", "gets"))
+    ]
+    pairs.append(MinimalPair("q", "semantic-verb", ("she", "eats", "it"), ("she", "sees", "it"), 1))
+    path = tmp_path / "pairs.jsonl"
+    write_pairs(pairs, path)
+    first, second, third, other = read_pairs(path)
+    assert first.good is second.good is third.good
+    assert other.good is not first.good

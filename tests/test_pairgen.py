@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from verbscope.corpus import FrequencyTable, bin_index, build_frequency_table
 from verbscope.pairgen import (
@@ -31,6 +32,29 @@ class TestMinimalPairType:
             MinimalPair("p1", "semantic-verb", ("a", "b"), ("a", "b"), 1)
         with pytest.raises(ValueError, match="differ exactly"):
             MinimalPair("p1", "semantic-verb", ("a", "b"), ("x", "y"), 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=5).flatmap(lambda n: st.tuples(
+            st.tuples(*[st.sampled_from("abc")] * n), st.tuples(*[st.sampled_from("abc")] * n),
+        )),
+        st.integers(min_value=-3, max_value=7) | st.booleans() | st.sampled_from([0.0, 1.0]),
+    )
+    def test_diff_index_check_matches_the_full_scan(self, members, diff_index):
+        """The tuple-slice check accepts and rejects exactly what a scan of
+        every position does, bools, floats and out-of-range indices included."""
+        good, bad = members
+        diffs = [i for i, (g, b) in enumerate(zip(good, bad)) if g != b]
+        expected = None if diffs == [diff_index] else (
+            f"pair p1: members must differ exactly at index {diff_index}, "
+            f"found differences at {diffs}"
+        )
+        try:
+            MinimalPair("p1", "semantic-verb", good, bad, diff_index)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected
 
     def test_unknown_paradigm_rejected(self):
         with pytest.raises(ValueError, match="paradigm"):
@@ -310,6 +334,19 @@ class TestPairsIO:
         ok = {"pair_id": "ok", "paradigm": "semantic-verb", "good": "a b", "bad": "a c",
               "diff_index": 1, "meta": {}}
         path.write_text(json.dumps(ok) + "\n" + json.dumps(dict(ok, pair_id=pair_id)) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_pairs(path)
+        assert str(err.value) == f"{path}: record 2: {message}"
+
+    @pytest.mark.parametrize("cut, message", [
+        (40, "Unterminated string starting at: line 1 column 31 (char 30)"),
+        (60, "Expecting ',' delimiter: line 1 column 61 (char 60)"),
+    ])
+    def test_truncated_line_names_file_record_and_json_error(self, tmp_path, cut, message):
+        ok = ('{"pair_id": "ok", "paradigm": "semantic-verb", "good": "a b", "bad": "a c", '
+              '"diff_index": 1, "meta": {}}\n')
+        path = tmp_path / "cut.jsonl"
+        path.write_text(ok + ok[:cut])  # a write cut short, as a crash leaves it
         with pytest.raises(ValueError) as err:
             read_pairs(path)
         assert str(err.value) == f"{path}: record 2: {message}"

@@ -207,6 +207,20 @@ class TestModelProperties:
             assert loaded.logprob(probe).logprob == lm.logprob(probe).logprob
         assert loaded.discount == lm.discount
 
+    @pytest.mark.parametrize("discount", [0.0, -0.25, 1.5, float("nan")])
+    def test_discount_outside_0_1_rejected(self, tmp_path, capsys, discount):
+        from verbscope.cli import main
+
+        message = f"discount must be in (0, 1], got {discount!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train_ngram(corpus_of("a b c").form_view(), 2, discount=discount)
+        corpus = tmp_path / "c.conllu"
+        corpus.write_text("1\ta\ta\tX\tX\t_\t0\troot\t_\t_\n\n")
+        args = ["train-lm", "--in", str(corpus), "--discount", str(discount), "--out", str(tmp_path / "m")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "m").exists()
+
     def test_cut_short_header_names_file_and_line(self, tmp_path, capsys):
         from verbscope.cli import main
 
@@ -234,9 +248,15 @@ class TestModelProperties:
         ({34: "0 0 7\t1"}, 34, "gram '0 0 7': ids run"),
         ({34: "0 0 1\t0"}, 34, "gram '0 0 1' repeats or counts below 1"),
         ({35: "0 0 1\t1"}, 35, "gram '0 0 1' repeats or counts below 1"),
+        ({3: "discount\t1.5,1.5,1.5"}, 3, r"discount must be in \(0, 1\], got 1\.5"),
+        ({3: "discount\t0.0,0.0,0.0"}, 3, r"discount must be in \(0, 1\], got 0\.0"),
+        ({7: "a"}, 7, "form 'a' repeats or breaks the sorted order"),
+        ({6: "c"}, 7, "form 'b' repeats or breaks the sorted order"),
+        ({10: "<unk>"}, 10, "form '<unk>' is a reserved symbol"),
     ], ids=["fewer-discounts", "more-discounts", "unequal-discounts", "extra-bigram",
             "changed-unigram", "short-gram", "id-99", "negative-id", "bos-predicted",
-            "zero-count", "repeated-gram"])
+            "zero-count", "repeated-gram", "discount-above-1", "discount-0",
+            "repeated-form", "unsorted-forms", "reserved-form"])
     def test_malformed_model_names_file_and_line(self, edits, line, message, tmp_path, capsys):
         from verbscope.cli import main
 
