@@ -34,9 +34,11 @@ sharing changes any output.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as _dc_replace
-from itertools import accumulate
+from itertools import accumulate, chain
 from sys import intern
 from typing import Callable, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .atomic import atomic_write
 
@@ -174,23 +176,64 @@ class Corpus:
         return sum(len(s) for s in self.sentences)
 
     def form_view(self) -> "Forms":
-        return Forms((tuple(t.form for t in s.tokens) for s in self.sentences), self.domain)
+        return Forms.of_flat(
+            [t.form for s in self.sentences for t in s.tokens],
+            [len(s.tokens) for s in self.sentences], self.domain,
+        )
 
 
-class Forms(tuple):
-    """A corpus as a tuple of form tuples, one per sentence: all training reads.
+class Forms:
+    """A corpus's forms as arrays: all that perturbing and training read.
 
-    Perturbing and training on this view builds no Token objects.
+    ``vocab`` is the sorted tuple of the distinct forms, ``ids`` (int32)
+    every token's index into it, sentence after sentence, and sentence i
+    is ``ids[offsets[i]:offsets[i + 1]]``. Iterating gives each sentence's
+    forms as a tuple. Perturbing and training on this view build no Token
+    objects and no per-sentence tuples.
     """
 
-    def __new__(cls, sentences=(), domain: str = ""):
-        view = super().__new__(cls, sentences)
-        view.domain = domain
-        return view
+    __slots__ = ("vocab", "ids", "offsets", "domain")
+
+    def __init__(self, vocab: tuple, ids: np.ndarray, offsets: np.ndarray, domain: str = ""):
+        self.vocab, self.ids, self.offsets, self.domain = vocab, ids, offsets, domain
+
+    @classmethod
+    def encode(cls, sentences: Iterable[Iterable[str]], domain: str = "") -> "Forms":
+        """The view of form sequences, over their sorted distinct forms."""
+        sentences = [s if isinstance(s, (list, tuple)) else list(s) for s in sentences]
+        return cls.of_flat(list(chain.from_iterable(sentences)), list(map(len, sentences)), domain)
+
+    @classmethod
+    def of_flat(cls, forms: list[str], lengths: list[int], domain: str = "") -> "Forms":
+        """The view of ``forms``, every sentence's forms one after another,
+        the sentences ``lengths`` long."""
+        vocab = tuple(sorted(set(forms)))
+        index = dict(zip(vocab, range(len(vocab))))
+        ids = np.fromiter(map(index.__getitem__, forms), dtype=np.int32, count=len(forms))
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return cls(vocab, ids, offsets, domain)
+
+    def with_ids(self, ids: np.ndarray) -> "Forms":
+        """The same sentences and vocabulary holding other ids."""
+        return Forms(self.vocab, ids, self.offsets, self.domain)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        vocab, ids, bounds = self.vocab, self.ids.tolist(), self.offsets.tolist()
+        for start, end in zip(bounds, bounds[1:]):
+            yield tuple([vocab[i] for i in ids[start:end]])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Forms) and list(self) == list(other)
+
+    __hash__ = None
 
     @property
     def n_tokens(self) -> int:
-        return sum(map(len, self))
+        return len(self.ids)
 
 
 def bin_index(count: int) -> int:

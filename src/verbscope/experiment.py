@@ -8,11 +8,13 @@ data only; evaluation pairs always come from the original test split, and
 cross-domain scoring runs for ORIGINAL-condition models over every other
 domain's pairs.
 
-Cells perturb and train on a domain's form view (``Corpus.form_view``)
-through the perturb plans that domain prep builds for the run's
-conditions. A prepared domain keeps only those, its pairs and its stats:
-its Token records are dropped once prep ends, and they are most of a
-corpus's memory.
+Domain prep encodes the train split once as an int32 id array over its
+sorted forms (``Corpus.form_view``), builds the perturb plan of each of
+the run's conditions as arrays, and encodes the distinct members of its
+pairs once (``scoring.Sentences``). A cell perturbs that id array,
+trains on it and scores the encoded pairs, all as array work. A prepared
+domain keeps only those, its pairs and its stats: its Token records are
+dropped once prep ends, and they are most of a corpus's memory.
 
 Cells run in forked worker processes, as many as ``threads`` (at least 1)
 asks for, capped at the number of cache units and the CPU count; one
@@ -103,7 +105,13 @@ from .perturb import (
     perturb_plan,
 )
 from .scorer.ngram import check_discount, save_lm, train_ngram
-from .scorer.scoring import pair_items, score_sentences, scored_pairs, write_scores
+from .scorer.scoring import (
+    Sentences,
+    pair_items,
+    score_sentences,
+    scored_pairs,
+    write_scores,
+)
 from .stats import compare_replacement_rates, compute_stats, write_rates_csv, write_stats_csv
 
 
@@ -353,9 +361,10 @@ class ExperimentResult:
 
 @dataclass
 class _DomainData:
-    forms: Forms  # the train split as form tuples: what cells perturb and train on
+    forms: Forms  # the train split as an id array: what cells perturb and train on
     plans: dict  # condition -> its perturb plan, or the ValueError building it raised
     pairs: list
+    members: Sentences  # the distinct pair members, encoded once for every cell
     pairs_meta: dict
     pairs_path: Path
     stats: object
@@ -404,8 +413,10 @@ def _prepare_domain(config: ExperimentConfig, spec: CorpusSpec, out: Path) -> _D
             )
         except ValueError as exc:  # fails the condition's cells, not the domain
             plans[condition] = exc
+    members = Sentences(pair_items(pairs))
+    members.encoded  # encoded here, once, not in each cell or worker
     return _DomainData(
-        forms=train.form_view(), plans=plans, pairs=pairs,
+        forms=train.form_view(), plans=plans, pairs=pairs, members=members,
         pairs_meta={p.pair_id: p.paradigm for p in pairs},
         pairs_path=pairs_path, stats=compute_stats(train),
     )
@@ -434,7 +445,7 @@ def _run_unit(config: ExperimentConfig, domains: dict, unit: tuple, out: Path):
         if eval_domain != domain and condition != ORIGINAL:
             continue  # cross-domain check runs on unperturbed models only
         pairs = domains[eval_domain].pairs
-        scores = score_sentences(lm, pair_items(pairs))
+        scores = score_sentences(lm, pair_items(pairs), domains[eval_domain].members)
         write_scores(scores, unit_dir / f"scores-{eval_domain}.tsv")
         result = evaluate(
             scored_pairs(pairs, scores),

@@ -375,15 +375,25 @@ def read_pairs(path) -> list[MinimalPair]:
                 continue
             try:
                 row = loads_line(line)
+                if type(row) is not dict:
+                    raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+                pair_id, paradigm, text, bad = (
+                    row["pair_id"], row["paradigm"], row["good"], row["bad"]
+                )
+                if not (type(pair_id) is type(paradigm) is type(text) is type(bad) is str):
+                    name = next(
+                        key for key in ("pair_id", "paradigm", "good", "bad")
+                        if type(row[key]) is not str
+                    )
+                    raise ValueError(f"{name} must be a string, got {row[name]!r}")
                 meta = row.get("meta", {})
                 if type(meta) is not dict:
-                    meta = dict(meta)
+                    raise ValueError(f"meta must be an object, got {meta!r}")
                 source = meta.pop("source_sentence_id", None)
-                pair_id, paradigm, text = row["pair_id"], row["paradigm"], row["good"]
-                good = goods.get(text) if type(text) is str else None  # else split raises
+                good = goods.get(text)
                 if good is None:
                     good = goods[text] = tuple(text.split(" "))
-                bad = tuple(row["bad"].split(" "))
+                bad = tuple(bad.split(" "))
                 # positional: matching seven keywords is a tenth of a record's cost
                 pairs.append(
                     MinimalPair(pair_id, paradigm, good, bad, row["diff_index"], source, meta)

@@ -14,16 +14,24 @@ pin_final_punct is set; both knobs exist because reasonable pipelines
 differ here.
 
 A seed-independent plan (``perturb_plan``) fixes what each sentence
-draws from: its REPLACE.WORD targets or its SHUFFLE.ORDER span. The draw
-primitives ``replace_word`` and ``shuffle_order`` turn a plan entry and a
-stream into replacements or a permutation. ``perturb_forms`` applies the
-draws to the form view a model trains on; ``perturb_corpus`` applies the
-same draws to whole sentences for ``verbscope perturb``.
+draws from, as arrays: the REPLACE.WORD targets (corpus position,
+stratum, own member) with the strata's members and running counts, or
+each sentence's SHUFFLE.ORDER span. ``_draws`` computes every draw of a
+cell at once from the counter-based streams (``rng.picks``: one
+``searchsorted`` for all frequency-weighted picks; ``rng.shuffles``: the
+Fisher-Yates swaps stepped across all sentences together), redoing a
+sentence with a rejected draw with the scalar ``Stream``. It is the one
+draw function: ``perturb_forms`` scatters its draws into the id array a
+model trains on, and ``perturb_corpus`` applies the same draws to whole
+sentences for ``verbscope perturb``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
+
+import numpy as np
 
 from .corpus import (
     AnnotatedSentence,
@@ -33,7 +41,7 @@ from .corpus import (
     UNK_TAG,
     tag_pair,
 )
-from .rng import Stream, mix64
+from .rng import MASK64, picks, shuffles, stream_seeds
 from .tagger import heuristic_root
 
 ORIGINAL = "ORIGINAL"
@@ -97,21 +105,29 @@ def replace_plan(
     return tuple(plan)
 
 
-def replace_word(plan: tuple, stream: Stream) -> list[tuple[int, str]]:
-    """The (position, new form) replacements: one frequency-weighted draw per
-    target, the original form excluded, so every target is replaced."""
-    return [
-        (i, members[stream.pick_cumulative(cumulative, exclude=index)][0])
-        for i, (members, cumulative, index) in plan
-    ]
+@dataclass(frozen=True, eq=False)
+class PerturbPlan:
+    """What each sentence of a corpus draws from, fixed before any seed.
 
+    Sentence i holds the corpus's tokens ``offsets[i]:offsets[i + 1]``.
+    SHUFFLE.ORDER moves the first ``spans[i]`` tokens of sentence i.
+    REPLACE.WORD has one target per replaceable token, in corpus order:
+    its corpus position (``targets``), its sentence, its stratum and its
+    own entry in ``members`` (int32, as the ids of ``corpus.Forms``), the
+    strata's member forms one stratum after another. Stratum s holds ``members[strata[s]:strata[s + 1]]``, and
+    ``cumulative`` (uint64) runs the members' counts on over all strata.
+    """
 
-def shuffle_order(span: int, stream: Stream) -> list[int]:
-    """Uniform permutation of range(span) (Fisher-Yates over the stream):
-    entry j is the old position of the token that moves to position j."""
-    order = list(range(span))
-    stream.shuffle(order)
-    return order
+    condition: str
+    offsets: np.ndarray
+    spans: np.ndarray | None = None
+    targets: np.ndarray | None = None
+    sentence: np.ndarray | None = None
+    stratum: np.ndarray | None = None
+    member: np.ndarray | None = None
+    members: tuple = ()
+    strata: np.ndarray | None = None
+    cumulative: np.ndarray | None = None
 
 
 def perturb_plan(
@@ -120,30 +136,66 @@ def perturb_plan(
     table: FrequencyTable | None = None,
     include_propn: bool = False,
     pin_final_punct: bool = False,
-) -> tuple:
+) -> PerturbPlan:
     """Each sentence's draw input, which no seed changes: its REPLACE.WORD
     targets, or how many leading tokens SHUFFLE.ORDER moves."""
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}")
-    if condition == REPLACE_WORD:
-        if table is None:
-            raise ValueError("REPLACE.WORD requires a frequency table")
-        return tuple(replace_plan(s, table, include_propn) for s in corpus)
+    offsets = np.zeros(len(corpus) + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in corpus], out=offsets[1:])
     if condition == SHUFFLE_ORDER:  # all tokens, or all but a pinned final PUNCT
-        return tuple(
+        spans = [
             len(s) - (pin_final_punct and len(s) > 1 and s.tokens[-1].upos == "PUNCT")
             for s in corpus
-        )
-    return ()
+        ]
+        return PerturbPlan(condition, offsets, spans=np.array(spans, dtype=np.int64))
+    if condition == ORIGINAL:
+        return PerturbPlan(condition, offsets)
+    if table is None:
+        raise ValueError("REPLACE.WORD requires a frequency table")
+    found = [replace_plan(s, table, include_propn) for s in corpus]
+    sentence = np.repeat(np.arange(len(found), dtype=np.int32), [len(t) for t in found])
+    flat = list(chain.from_iterable(found))  # (position, alternatives) of every target
+    alternatives = [alts for _pos, alts in flat]
+    # a stratum's alternatives share one members tuple: number the strata in
+    # first-seen order by that tuple's identity
+    numbers: dict[int, int] = {}
+    stratum = np.array(
+        [numbers.setdefault(id(alts[0]), len(numbers)) for alts in alternatives], dtype=np.int32
+    )
+    strata = [alternatives[i] for i in np.unique(stratum, return_index=True)[1].tolist()]
+    starts = np.zeros(len(strata) + 1, dtype=np.int64)
+    np.cumsum([len(members) for members, _cumulative, _index in strata], out=starts[1:])
+    cumulative: list[int] = []
+    for _members, stratum_cumulative, _index in strata:
+        mass = cumulative[-1] if cumulative else 0
+        cumulative.extend(mass + c for c in stratum_cumulative)
+    if cumulative and cumulative[-1] > MASK64:
+        raise ValueError(f"the strata's counts sum to {cumulative[-1]}, more than 64 bits hold")
+    return PerturbPlan(
+        condition, offsets,
+        targets=(offsets[sentence] + [pos for pos, _alts in flat]).astype(np.int32),
+        sentence=sentence, stratum=stratum,
+        member=(starts[stratum] + [alts[2] for alts in alternatives]).astype(np.int32),
+        members=tuple(form for members, _c, _i in strata for form, _count in members),
+        strata=starts, cumulative=np.array(cumulative, dtype=np.uint64),
+    )
 
 
-def _draws(condition: str, plan: tuple, seed: int):
-    """(i, draw) for each sentence with something to draw, from Stream(mix64(seed, i))."""
-    for i, entry in enumerate(plan):
-        if condition == REPLACE_WORD and entry:
-            yield i, replace_word(entry, Stream(mix64(seed, i)))
-        elif condition == SHUFFLE_ORDER and entry > 1:
-            yield i, shuffle_order(entry, Stream(mix64(seed, i)))
+def _draws(plan: PerturbPlan, seed: int):
+    """Every draw of a condition, sentence i drawing from Stream(mix64(seed, i)).
+
+    REPLACE.WORD: each target's new form, as an index into ``plan.members``.
+    SHUFFLE.ORDER: the sentences that move (a span of 2 or more), and their
+    orders concatenated: entry j of a sentence's order is the old position
+    of the token that moves to position j.
+    """
+    if plan.condition == REPLACE_WORD:
+        seeds = stream_seeds(seed, np.arange(len(plan.offsets) - 1))
+        return picks(seeds, plan.sentence, plan.cumulative, plan.strata,
+                     plan.stratum, plan.member)
+    moving = np.flatnonzero(plan.spans > 1)
+    return moving, shuffles(stream_seeds(seed, moving), plan.spans[moving])
 
 
 def _report(condition: str, total: int, replaced: int, seed: int | None) -> PerturbReport:
@@ -151,22 +203,35 @@ def _report(condition: str, total: int, replaced: int, seed: int | None) -> Pert
 
 
 def perturb_forms(
-    forms: Forms, condition: str, plan: tuple, seed: int | None = 0
+    forms: Forms, condition: str, plan: PerturbPlan, seed: int | None = 0
 ) -> tuple[Forms, PerturbReport]:
     """Apply one condition to a corpus's form view; ``plan`` is the corpus's
-    ``perturb_plan``. Gives the forms and report ``perturb_corpus`` gives."""
-    out = list(forms)
+    ``perturb_plan``. Gives the forms and report ``perturb_corpus`` gives.
+
+    The new id array is one scatter: REPLACE.WORD writes each target's
+    drawn form, SHUFFLE.ORDER gathers each moved token from its old place.
+    A REPLACE.WORD substitute must be a form of the corpus, as it is when
+    the table is the corpus's own.
+    """
+    ids = forms.ids
     replaced = 0
-    for i, draw in _draws(condition, plan, seed):
-        if condition == REPLACE_WORD:
-            new = list(forms[i])
-            for pos, form in draw:
-                new[pos] = form
-            out[i] = tuple(new)
-            replaced += len(draw)
-        else:
-            out[i] = tuple([forms[i][k] for k in draw]) + forms[i][len(draw):]
-    return Forms(out, forms.domain), _report(condition, forms.n_tokens, replaced, seed)
+    if condition == REPLACE_WORD:
+        index = {form: i for i, form in enumerate(forms.vocab)}
+        missing = [form for form in plan.members if form not in index]
+        if missing:
+            raise ValueError(f"substitute {missing[0]!r} is not a form of the corpus")
+        member_ids = np.array([index[form] for form in plan.members], dtype=ids.dtype)
+        ids = ids.copy()
+        ids[plan.targets] = member_ids[_draws(plan, seed)]
+        replaced = len(plan.targets)
+    elif condition == SHUFFLE_ORDER:
+        moving, orders = _draws(plan, seed)
+        spans = plan.spans[moving]
+        starts = np.repeat(plan.offsets[moving], spans)
+        within = np.arange(len(orders)) - np.repeat(np.cumsum(spans) - spans, spans)
+        ids = ids.copy()
+        ids[starts + within] = forms.ids[starts + orders]
+    return forms.with_ids(ids), _report(condition, forms.n_tokens, replaced, seed)
 
 
 def apply_replacements(sentence: AnnotatedSentence, replacements: list) -> AnnotatedSentence:
@@ -206,13 +271,23 @@ def perturb_corpus(
     if condition == ORIGINAL:
         return corpus, _report(condition, corpus.n_tokens, 0, seed)
     sentences = list(corpus.sentences)
+    offsets = plan.offsets.tolist()
     replaced = 0
-    for i, draw in _draws(condition, plan, seed):
-        if condition == REPLACE_WORD:
-            sentences[i] = apply_replacements(sentences[i], draw)
-            replaced += len(draw)
-        else:
-            sentences[i] = apply_order(sentences[i], draw)
+    if condition == REPLACE_WORD:
+        chosen = _draws(plan, seed).tolist()
+        by_sentence: dict[int, list] = {}
+        for pos, si, m in zip(plan.targets.tolist(), plan.sentence.tolist(), chosen):
+            by_sentence.setdefault(si, []).append((pos - offsets[si], plan.members[m]))
+        for si, replacements in by_sentence.items():
+            sentences[si] = apply_replacements(sentences[si], replacements)
+        replaced = len(chosen)
+    else:
+        moving, orders = _draws(plan, seed)
+        orders = orders.tolist()
+        end = 0
+        for si, span in zip(moving.tolist(), plan.spans[moving].tolist()):
+            sentences[si] = apply_order(sentences[si], orders[end:end + span])
+            end += span
     out = Corpus(tuple(sentences), domain=corpus.domain, split=corpus.split)
     return out, _report(condition, corpus.n_tokens, replaced, seed)
 

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from ..atomic import atomic_write
+from ..corpus import Forms
 from ..pairgen import MinimalPair
 from .ngram import NGramLM, SentenceScore
 
@@ -33,29 +36,63 @@ def pair_items(pairs: Sequence[MinimalPair]) -> list[tuple[str, tuple[str, ...]]
     return items
 
 
+class Sentences:
+    """The distinct token sequences of (sentence_id, tokens) rows.
+
+    ``distinct`` holds each distinct sequence in first-seen order,
+    ``first[d]`` the row it first appears in and ``index[r]`` row r's
+    sequence (both int32 arrays). ``encoded`` is the distinct sequences as
+    a ``Forms`` view, built on first use and kept, so every model that
+    scores the same rows can reuse one encoding. The rows themselves are
+    not kept.
+    """
+
+    def __init__(self, rows: Sequence[tuple[str, Sequence[str]]]):
+        seen: dict[tuple, int] = {}
+        self.index = np.array(
+            [seen.setdefault(tuple(tokens), len(seen)) for _sid, tokens in rows], dtype=np.int32
+        )
+        self.distinct = list(seen)
+        self.first = np.unique(self.index, return_index=True)[1]
+        self._encoded: Forms | None = None
+
+    @property
+    def encoded(self) -> Forms:
+        if self._encoded is None:
+            self._encoded = Forms.encode(self.distinct)
+        return self._encoded
+
+
 def score_sentences(
-    scorer, sentences: Sequence[tuple[str, Sequence[str]]]
+    scorer, sentences: Sequence[tuple[str, Sequence[str]]], batch: Sentences | None = None
 ) -> list[SentenceScore]:
     """(sentence_id, tokens) -> SentenceScore rows, input order preserved.
 
-    Each distinct token sequence is scored once, under the id it first
-    appears with, by a native model or an external scorer alike; a repeat
-    copies that score under its own id. A scorer's total depends only on
-    the text it is sent, so no score changes.
+    Each distinct token sequence is scored once, by a native model (one
+    ``score_forms`` call over the batch's encoding) or an external scorer
+    (sent under the id it first appears with); a repeat takes that score
+    under its own id. A scorer's total depends only on the text it is
+    sent, so no score changes. ``batch``, if given, is ``Sentences`` of
+    these same rows, built once for many scorers.
     """
-    first: dict[tuple, str] = {}  # each distinct sequence -> the id it is scored under
-    for sid, tokens in sentences:
-        first.setdefault(tuple(tokens), sid)
+    rows = sentences if isinstance(sentences, list) else list(sentences)
+    if batch is None:
+        batch = Sentences(rows)
+    elif len(batch.index) != len(rows):
+        raise ValueError(f"a batch of {len(batch.index)} rows given for {len(rows)} sentences")
     if isinstance(scorer, NGramLM):
-        scored = {key: scorer.logprob(key, sid) for key, sid in first.items()}
+        logprobs, counts = scorer.score_forms(batch.encoded)
     else:
-        results = scorer.score_texts([(sid, " ".join(key)) for key, sid in first.items()])
-        scored = {key: SentenceScore(sid, *results[sid]) for key, sid in first.items()}
-    rows = []
-    for sid, tokens in sentences:
-        row = scored[tuple(tokens)]
-        rows.append(row if row.sentence_id == sid else SentenceScore(sid, row.logprob, row.num_tokens))
-    return rows
+        first_ids = [rows[r][0] for r in batch.first.tolist()]
+        results = scorer.score_texts(
+            [(sid, " ".join(key)) for sid, key in zip(first_ids, batch.distinct)]
+        )
+        logprobs = [results[sid][0] for sid in first_ids]
+        counts = [results[sid][1] for sid in first_ids]
+    return [
+        SentenceScore(sid, logprobs[at], counts[at])
+        for (sid, _tokens), at in zip(rows, batch.index.tolist())
+    ]
 
 
 def score_pairs(scorer, pairs: Sequence[MinimalPair]) -> list[ScoredPair]:

@@ -285,3 +285,36 @@ def test_run_config_and_corpus_are_exclusive(tmp_path, capsys):
     assert exc.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_OK_PAIR = ('{"pair_id": "ok", "paradigm": "semantic-verb", "good": "a b", "bad": "a c", '
+            '"diff_index": 1, "meta": {}}\n')
+
+
+@pytest.mark.parametrize("record, message", [
+    ("[1, 2]", "expected a JSON object, got list"),
+    ('"a b"', "expected a JSON object, got str"),
+    (_OK_PAIR.replace('"good": "a b"', '"good": 5'), "good must be a string, got 5"),
+    (_OK_PAIR.replace('"bad": "a c"', '"bad": ["a", "c"]'),
+     "bad must be a string, got ['a', 'c']"),
+    (_OK_PAIR.replace('"pair_id": "ok"', '"pair_id": 7'), "pair_id must be a string, got 7"),
+    (_OK_PAIR.replace('"paradigm": "semantic-verb"', '"paradigm": null'),
+     "paradigm must be a string, got None"),
+    (_OK_PAIR.replace('"meta": {}', '"meta": 5'), "meta must be an object, got 5"),
+], ids=["list", "string", "good-int", "bad-list", "pair-id-int", "paradigm-null", "meta-int"])
+@pytest.mark.parametrize("command", ["eval", "score"])
+def test_pairs_record_of_the_wrong_type_is_one_error_line(tmp_path, capsys, command, record, message):
+    from verbscope.scorer.ngram import save_lm, train_ngram
+
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(_OK_PAIR + record.rstrip("\n") + "\n")
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("ok::good\t-1.0\t3\nok::bad\t-2.0\t3\n")
+    lm = tmp_path / "m.lm"
+    save_lm(train_ngram([["a", "b"]], 2), lm)
+    args = {
+        "eval": ["eval", "--pairs", str(pairs), "--scores", str(scores)],
+        "score": ["score", "--lm", str(lm), "--pairs", str(pairs), "--out", str(tmp_path / "s")],
+    }[command]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {pairs}: record 2: {message}\n"

@@ -104,3 +104,50 @@ def test_pairs_read_from_a_file_share_one_good_member_per_text(tmp_path):
     first, second, third, other = read_pairs(path)
     assert first.good is second.good is third.good
     assert other.good is not first.good
+
+
+def _names(path) -> set[str]:
+    """Every name and attribute a module's code uses (docstrings aside)."""
+    import ast
+
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def test_one_scoring_path():
+    """The Kneser-Ney model scores through its array kernel alone: no scalar
+    recursion, no dict tables derived beside it, no Counter count path."""
+    from pathlib import Path
+
+    import verbscope.scorer.ngram as ngram
+
+    names = _names(Path(ngram.__file__))
+    assert not names & {"ngram_prob", "_derive_tables", "Counter", "_logp", "_suffix_counts"}
+
+
+def test_one_draw_function_for_both_perturb_entry_points():
+    """perturb_forms and perturb_corpus both draw through perturb._draws, and
+    perturb.py draws nothing from a scalar Stream itself."""
+    import ast
+    import inspect
+    from pathlib import Path
+
+    import verbscope.perturb as perturb
+
+    for entry in (perturb.perturb_forms, perturb.perturb_corpus):
+        calls = {
+            node.func.id for node in ast.walk(ast.parse(inspect.getsource(entry)))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert "_draws" in calls, entry.__name__
+    assert not _names(Path(perturb.__file__)) & {"Stream", "mix64", "replace_word", "shuffle_order"}

@@ -18,12 +18,26 @@ from verbscope.perturb import (
     perturb_plan,
     recount_differences,
     replace_plan,
-    replace_word,
-    shuffle_order,
 )
 from verbscope.rng import Stream, mix64
 
 from conftest import corpus_of, sent
+
+
+def replace_word(plan, stream):
+    """The scalar reference draws of one sentence's REPLACE.WORD plan: one
+    frequency-weighted pick per target, its own form excluded."""
+    return [
+        (i, members[stream.pick_cumulative(cumulative, exclude=index)][0])
+        for i, (members, cumulative, index) in plan
+    ]
+
+
+def shuffle_order(span, stream):
+    """The scalar reference permutation of a span: Fisher-Yates over the stream."""
+    order = list(range(span))
+    stream.shuffle(order)
+    return order
 
 
 def replaced(sentence, table, stream, include_propn=False):
@@ -34,7 +48,9 @@ def replaced(sentence, table, stream, include_propn=False):
 
 def shuffled(sentence, stream, pin_final_punct=False):
     """The sentence rebuilt from shuffle_order's permutation of its span."""
-    (span,) = perturb_plan(Corpus((sentence,)), SHUFFLE_ORDER, pin_final_punct=pin_final_punct)
+    (span,) = perturb_plan(
+        Corpus((sentence,)), SHUFFLE_ORDER, pin_final_punct=pin_final_punct
+    ).spans.tolist()
     return apply_order(sentence, shuffle_order(span, stream))
 
 
@@ -195,6 +211,15 @@ class TestPerturbCorpus:
         out, report = perturb_corpus(stool_corpus, ORIGINAL, seed=1)
         assert out is stool_corpus
         assert report.replacement_rate == 0.0
+
+    def test_replace_without_targets_changes_nothing(self):
+        corpus = corpus_of("you/PRON/PRP can/AUX/MD the/DET/DT ./PUNCT/.", "the/DET/DT cat/NOUN/NN")
+        table = build_frequency_table(corpus)
+        out, report = perturb_corpus(corpus, REPLACE_WORD, table, seed=1)
+        assert out.sentences == corpus.sentences and report.tokens_replaced == 0
+        plan = perturb_plan(corpus, REPLACE_WORD, table)
+        forms, form_report = perturb_forms(corpus.form_view(), REPLACE_WORD, plan, seed=1)
+        assert forms == corpus.form_view() and form_report == report
 
     def test_replace_requires_table(self, stool_corpus):
         with pytest.raises(ValueError, match="requires a frequency table"):

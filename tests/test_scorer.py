@@ -15,7 +15,6 @@ from verbscope.scorer.ngram import (
     SentenceScore,
     corpus_perplexity,
     load_lm,
-    ngram_prob,
     save_lm,
     train_ngram,
 )
@@ -29,6 +28,7 @@ from verbscope.scorer.scoring import (
 )
 
 from conftest import corpus_of
+from kn_reference import DictKN
 
 
 class ReferenceKN:
@@ -277,6 +277,24 @@ class TestModelProperties:
         assert re.fullmatch(rf"error: {re.escape(str(path))}: line {line}: {message}.*\n", err), err
 
 
+class TestPacking:
+    def test_codes_that_would_pass_int64_are_refused(self, tmp_path):
+        forms = [f"w{i:04d}" for i in range(1000)]
+        message = r"a vocabulary of 1000 forms at order 7 packs n-grams into codes up to 1003\*\*7 - 1"
+        with pytest.raises(ValueError, match=message):
+            train_ngram([forms], 7)
+        lm = train_ngram([forms], 6)  # 1003**6 stays below 2**63
+        assert lm.logprob(forms[:3]).num_tokens == 4
+        path = tmp_path / "m.lm"
+        save_lm(train_ngram([["a"]], 7), path)
+        lines = path.read_text().splitlines()
+        assert lines[4] == "forms\t1"
+        lines[4] = "forms\t1000"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"m\.lm: line 5: {message}"):
+            load_lm(path)
+
+
 class TestScorePairs:
     def _pair(self, pid, good, bad, idx):
         return MinimalPair(pid, "semantic-verb", tuple(good), tuple(bad), idx)
@@ -407,19 +425,6 @@ class TestSentenceScoreType:
             SentenceScore("s", -1.0, 0)
 
 
-def _direct_logprob(lm, tokens) -> float:
-    """Sequential sum of ln ngram_prob over the events, bypassing the memo."""
-    lp = 0.0
-    ctx = (lm.bos_id,) * (lm.order - 1)
-    for w in [lm.symbol_id(f) for f in tokens] + [lm.eos_id]:
-        lp += math.log(ngram_prob(
-            w, ctx, lm.discount, lm._counts, lm._totals, lm._types, lm._inv_vocab
-        ))
-        if lm.order > 1:
-            ctx = ctx[1:] + (w,)
-    return lp
-
-
 def _forms_corpus(*sentences):
     """Corpus from raw form lists, so forms may be "<unk>" or "</s>"."""
     return Corpus(tuple(
@@ -452,40 +457,60 @@ class TestMemoizedScoring:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_cold_memo_equals_direct_sum(self, order):
+        """A fresh model scores every probe bit-identically to the dict reference."""
         lm = train_ngram(_forms_corpus(*self.TRAIN).form_view(), order)
         assert UNK not in lm.forms and EOS not in lm.forms  # never vocabulary forms
         assert (lm.symbol_id(UNK), lm.symbol_id(EOS)) == (lm.unk_id, lm.eos_id)
+        ref = DictKN(self.TRAIN, order)
+        assert lm.forms == ref.forms
         for probe in self.PROBES:
             lm = train_ngram(_forms_corpus(*self.TRAIN).form_view(), order)
-            assert not lm._logp
-            assert lm.logprob(probe).logprob == _direct_logprob(lm, probe), probe
+            assert lm.logprob(probe).logprob == ref.logprob(probe), probe
 
     def test_literal_unk_and_eos_train_as_the_symbols_they_score_as(self):
         train = [["the", UNK, "ran"]] * 5 + [["the", "dog", "ran"], ["the", "cat", EOS]]
         lm = train_ngram(_forms_corpus(*train).form_view(), 2)
         assert lm.forms == ["cat", "dog", "ran", "the"]
-        assert lm.counts[(lm.eos_id, lm.eos_id)] == 1
+        assert dict((tuple(g), c) for g, c in lm.grams(2))[(lm.eos_id, lm.eos_id)] == 1
         unk = lm.logprob(["the", UNK, "ran"]).logprob
         assert unk == lm.logprob(["the", "zebra", "ran"]).logprob
         assert unk > lm.logprob(["the", "dog", "ran"]).logprob
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_warm_memo_equals_direct_sum(self, order):
+        """Scored in one batch, then one by one in reverse, every probe gets
+        the dict reference's score."""
         lm = train_ngram(_forms_corpus(*self.TRAIN).form_view(), order)
-        for probe in self.PROBES:
-            lm.logprob(probe)
-        filled = len(lm._logp)
-        for probe in reversed(self.PROBES):
-            assert lm.logprob(probe).logprob == _direct_logprob(lm, probe), probe
-        assert len(lm._logp) == filled  # every n-gram was already memoized
+        ref = DictKN(self.TRAIN, order)
+        batch = score_sentences(lm, [(f"s{i}", p) for i, p in enumerate(self.PROBES)])
+        for probe, row in zip(reversed(self.PROBES), reversed(batch)):
+            assert lm.logprob(probe).logprob == row.logprob == ref.logprob(probe), probe
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_memo_matches_direct_on_fixture(self, order, chat_fixture):
-        lm = train_ngram(Corpus(chat_fixture.sentences[:300], domain="chat").form_view(), order)
+        train = Corpus(chat_fixture.sentences[:300], domain="chat")
+        lm = train_ngram(train.form_view(), order)
+        ref = DictKN([s.forms() for s in train], order)
         probes = [s.forms() for s in chat_fixture.sentences[300:500]]
-        for _ in range(2):  # cold, then warm
-            for probe in probes:
-                assert lm.logprob(probe).logprob == _direct_logprob(lm, probe)
+        rows = score_sentences(lm, [(f"s{i}", p) for i, p in enumerate(probes)])
+        for probe, row in zip(probes, rows):
+            assert row.logprob == lm.logprob(probe).logprob == ref.logprob(probe)
+
+    def test_pair_scores_of_a_train_split_equal_the_reference(self, chat_fixture):
+        """A cell's scores, bit for bit: a model of the fixture's train split
+        scores the semantic pairs of its test split, thousands of distinct
+        n-grams."""
+        from verbscope.corpus import build_frequency_table
+        from verbscope.ingest import split_corpus
+        from verbscope.pairgen import gen_semantic_pairs
+
+        train, _dev, test = split_corpus(chat_fixture)
+        lm = train_ngram(train.form_view(), 3)
+        ref = DictKN([s.forms() for s in train], 3)
+        items = pair_items(gen_semantic_pairs(test, build_frequency_table(train)))
+        assert [row.logprob for row in score_sentences(lm, items)] == [
+            ref.logprob(tokens) for _sid, tokens in items
+        ]
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_raw_counts_match_sliding_window_in_first_seen_order(self, order, chat_fixture, tmp_path):
@@ -505,9 +530,10 @@ class TestMemoizedScoring:
             assert lines[start : start + len(want)] == [
                 " ".join(map(str, gram)) + f"\t{c}" for gram, c in sorted(want.items())
             ]
-            if k == order:
-                assert list(lm.counts.items()) == list(want.items())
-                assert type(lm.counts) is dict
+            assert [(tuple(g), c) for g, c in lm.grams(k)] == sorted(want.items())
+            if k == order:  # the one count table: distinct codes, sorted as their id tuples
+                assert (lm.codes[1:] > lm.codes[:-1]).all()
+                assert lm.counts.tolist() == [c for _gram, c in sorted(want.items())]
 
     def test_repeated_sentences_give_one_row_per_id_in_order(self):
         lm = train_ngram(_forms_corpus(*self.TRAIN).form_view(), 3)
@@ -520,10 +546,11 @@ class TestMemoizedScoring:
             ("f", ["you", "want", "it", "."]),
         ]
         calls = []
-        logprob = lm.logprob
-        lm.logprob = lambda tokens, sid="": calls.append(sid) or logprob(tokens, sid)
+        score_forms = lm.score_forms
+        lm.score_forms = lambda forms: calls.append(list(forms)) or score_forms(forms)
         rows = score_sentences(lm, sentences)
-        assert calls == ["a", "b", "d"]  # each distinct token list scored once
+        # each distinct token list scored once, in first-seen order
+        assert calls == [[("you", "want", "it", "."), ("they", "see", "milk"), ()]]
         assert [r.sentence_id for r in rows] == ["a", "b", "c", "d", "e", "f"]
         for row, (sid, tokens) in zip(rows, sentences):
             alone = train_ngram(_forms_corpus(*self.TRAIN).form_view(), 3).logprob(tokens, sid)
