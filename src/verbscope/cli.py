@@ -196,15 +196,12 @@ def _cmd_score(args) -> int:
         else nullcontext(load_lm(args.lm))
     ) as scorer:
         if args.pairs:
-            pairs = read_pairs(args.pairs)
-            scores = score_sentences(scorer, pair_items(pairs))
+            rows = pair_items(read_pairs(args.pairs))
         else:
-            corpus = read_corpus(args.infile, args.format)
-            scores = score_sentences(
-                scorer, [(s.sentence_id, list(s.forms())) for s in corpus]
-            )
-    write_scores(scores, args.out)
-    print(f"scored {len(scores)} sentences -> {args.out}")
+            rows = [(s.sentence_id, s.forms()) for s in read_corpus(args.infile, args.format)]
+        logprobs, counts = score_sentences(scorer, rows)
+    write_scores((sid for sid, _tokens in rows), logprobs, counts, args.out)
+    print(f"scored {len(rows)} sentences -> {args.out}")
     return 0
 
 

@@ -13,8 +13,10 @@ sorted forms (``Corpus.form_view``), builds the perturb plan of each of
 the run's conditions as arrays, and encodes the distinct members of its
 pairs once (``scoring.Sentences``). A cell perturbs that id array,
 trains on it and scores the encoded pairs, all as array work. A prepared
-domain keeps only those, its pairs and its stats: its Token records are
-dropped once prep ends, and they are most of a corpus's memory.
+domain keeps only those, its pair members as ``pair_items`` rows, each
+pair's paradigm and its stats: its Token and ``MinimalPair`` records are
+dropped once prep has written the pair file, and they are most of a
+corpus's memory. A domain without pairs fails at prep, alone.
 
 Cells run in forked worker processes, as many as ``threads`` (at least 1)
 asks for, capped at the number of cache units and the CPU count; one
@@ -105,13 +107,7 @@ from .perturb import (
     perturb_plan,
 )
 from .scorer.ngram import check_discount, save_lm, train_ngram
-from .scorer.scoring import (
-    Sentences,
-    pair_items,
-    score_sentences,
-    scored_pairs,
-    write_scores,
-)
+from .scorer.scoring import Sentences, pair_items, score_sentences, write_scores
 from .stats import compare_replacement_rates, compute_stats, write_rates_csv, write_stats_csv
 
 
@@ -363,9 +359,9 @@ class ExperimentResult:
 class _DomainData:
     forms: Forms  # the train split as an id array: what cells perturb and train on
     plans: dict  # condition -> its perturb plan, or the ValueError building it raised
-    pairs: list
+    member_rows: list  # pair_items rows: pair k's members at rows 2k and 2k + 1
     members: Sentences  # the distinct pair members, encoded once for every cell
-    pairs_meta: dict
+    pairs_meta: dict  # pair_id -> paradigm, in pair order
     pairs_path: Path
     stats: object
 
@@ -405,6 +401,8 @@ def _prepare_domain(config: ExperimentConfig, spec: CorpusSpec, out: Path) -> _D
     if agreement_note:
         counters["agreement_skipped"] = agreement_note
     write_json(ddir / "pairs" / "genreport.json", counters)
+    if not pairs:  # fails this domain alone, before any cell scores it
+        raise ValueError("no pairs")
     plans = {}
     for condition in config.conditions:
         try:
@@ -413,12 +411,14 @@ def _prepare_domain(config: ExperimentConfig, spec: CorpusSpec, out: Path) -> _D
             )
         except ValueError as exc:  # fails the condition's cells, not the domain
             plans[condition] = exc
-    members = Sentences(pair_items(pairs))
+    forms, stats = train.form_view(), compute_stats(train)  # before the rows: a lower peak
+    member_rows = pair_items(pairs)
+    members = Sentences(member_rows)
     members.encoded  # encoded here, once, not in each cell or worker
     return _DomainData(
-        forms=train.form_view(), plans=plans, pairs=pairs, members=members,
+        forms=forms, plans=plans, member_rows=member_rows, members=members,
         pairs_meta={p.pair_id: p.paradigm for p in pairs},
-        pairs_path=pairs_path, stats=compute_stats(train),
+        pairs_path=pairs_path, stats=stats,
     )
 
 
@@ -444,12 +444,13 @@ def _run_unit(config: ExperimentConfig, domains: dict, unit: tuple, out: Path):
     for eval_domain in sorted(domains):
         if eval_domain != domain and condition != ORIGINAL:
             continue  # cross-domain check runs on unperturbed models only
-        pairs = domains[eval_domain].pairs
-        scores = score_sentences(lm, pair_items(pairs), domains[eval_domain].members)
-        write_scores(scores, unit_dir / f"scores-{eval_domain}.tsv")
+        target: _DomainData = domains[eval_domain]
+        logprobs, counts = score_sentences(lm, target.member_rows, target.members)
+        write_scores((sid for sid, _tokens in target.member_rows), logprobs, counts,
+                     unit_dir / f"scores-{eval_domain}.tsv")
         result = evaluate(
-            scored_pairs(pairs, scores),
-            domains[eval_domain].pairs_meta,
+            zip(target.pairs_meta, logprobs[0::2], logprobs[1::2]),
+            target.pairs_meta,
             Labels(domain, eval_domain, condition),
         )
         rows.extend(result_rows(result))

@@ -390,13 +390,18 @@ def read_pairs(path) -> list[MinimalPair]:
                 if type(meta) is not dict:
                     raise ValueError(f"meta must be an object, got {meta!r}")
                 source = meta.pop("source_sentence_id", None)
+                if source is not None and type(source) is not str:
+                    raise ValueError(f"meta.source_sentence_id must be a string, got {source!r}")
+                diff_index = row["diff_index"]
+                if type(diff_index) is not int:  # a bool would pass MinimalPair's scan
+                    raise ValueError(f"diff_index must be an integer, got {diff_index!r}")
                 good = goods.get(text)
                 if good is None:
                     good = goods[text] = tuple(text.split(" "))
                 bad = tuple(bad.split(" "))
                 # positional: matching seven keywords is a tenth of a record's cost
                 pairs.append(
-                    MinimalPair(pair_id, paradigm, good, bad, row["diff_index"], source, meta)
+                    MinimalPair(pair_id, paradigm, good, bad, diff_index, source, meta)
                 )
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"{path}: record {recno}: {exc}") from exc

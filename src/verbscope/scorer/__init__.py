@@ -8,8 +8,8 @@ Import each name from the module that defines it:
   batch is evaluated and logged once, and a sentence's score is the
   sequential sum of its events' logs.
 - ``scoring``: ``score_sentences``, which scores each distinct sentence
-  once with any scorer (an external command is sent each distinct text
-  once, under the first id it appears with); ``Sentences``, which finds
-  and encodes those sentences once for many models; and the score TSV.
-- ``external``: ``ExternalScorer``, the child-process protocol.
+  once with any scorer (an external command gets each distinct text once,
+  under its first id) into two columns; ``Sentences``, which finds and
+  encodes those sentences once for many models; and the score TSV.
+- ``external``: ``ExternalScorer``, the protocol, and ``check_score``.
 """

@@ -11,9 +11,10 @@ and the child answers, in any order it likes, one line per request:
 Scores are total natural-log probabilities; the child may tokenize
 however it wants, only the per-sentence total matters. Stdin is closed
 after the last request; the child must answer every id and exit 0. Any
-deviation (unparseable line, unknown or duplicate id, positive logprob,
-missing answers, nonzero exit, batch timeout) raises
-ExternalScorerError naming the offending line or ids.
+deviation (unparseable line, unknown or duplicate id, positive or NaN
+logprob, missing answers, nonzero exit, batch timeout) raises
+ExternalScorerError naming the offending line or ids. ``check_score``
+holds the rules of one score; the score TSV reader applies them too.
 
 ``ExternalScorer`` holds the command, its timeout and, inside its
 context, the child started for the next batch. Its scores carry no scorer
@@ -42,6 +43,25 @@ def _listed(ids: Iterable[str], limit: int = 10) -> str:
     if len(ids) > limit:
         shown += f", ... ({len(ids)} total)"
     return shown
+
+
+def check_score(logprob, num_tokens) -> tuple[float, int]:
+    """A score's (logprob, num_tokens) as a float and an int, if they keep
+    the protocol's rules: a logprob <= 0 that is not NaN, num_tokens >= 1.
+    Else a ValueError saying which rule the score breaks."""
+    try:
+        logprob = float(logprob)
+    except (TypeError, ValueError):
+        raise ValueError(f"logprob {logprob!r} is not a number") from None
+    try:
+        num_tokens = int(num_tokens)
+    except (TypeError, ValueError):
+        raise ValueError(f"num_tokens {num_tokens!r} is not an integer") from None
+    if not logprob <= 0:
+        raise ValueError(f"positive logprob {logprob}" if logprob > 0 else "logprob is NaN")
+    if num_tokens < 1:
+        raise ValueError(f"num_tokens must be >= 1, got {num_tokens}")
+    return logprob, num_tokens
 
 
 def _argv(command: str | Sequence[str]) -> list[str]:
@@ -118,22 +138,10 @@ def external_score(
             raise ExternalScorerError(f"response line {lineno}: unknown id {rid!r}")
         if rid in results:
             raise ExternalScorerError(f"response line {lineno}: duplicate id {rid!r}")
-        try:
-            logprob = float(row["logprob"])
-            num_tokens = int(row["num_tokens"])
-        except (KeyError, TypeError, ValueError):
-            raise ExternalScorerError(
-                f"response line {lineno} (id {rid!r}): needs numeric logprob and num_tokens"
-            )
-        if logprob > 0:
-            raise ExternalScorerError(
-                f"response line {lineno} (id {rid!r}): positive logprob {logprob}"
-            )
-        if num_tokens < 1:
-            raise ExternalScorerError(
-                f"response line {lineno} (id {rid!r}): num_tokens must be >= 1"
-            )
-        results[rid] = (logprob, num_tokens)
+        try:  # a missing field reads as None, which is not a number
+            results[rid] = check_score(row.get("logprob"), row.get("num_tokens"))
+        except ValueError as exc:
+            raise ExternalScorerError(f"response line {lineno} (id {rid!r}): {exc}") from None
 
     missing = expected - set(results)
     if missing:

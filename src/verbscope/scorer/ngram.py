@@ -16,9 +16,9 @@ to EOS.
 
 Scores are total (not length-normalized) natural-log probabilities
 including the EOS event. Minimal-pair members always have equal token
-counts, so normalization would cancel anyway. A ``SentenceScore`` holds
-only what the score TSV stores: the sentence id, the log-probability and
-the event count.
+counts, so normalization would cancel anyway. ``score_forms`` gives a
+batch's scores as the two columns the score TSV stores: each sentence's
+log-probability and its event count.
 
 Table layout. An n-gram of ids packs into one int64 code, ((a*B)+b)*B+c
 for (a, b, c), with B = forms + 3 (the forms, UNK, EOS and BOS), so sorted
@@ -47,7 +47,6 @@ score is the sequential left-to-right sum of its events' logs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp, log
 from typing import Sequence
 
@@ -59,19 +58,6 @@ from ..corpus import Corpus, Forms
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
-
-
-@dataclass(frozen=True, slots=True)
-class SentenceScore:
-    sentence_id: str
-    logprob: float
-    num_tokens: int
-
-    def __post_init__(self):
-        if self.logprob > 0:
-            raise ValueError(f"logprob must be <= 0, got {self.logprob}")
-        if self.num_tokens < 1:
-            raise ValueError(f"num_tokens must be >= 1, got {self.num_tokens}")
 
 
 def check_discount(discount: float) -> None:
@@ -307,10 +293,10 @@ class NGramLM:
         values = logs[np.searchsorted(distinct, grams)]
         return _sequential_sums(values, events).tolist(), events.tolist()
 
-    def logprob(self, tokens, sentence_id: str = "") -> SentenceScore:
+    def logprob(self, tokens) -> float:
         """Total ln-probability of the token sequence plus the EOS event."""
-        (lp,), (events,) = self.score_forms(Forms.encode([tokens]))
-        return SentenceScore(sentence_id, lp, events)
+        (lp,), _events = self.score_forms(Forms.encode([tokens]))
+        return lp
 
 
 def train_ngram(

@@ -1,31 +1,36 @@
 """Score minimal pairs with any scorer, native or external.
 
-Both members of a pair go through the identical scorer and tokenization;
-output order matches input order. ``score_sentences`` is the one scoring
-path: native model or external command, each distinct token sequence is
-scored once and its repeats copy the score (semantic pairs of one source
-sentence share their good member). On disk, pair members live in the
-ordinary score TSV under composite ids "<pair_id>::good" and
-"<pair_id>::bad", one row per id.
+Both members of a pair go through the identical scorer and tokenization.
+``score_sentences`` is the one scoring path: native model or external
+command, each distinct token sequence is scored once and its repeats copy
+the score (semantic pairs of one source sentence share their good
+member). A batch's scores are two columns in row order, log-probabilities
+and event counts, from the model to the score TSV; pair rows are read
+off them by position. On disk, pair members live in the ordinary score
+TSV under composite ids "<pair_id>::good" and "<pair_id>::bad", one row
+per id, checked on reading as the external protocol checks a score.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..atomic import atomic_write
 from ..corpus import Forms
 from ..pairgen import MinimalPair
-from .ngram import NGramLM, SentenceScore
+from .external import check_score
+from .ngram import NGramLM
 
 ScoredPair = tuple[str, float, float]  # (pair_id, logprob_good, logprob_bad)
 
 
 def pair_items(pairs: Sequence[MinimalPair]) -> list[tuple[str, tuple[str, ...]]]:
-    """Both members of every pair as (composite id, tokens) rows; the
-    tokens are the pair's own member tuples."""
+    """Both members of every pair as (composite id, tokens) rows: pair k's
+    good member at row 2k and its bad member at row 2k + 1, so the scores
+    of these rows pair up by position. The tokens are the pair's own
+    member tuples."""
     ids = [p.pair_id for p in pairs]
     if len(set(ids)) != len(ids):
         raise ValueError("pair ids must be unique")
@@ -65,8 +70,9 @@ class Sentences:
 
 def score_sentences(
     scorer, sentences: Sequence[tuple[str, Sequence[str]]], batch: Sentences | None = None
-) -> list[SentenceScore]:
-    """(sentence_id, tokens) -> SentenceScore rows, input order preserved.
+) -> tuple[list[float], list[int]]:
+    """(sentence_id, tokens) rows -> two columns in row order: each row's
+    log-probability and its event count.
 
     Each distinct token sequence is scored once, by a native model (one
     ``score_forms`` call over the batch's encoding) or an external scorer
@@ -89,36 +95,30 @@ def score_sentences(
         )
         logprobs = [results[sid][0] for sid in first_ids]
         counts = [results[sid][1] for sid in first_ids]
-    return [
-        SentenceScore(sid, logprobs[at], counts[at])
-        for (sid, _tokens), at in zip(rows, batch.index.tolist())
-    ]
+    index = batch.index.tolist()
+    return [logprobs[at] for at in index], [counts[at] for at in index]
 
 
 def score_pairs(scorer, pairs: Sequence[MinimalPair]) -> list[ScoredPair]:
-    return scored_pairs(pairs, score_sentences(scorer, pair_items(pairs)))
+    """(pair_id, logprob_good, logprob_bad) rows, in pair order."""
+    logprobs, _counts = score_sentences(scorer, pair_items(pairs))
+    return list(zip([p.pair_id for p in pairs], logprobs[0::2], logprobs[1::2]))
 
 
-def scored_pairs(
-    pairs: Sequence[MinimalPair], scores: Sequence[SentenceScore]
-) -> list[ScoredPair]:
-    """Pair score rows, in pair order, from the scores of pair_items(pairs)."""
-    by_id = {s.sentence_id: s.logprob for s in scores}
-    return [
-        (p.pair_id, by_id[p.pair_id + "::good"], by_id[p.pair_id + "::bad"])
-        for p in pairs
-    ]
-
-
-def write_scores(scores: Sequence[SentenceScore], path) -> None:
-    """TSV: sentence_id, logprob, num_tokens."""
+def write_scores(ids: Iterable[str], logprobs: Sequence, counts: Sequence, path) -> None:
+    """TSV: sentence_id, logprob, num_tokens; one row per id, in order."""
+    rows = zip(ids, logprobs, counts, strict=True)
     with atomic_write(path) as fh:
-        for row in scores:
-            fh.write(f"{row.sentence_id}\t{row.logprob!r}\t{row.num_tokens}\n")
+        fh.write("".join([f"{sid}\t{lp!r}\t{n}\n" for sid, lp, n in rows]))
 
 
 def read_pair_scores(path) -> list[ScoredPair]:
-    """Rebuild pair score rows from a score TSV written via pair_items ids."""
+    """Rebuild pair score rows from a score TSV written via pair_items ids.
+
+    Each row's score is held to the external protocol's rules
+    (``check_score``); a row that breaks them, like a malformed row, is a
+    ValueError naming the file and line.
+    """
     good: dict[str, float] = {}
     bad: dict[str, float] = {}
     order: list[str] = []
@@ -128,7 +128,7 @@ def read_pair_scores(path) -> list[ScoredPair]:
             if not line:
                 continue
             try:
-                sid, lp, _ntok = line.split("\t")
+                sid, lp, ntok = line.split("\t")
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated columns")
             pair_id, _, member = sid.rpartition("::")
@@ -138,9 +138,9 @@ def read_pair_scores(path) -> list[ScoredPair]:
             if pair_id in target:
                 raise ValueError(f"{path}: line {lineno}: duplicate {sid!r}")
             try:
-                target[pair_id] = float(lp)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: logprob {lp!r} is not a number")
+                target[pair_id] = check_score(lp, ntok)[0]
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
             if member == "good":
                 order.append(pair_id)
     lone = set(good).symmetric_difference(bad)

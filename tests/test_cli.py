@@ -237,6 +237,39 @@ def test_run_minimal(tmp_path, fixture_dir, capsys):
     assert "3 cells: 3 computed, 0 shared, 0 cached, 0 failed" in capsys.readouterr().err
 
 
+def test_a_domain_without_pairs_fails_only_its_own_cells(tmp_path, fixture_dir, capsys):
+    """A domain that yields no pairs fails once, under its name, after its
+    pair file and report are written; no ORIGINAL cell of another domain
+    scores it."""
+    short = tmp_path / "short.conllu"
+    short.write_text("".join(
+        f"# sent_id = s{i}\n1\tthe\tthe\tDET\tDT\t_\t2\tdet\t_\t_\n"
+        "2\tdog\tdog\tNOUN\tNN\t_\t3\tnsubj\t_\t_\n"
+        "3\truns\trun\tVERB\tVBZ\t_\t0\troot\t_\t_\n\n"
+        for i in range(60)
+    ))
+    out = tmp_path / "exp"
+    assert main([
+        "run",
+        "--corpus", f"chat:{fixture_dir / 'chat.conllu'}:conllu",
+        "--corpus", f"short:{short}:conllu",
+        "--seeds", "1",
+        "--out", str(out),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert "6 cells: 3 computed, 0 shared, 0 cached, 3 failed" in err
+    assert "FAILED short: no pairs\n" in err and err.count("FAILED") == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["cells"] == {
+        f"{domain}/{condition}/1": "ok" if domain == "chat" else "failed"
+        for domain in ("chat", "short")
+        for condition in ("ORIGINAL", "REPLACE.WORD", "SHUFFLE.ORDER")
+    }
+    assert manifest["failures"] == [["short", "no pairs"]]
+    assert (out / "short" / "pairs" / "pairs.jsonl").read_text() == ""
+    assert (out / "short" / "pairs" / "genreport.json").exists()
+
+
 def test_run_from_config(tmp_path, fixture_dir):
     config = tmp_path / "exp.cfg"
     config.write_text(
@@ -301,7 +334,12 @@ _OK_PAIR = ('{"pair_id": "ok", "paradigm": "semantic-verb", "good": "a b", "bad"
     (_OK_PAIR.replace('"paradigm": "semantic-verb"', '"paradigm": null'),
      "paradigm must be a string, got None"),
     (_OK_PAIR.replace('"meta": {}', '"meta": 5'), "meta must be an object, got 5"),
-], ids=["list", "string", "good-int", "bad-list", "pair-id-int", "paradigm-null", "meta-int"])
+    (_OK_PAIR.replace('"diff_index": 1', '"diff_index": true'),
+     "diff_index must be an integer, got True"),
+    (_OK_PAIR.replace('"meta": {}', '"meta": {"source_sentence_id": ["s1"]}'),
+     "meta.source_sentence_id must be a string, got ['s1']"),
+], ids=["list", "string", "good-int", "bad-list", "pair-id-int", "paradigm-null", "meta-int",
+        "diff-index-bool", "source-list"])
 @pytest.mark.parametrize("command", ["eval", "score"])
 def test_pairs_record_of_the_wrong_type_is_one_error_line(tmp_path, capsys, command, record, message):
     from verbscope.scorer.ngram import save_lm, train_ngram
@@ -318,3 +356,21 @@ def test_pairs_record_of_the_wrong_type_is_one_error_line(tmp_path, capsys, comm
     }[command]
     assert main(args) == 1
     assert capsys.readouterr().err == f"error: {pairs}: record 2: {message}\n"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("ok::bad\tnan\t3", "logprob is NaN"),
+    ("ok::bad\t0.5\t3", "positive logprob 0.5"),
+    ("ok::bad\t-2.0\tabc", "num_tokens 'abc' is not an integer"),
+    ("ok::bad\t-2.0\t-3", "num_tokens must be >= 1, got -3"),
+    ("ok::bad\t-2.0\t0", "num_tokens must be >= 1, got 0"),
+], ids=["nan", "positive", "tokens-text", "tokens-negative", "tokens-zero"])
+def test_eval_rejects_a_score_the_protocol_would(tmp_path, capsys, row, message):
+    """The score TSV reader applies the external protocol's checks, naming
+    the file and line."""
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(_OK_PAIR)
+    scores = tmp_path / "scores.tsv"
+    scores.write_text(f"ok::good\t-1.0\t3\n{row}\n")
+    assert main(["eval", "--pairs", str(pairs), "--scores", str(scores)]) == 1
+    assert capsys.readouterr().err == f"error: {scores}: line 2: {message}\n"

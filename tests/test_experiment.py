@@ -357,25 +357,32 @@ class TestRunExperiment:
     def test_untagged_domain_fails_only_its_replace_cells(
         self, tmp_path, small_config, threads
     ):
-        """REPLACE.WORD needs tags: a text domain loses that cell, not the domain."""
+        """REPLACE.WORD needs tags: a domain with an untagged training
+        sentence loses that cell, not the domain."""
         from verbscope.ingest import read_corpus
 
         config = small_config(tmp_path / "out", threads=threads, seeds=(1,))
         written = next(c for c in config.corpora if c.domain == "written")
-        plain = tmp_path / "plain.txt"
-        plain.write_text(
-            "".join(" ".join(s.forms()) + "\n" for s in read_corpus(written.path, "conllu")),
-            encoding="utf-8",
+        text = Path(written.path).read_text(encoding="utf-8")
+        first, rest = text.split("\n\n", 1)  # the first sentence opens the train split
+        untagged = "\n".join(
+            line if line.startswith("#") else "\t".join(
+                "_" if i in (3, 4) else field for i, field in enumerate(line.split("\t"))
+            )
+            for line in first.split("\n")
         )
-        config.corpora = [config.corpora[0], CorpusSpec("plain", str(plain), "text")]
+        partly = tmp_path / "partly.conllu"
+        partly.write_text(untagged + "\n\n" + rest, encoding="utf-8")
+        sid = read_corpus(partly, "conllu").sentences[0].sentence_id
+        config.corpora = [config.corpora[0], CorpusSpec("partly", str(partly), "conllu")]
         result = run_experiment(config)
         assert result.status == 1
         assert result.failures == [
-            ("chat/ORIGINAL/1", "no pairs"),
-            ("plain/ORIGINAL/1", "no pairs"),
-            ("plain/REPLACE.WORD/1", "replace_word requires tags (sentence 's1')"),
+            ("partly/REPLACE.WORD/1", f"replace_word requires tags (sentence {sid!r})"),
         ]
-        assert result.computed == [("chat", "REPLACE.WORD", 1)]
+        assert result.computed == [
+            ("chat", "ORIGINAL", 1), ("chat", "REPLACE.WORD", 1), ("partly", "ORIGINAL", 1),
+        ]
 
 
 class TestCellCache:

@@ -110,6 +110,34 @@ class TestProtocolViolations:
             external_score(ECHO, [("same", "a"), ("same", "b")])
 
 
+@pytest.mark.parametrize("logprob, num_tokens, message", [
+    ("float('nan')", "2", "logprob is NaN"),
+    ("0.5", "2", "positive logprob 0.5"),
+    ("-1.0", "0", "num_tokens must be >= 1, got 0"),
+], ids=["nan", "positive", "tokens-zero"])
+def test_score_external_rejects_a_score_outside_the_protocol(
+    tmp_path, capsys, logprob, num_tokens, message
+):
+    """A child's score that breaks the protocol fails ``score --external``
+    with one error line naming the response line and id."""
+    child = (
+        "import sys, json\n"
+        "for line in sys.stdin:\n"
+        "    row = json.loads(line)\n"
+        f"    print(json.dumps({{'id': row['id'], 'logprob': {logprob}, "
+        f"'num_tokens': {num_tokens}}}))\n"
+    )
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text('{"pair_id": "ok", "paradigm": "semantic-verb", "good": "a b", '
+                     '"bad": "a c", "diff_index": 1, "meta": {}}\n')
+    out = tmp_path / "scores.tsv"
+    args = ["score", "--external", shlex.join([sys.executable, "-c", child]),
+            "--pairs", str(pairs), "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: response line 1 (id 'ok::good'): {message}\n"
+    assert not out.exists()
+
+
 _TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
 
 

@@ -151,3 +151,51 @@ def test_one_draw_function_for_both_perturb_entry_points():
         }
         assert "_draws" in calls, entry.__name__
     assert not _names(Path(perturb.__file__)) & {"Stream", "mix64", "replace_word", "shuffle_order"}
+
+
+def test_a_batch_scores_as_two_columns():
+    """score_sentences gives a batch's log-probabilities and event counts as
+    two columns in row order: no per-row score record, no by-id rebuild of
+    the pair rows, and a model's logprob is a float."""
+    from pathlib import Path
+
+    import verbscope.experiment as experiment
+    import verbscope.scorer.ngram as ngram
+    import verbscope.scorer.scoring as scoring
+
+    assert not hasattr(ngram, "SentenceScore")
+    assert not hasattr(scoring, "scored_pairs")
+    assert not _names(Path(experiment.__file__)) & {"SentenceScore", "scored_pairs"}
+    lm = ngram.train_ngram([["a", "b"], ["b"]], 2)
+    logprobs, counts = scoring.score_sentences(
+        lm, [("x", ["a", "b"]), ("y", ["b"]), ("z", ["a", "b"])]
+    )
+    assert type(logprobs) is list and type(counts) is list
+    assert [type(v) for v in logprobs] == [float] * 3
+    assert counts == [3, 2, 3]
+    assert logprobs[0] == logprobs[2] == lm.logprob(["a", "b"])
+    assert type(lm.logprob(["b"])) is float
+
+
+def test_a_prepared_domain_keeps_no_pair_records(tmp_path, fixture_dir):
+    """A prepared domain keeps its pairs as pair_items rows and a
+    pair_id -> paradigm map in pair order, not as MinimalPair records."""
+    from dataclasses import fields
+
+    from verbscope.experiment import ExperimentConfig, _DomainData, _prepare_domain
+    from verbscope.scorer.scoring import pair_items
+
+    config = ExperimentConfig(
+        corpora=[f"chat:{fixture_dir / 'chat.conllu'}:conllu"], out_dir=str(tmp_path)
+    )
+    data = _prepare_domain(config, config.corpora[0], tmp_path)
+    assert "pairs" not in {f.name for f in fields(_DomainData)}
+    for f in fields(data):
+        value = getattr(data, f.name)
+        if isinstance(value, (list, dict)):
+            held = value.values() if isinstance(value, dict) else value
+            assert not any(isinstance(item, MinimalPair) for item in held), f.name
+    pairs = read_pairs(data.pairs_path)
+    assert pairs
+    assert data.member_rows == pair_items(pairs)
+    assert list(data.pairs_meta.items()) == [(p.pair_id, p.paradigm) for p in pairs]

@@ -12,7 +12,6 @@ from verbscope.scorer.ngram import (
     BOS,
     EOS,
     UNK,
-    SentenceScore,
     corpus_perplexity,
     load_lm,
     save_lm,
@@ -23,7 +22,6 @@ from verbscope.scorer.scoring import (
     read_pair_scores,
     score_pairs,
     score_sentences,
-    scored_pairs,
     write_scores,
 )
 
@@ -121,15 +119,16 @@ class TestTrainNGram:
 class TestLogprob:
     def test_empty_tokens_is_eos_only(self):
         lm = train_ngram(corpus_of("a b", "b a").form_view(), order=2)
-        score = lm.logprob([])
-        assert score.num_tokens == 1
-        assert score.logprob == pytest.approx(math.log(lm.prob(EOS, [BOS])), abs=1e-12)
+        (logprob,), (events,) = score_sentences(lm, [("s", [])])
+        assert events == 1
+        assert logprob == lm.logprob([])
+        assert logprob == pytest.approx(math.log(lm.prob(EOS, [BOS])), abs=1e-12)
 
     def test_unseen_word_equals_unk_substitution(self):
         lm = train_ngram(corpus_of("you want it", "you want milk").form_view(), order=3)
         a = lm.logprob(["you", "want", "xylophone"])
         b = lm.logprob(["you", "want", UNK])
-        assert a.logprob == b.logprob
+        assert a == b
 
     def test_matches_independent_reference(self):
         sentences = [
@@ -149,16 +148,16 @@ class TestLogprob:
                 ["the", "zebra"],
                 [],
             ):
-                assert lm.logprob(probe).logprob == pytest.approx(
+                assert lm.logprob(probe) == pytest.approx(
                     ref.logprob(probe), abs=1e-10
                 ), (order, probe)
 
     def test_score_is_negative_and_counts_eos(self):
         lm = train_ngram(corpus_of("a b c d").form_view(), order=2)
-        score = lm.logprob(["a", "b"], "sid")
-        assert score.logprob < 0
-        assert score.num_tokens == 3
-        assert score.sentence_id == "sid"
+        (logprob,), (events,) = score_sentences(lm, [("sid", ["a", "b"])])
+        assert logprob < 0
+        assert logprob == lm.logprob(["a", "b"])
+        assert events == 3
 
 
 class TestNormalization:
@@ -204,7 +203,7 @@ class TestModelProperties:
         save_lm(lm, path)
         loaded = load_lm(path)
         for probe in (["a", "b", "c"], ["c", "z"], []):
-            assert loaded.logprob(probe).logprob == lm.logprob(probe).logprob
+            assert loaded.logprob(probe) == lm.logprob(probe)
         assert loaded.discount == lm.discount
 
     @pytest.mark.parametrize("discount", [0.0, -0.25, 1.5, float("nan")])
@@ -284,7 +283,7 @@ class TestPacking:
         with pytest.raises(ValueError, match=message):
             train_ngram([forms], 7)
         lm = train_ngram([forms], 6)  # 1003**6 stays below 2**63
-        assert lm.logprob(forms[:3]).num_tokens == 4
+        assert score_sentences(lm, [("s", forms[:3])])[1] == [4]
         path = tmp_path / "m.lm"
         save_lm(train_ngram([["a"]], 7), path)
         lines = path.read_text().splitlines()
@@ -305,7 +304,7 @@ class TestScorePairs:
         pair = self._pair("p", ["a", "b"], ["a", "c"], 1)
         lm_scores = score_pairs(lm, [pair])
         assert lm_scores[0][0] == "p"
-        same = lm.logprob(["a", "b"]).logprob
+        same = lm.logprob(["a", "b"])
         assert lm_scores[0][1] == same
 
     def test_plausible_sentence_beats_unk(self):
@@ -337,10 +336,14 @@ class TestScorePairs:
             self._pair("p1", ["you", "want", "it", "."], ["you", "see", "it", "."], 1),
             self._pair("p2", ["they", "see", "milk"], ["they", "see", "xylophone"], 2),
         ]
-        scores = score_sentences(lm, pair_items(pairs))
-        write_scores(scores, tmp_path / "scores.tsv")
-        assert read_pair_scores(tmp_path / "scores.tsv") == scored_pairs(pairs, scores)
-        assert scored_pairs(pairs, scores) == score_pairs(lm, pairs)
+        items = pair_items(pairs)
+        logprobs, counts = score_sentences(lm, items)
+        write_scores([sid for sid, _tokens in items], logprobs, counts, tmp_path / "scores.tsv")
+        assert read_pair_scores(tmp_path / "scores.tsv") == score_pairs(lm, pairs)
+        assert score_pairs(lm, pairs) == [
+            ("p1", logprobs[0], logprobs[1]), ("p2", logprobs[2], logprobs[3])
+        ]
+        assert counts == [5, 5, 4, 4]
 
     def test_bad_logprob_names_file_and_line(self, tmp_path):
         path = tmp_path / "scores.tsv"
@@ -375,14 +378,11 @@ _LOGPROBS = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
 def test_score_tsv_round_trip_property(rows):
     """read_pair_scores(write_scores(s)) gives back every pair's two scores,
     in order, for any id a MinimalPair accepts ("::" included)."""
-    scores = [
-        SentenceScore(f"{pair_id}::{member}", logprob, 2)
-        for pair_id, good, bad in rows
-        for member, logprob in (("good", good), ("bad", bad))
-    ]
+    ids = [f"{pair_id}::{member}" for pair_id, _good, _bad in rows for member in ("good", "bad")]
+    logprobs = [logprob for _pair_id, good, bad in rows for logprob in (good, bad)]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scores.tsv"
-        write_scores(scores, path)
+        write_scores(ids, logprobs, [2] * len(ids), path)
         assert read_pair_scores(path) == rows
 
 
@@ -412,17 +412,7 @@ def test_lm_round_trip_property(corpus, order, min_count_unk, discount, probes):
         save_lm(loaded, second)
         assert second.read_bytes() == first.read_bytes()
     for probe in corpus + probes:
-        assert loaded.logprob(probe).logprob == lm.logprob(probe).logprob, probe
-
-
-class TestSentenceScoreType:
-    def test_positive_logprob_rejected(self):
-        with pytest.raises(ValueError, match="logprob"):
-            SentenceScore("s", 0.5, 3)
-
-    def test_zero_tokens_rejected(self):
-        with pytest.raises(ValueError, match="num_tokens"):
-            SentenceScore("s", -1.0, 0)
+        assert loaded.logprob(probe) == lm.logprob(probe), probe
 
 
 def _forms_corpus(*sentences):
@@ -465,16 +455,16 @@ class TestMemoizedScoring:
         assert lm.forms == ref.forms
         for probe in self.PROBES:
             lm = train_ngram(_forms_corpus(*self.TRAIN).form_view(), order)
-            assert lm.logprob(probe).logprob == ref.logprob(probe), probe
+            assert lm.logprob(probe) == ref.logprob(probe), probe
 
     def test_literal_unk_and_eos_train_as_the_symbols_they_score_as(self):
         train = [["the", UNK, "ran"]] * 5 + [["the", "dog", "ran"], ["the", "cat", EOS]]
         lm = train_ngram(_forms_corpus(*train).form_view(), 2)
         assert lm.forms == ["cat", "dog", "ran", "the"]
         assert dict((tuple(g), c) for g, c in lm.grams(2))[(lm.eos_id, lm.eos_id)] == 1
-        unk = lm.logprob(["the", UNK, "ran"]).logprob
-        assert unk == lm.logprob(["the", "zebra", "ran"]).logprob
-        assert unk > lm.logprob(["the", "dog", "ran"]).logprob
+        unk = lm.logprob(["the", UNK, "ran"])
+        assert unk == lm.logprob(["the", "zebra", "ran"])
+        assert unk > lm.logprob(["the", "dog", "ran"])
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_warm_memo_equals_direct_sum(self, order):
@@ -482,9 +472,9 @@ class TestMemoizedScoring:
         the dict reference's score."""
         lm = train_ngram(_forms_corpus(*self.TRAIN).form_view(), order)
         ref = DictKN(self.TRAIN, order)
-        batch = score_sentences(lm, [(f"s{i}", p) for i, p in enumerate(self.PROBES)])
-        for probe, row in zip(reversed(self.PROBES), reversed(batch)):
-            assert lm.logprob(probe).logprob == row.logprob == ref.logprob(probe), probe
+        batch, _counts = score_sentences(lm, [(f"s{i}", p) for i, p in enumerate(self.PROBES)])
+        for probe, logprob in zip(reversed(self.PROBES), reversed(batch)):
+            assert lm.logprob(probe) == logprob == ref.logprob(probe), probe
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_memo_matches_direct_on_fixture(self, order, chat_fixture):
@@ -492,9 +482,9 @@ class TestMemoizedScoring:
         lm = train_ngram(train.form_view(), order)
         ref = DictKN([s.forms() for s in train], order)
         probes = [s.forms() for s in chat_fixture.sentences[300:500]]
-        rows = score_sentences(lm, [(f"s{i}", p) for i, p in enumerate(probes)])
-        for probe, row in zip(probes, rows):
-            assert row.logprob == lm.logprob(probe).logprob == ref.logprob(probe)
+        logprobs, _counts = score_sentences(lm, [(f"s{i}", p) for i, p in enumerate(probes)])
+        for probe, logprob in zip(probes, logprobs):
+            assert logprob == lm.logprob(probe) == ref.logprob(probe)
 
     def test_pair_scores_of_a_train_split_equal_the_reference(self, chat_fixture):
         """A cell's scores, bit for bit: a model of the fixture's train split
@@ -508,7 +498,7 @@ class TestMemoizedScoring:
         lm = train_ngram(train.form_view(), 3)
         ref = DictKN([s.forms() for s in train], 3)
         items = pair_items(gen_semantic_pairs(test, build_frequency_table(train)))
-        assert [row.logprob for row in score_sentences(lm, items)] == [
+        assert score_sentences(lm, items)[0] == [
             ref.logprob(tokens) for _sid, tokens in items
         ]
 
@@ -548,13 +538,13 @@ class TestMemoizedScoring:
         calls = []
         score_forms = lm.score_forms
         lm.score_forms = lambda forms: calls.append(list(forms)) or score_forms(forms)
-        rows = score_sentences(lm, sentences)
+        logprobs, counts = score_sentences(lm, sentences)
         # each distinct token list scored once, in first-seen order
         assert calls == [[("you", "want", "it", "."), ("they", "see", "milk"), ()]]
-        assert [r.sentence_id for r in rows] == ["a", "b", "c", "d", "e", "f"]
-        for row, (sid, tokens) in zip(rows, sentences):
-            alone = train_ngram(_forms_corpus(*self.TRAIN).form_view(), 3).logprob(tokens, sid)
-            assert row == alone
+        assert len(logprobs) == len(counts) == len(sentences)
+        for logprob, events, (_sid, tokens) in zip(logprobs, counts, sentences):
+            alone = train_ngram(_forms_corpus(*self.TRAIN).form_view(), 3).logprob(tokens)
+            assert (logprob, events) == (alone, len(tokens) + 1)
 
     def test_external_scorer_receives_each_distinct_text_once(self):
         class FakeScorer:
@@ -568,11 +558,10 @@ class TestMemoizedScoring:
         sentences = [("a", ["x", "y"]), ("b", ["x", "y"]), ("c", ["z"]), ("d", ["x", "y"]),
                      ("e", []), ("f", ["z"])]
         fake = FakeScorer()
-        rows = score_sentences(fake, sentences)
+        logprobs, counts = score_sentences(fake, sentences)
         assert fake.received == [("a", "x y"), ("c", "z"), ("e", "")]  # under its first id
-        assert [(r.sentence_id, r.logprob, r.num_tokens) for r in rows] == [
-            ("a", -3.0, 3), ("b", -3.0, 3), ("c", -1.0, 2), ("d", -3.0, 3),
-            ("e", 0.0, 1), ("f", -1.0, 2),
+        assert list(zip(logprobs, counts)) == [
+            (-3.0, 3), (-3.0, 3), (-1.0, 2), (-3.0, 3), (0.0, 1), (-1.0, 2),
         ]
 
 
@@ -591,4 +580,4 @@ def test_model_agrees_with_reference_on_random_corpora(sentences, order):
     ref = ReferenceKN(sentences, order)
     probes = sentences[:3] + [["a", "z", "b"], []]
     for probe in probes:
-        assert lm.logprob(probe).logprob == pytest.approx(ref.logprob(probe), abs=1e-9)
+        assert lm.logprob(probe) == pytest.approx(ref.logprob(probe), abs=1e-9)
