@@ -1,9 +1,10 @@
-"""Crash-safe text file writes, and the one CSV writer and JSON writer.
+"""Crash-safe file writes, and the one CSV writer and JSON writer.
 
 A reader of a path written through ``atomic_write`` sees either the old
 file or the whole new one, never a prefix: the text goes to a temp file in
 the same directory, which replaces the target with ``os.replace`` only once
-it is complete. A process killed mid-write leaves at most a stray temp file
+it is complete; ``binary`` opens it for bytes (a run's ``prep.npz``
+records). A process killed mid-write leaves at most a stray temp file
 (``.<name>.<pid>.tmp``) beside the untouched target. There is no fsync, so
 this guards against the process dying, not against the machine losing power.
 The temp name is per process: two writers in one process must not write
@@ -28,12 +29,15 @@ from pathlib import Path
 
 
 @contextmanager
-def atomic_write(path, newline: str | None = None):
-    """Open ``path`` for UTF-8 text writing; it appears only if the body succeeds."""
+def atomic_write(path, newline: str | None = None, binary: bool = False):
+    """Open ``path`` for UTF-8 text writing, or for bytes if ``binary``; it
+    appears only if the body succeeds."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+        with (
+            open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline=newline)
+        ) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -18,6 +18,17 @@ pair's paradigm and its stats: its Token and ``MinimalPair`` records are
 dropped once prep has written the pair file, and they are most of a
 corpus's memory. A domain without pairs fails at prep, alone.
 
+Those arrays are also the domain's prep record, ``<domain>/prep.npz``,
+one compressed ``.npz`` whose strings are packed as UTF-8 bytes and
+offsets. It is keyed (``_prep_key``) over the domain's own corpus by
+content, ``CACHE_FORMAT`` and the config fields prep reads, so neither
+the seeds, nor the model fields, nor another domain change it. A run
+whose record is whole, keyed alike and beside the files prep writes
+loads it and reads no corpus: the pair rows come back as real
+(id, tokens) rows in pair order, so every score is the same. Any other
+record is deleted before the domain is prepared again, and the new one
+is written after the domain's other files.
+
 Cells run in forked worker processes, as many as ``threads`` (at least 1)
 asks for, capped at the number of cache units and the CPU count; one
 worker runs them in-process. The workers inherit the prepared domains
@@ -61,15 +72,21 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import io
 import json
 import multiprocessing
 import os
+import zipfile
+import zlib
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .atomic import write_csv, write_json
+from .atomic import atomic_write, write_csv, write_json
 from .corpus import Forms, build_frequency_table, save_table
 from .evaluate import (
     ALL_ROW,
@@ -101,6 +118,7 @@ from .perturb import (
     CONDITIONS,
     ORIGINAL,
     REPLACE_WORD,
+    PerturbPlan,
     PerturbReport,
     condition_slug,
     perturb_forms,
@@ -108,7 +126,13 @@ from .perturb import (
 )
 from .scorer.ngram import check_discount, save_lm, train_ngram
 from .scorer.scoring import Sentences, pair_items, score_sentences, write_scores
-from .stats import compare_replacement_rates, compute_stats, write_rates_csv, write_stats_csv
+from .stats import (
+    CorpusStats,
+    compare_replacement_rates,
+    compute_stats,
+    write_rates_csv,
+    write_stats_csv,
+)
 
 
 @dataclass(frozen=True)
@@ -346,12 +370,20 @@ class ExperimentResult:
     computed: list  # the cells this run computed
     shared: list  # cells whose unit this run computed for another cell
     failed: list  # cells that failed, or whose domain did
+    domains: dict  # domain -> "prepared", "loaded" (from its prep record) or "failed"
 
     def summary(self) -> str:
         cached = len(self.cells) - len(self.computed) - len(self.shared) - len(self.failed)
         return (
             f"{len(self.cells)} cells: {len(self.computed)} computed, "
             f"{len(self.shared)} shared, {cached} cached, {len(self.failed)} failed"
+        )
+
+    def domain_summary(self) -> str:
+        counts = Counter(self.domains.values())
+        return (
+            f"{len(self.domains)} domains: {counts['prepared']} prepared, "
+            f"{counts['loaded']} loaded, {counts['failed']} failed"
         )
 
 
@@ -366,7 +398,46 @@ class _DomainData:
     stats: object
 
 
-def _prepare_domain(config: ExperimentConfig, spec: CorpusSpec, out: Path) -> _DomainData:
+def _prep_key(config: ExperimentConfig, spec: CorpusSpec, sha: str) -> str:
+    """Key of a domain's prep: its own corpus, by content, and the config
+    fields prep reads, the conditions as a set. The seeds, the model fields
+    and the other domains stay out, so adding a seed or changing the model
+    loads the record."""
+    return _key(
+        config, drop=("corpora", "seeds", "lm_order", "discount", "min_count_unk", "keep_models"),
+        corpus={"domain": spec.domain, "format": spec.format, "sha256": sha},
+        conditions=sorted(config.conditions), cache_format=CACHE_FORMAT,
+    )
+
+
+PREP_RECORD = "prep.npz"
+# a plan's arrays but its offsets, which are the train forms' offsets
+_PLAN_ARRAYS = tuple(
+    f.name for f in fields(PerturbPlan) if f.name not in ("condition", "offsets", "members")
+)
+# what a prepared domain writes beside its record; one missing is a miss too
+_PREP_FILES = ("splits/train.conllu", "splits/dev.conllu", "splits/test.conllu", "table.tsv",
+               "pairs/pairs.jsonl", "pairs/genreport.json")
+
+
+def _prepare_domain(
+    config: ExperimentConfig, spec: CorpusSpec, out: Path, sha: str
+) -> tuple[_DomainData, bool]:
+    """The domain's prepared data, and whether it was loaded from its prep
+    record. A miss deletes the record, prepares the domain and writes its
+    files, and writes the record last, so a crash never leaves a record
+    beside files it does not match."""
+    record, key = out / spec.domain / PREP_RECORD, _prep_key(config, spec, sha)
+    data = _load_prep(record, key, config.conditions, spec.domain)
+    if data is not None:
+        return data, True
+    record.unlink(missing_ok=True)
+    data = _prepare(config, spec, out)
+    _save_prep(record, key, data)
+    return data, False
+
+
+def _prepare(config: ExperimentConfig, spec: CorpusSpec, out: Path) -> _DomainData:
     ddir = out / spec.domain
     (ddir / "splits").mkdir(parents=True, exist_ok=True)
     (ddir / "pairs").mkdir(parents=True, exist_ok=True)
@@ -419,6 +490,109 @@ def _prepare_domain(config: ExperimentConfig, spec: CorpusSpec, out: Path) -> _D
         forms=forms, plans=plans, member_rows=member_rows, members=members,
         pairs_meta={p.pair_id: p.paradigm for p in pairs},
         pairs_path=pairs_path, stats=stats,
+    )
+
+
+def _packed(strings) -> tuple[np.ndarray, np.ndarray]:
+    """Strings as one UTF-8 byte array and the code-point offsets that cut
+    its text back into them."""
+    offsets = np.zeros(len(strings) + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in strings], out=offsets[1:])
+    return np.frombuffer("".join(strings).encode("utf-8"), dtype=np.uint8), offsets
+
+
+def _unpacked(record, name: str) -> list[str]:
+    text = record[name].tobytes().decode("utf-8")
+    bounds = record[name + ".at"].tolist()
+    return [text[start:end] for start, end in zip(bounds, bounds[1:])]
+
+
+def _save_prep(path: Path, key: str, data: _DomainData) -> None:
+    """A prepared domain's arrays as one compressed ``.npz`` record, its
+    strings packed by ``_packed``. Each member is stamped 1980, as
+    ``zipfile.ZipInfo`` stamps by default, where ``np.savez_compressed``
+    stamps the time of writing, so equal domains write equal bytes."""
+    arrays: dict = {}
+
+    def strings(name, values):
+        arrays[name], arrays[name + ".at"] = _packed(values)
+
+    strings("key", [key])
+    strings("vocab", data.forms.vocab)
+    arrays["ids"], arrays["offsets"] = data.forms.ids, data.forms.offsets
+    for condition, plan in data.plans.items():
+        slug = condition_slug(condition)
+        if isinstance(plan, ValueError):
+            strings(f"{slug}.error", [str(plan)])
+            continue
+        strings(f"{slug}.members", plan.members)
+        for name in _PLAN_ARRAYS:
+            if getattr(plan, name) is not None:
+                arrays[f"{slug}.{name}"] = getattr(plan, name)
+    encoded = data.members.encoded
+    strings("members.vocab", encoded.vocab)
+    arrays["members.ids"], arrays["members.offsets"] = encoded.ids, encoded.offsets
+    arrays["members.index"] = data.members.index
+    strings("pair_ids", list(data.pairs_meta))
+    paradigms = sorted(set(data.pairs_meta.values()))
+    strings("paradigms", paradigms)
+    code = {p: i for i, p in enumerate(paradigms)}
+    arrays["paradigm"] = np.array([code[p] for p in data.pairs_meta.values()], dtype=np.int32)
+    strings("stats", [json.dumps(asdict(data.stats))])  # repr floats: they round-trip exactly
+    with atomic_write(path, binary=True) as fh, zipfile.ZipFile(fh, "w") as zf:
+        for name, array in arrays.items():
+            npy = io.BytesIO()
+            np.lib.format.write_array(npy, np.asanyarray(array), allow_pickle=False)
+            # level 1: at 100k tokens, a fifth of level 6's time for a quarter more bytes
+            zf.writestr(zipfile.ZipInfo(name + ".npy"), npy.getvalue(), zipfile.ZIP_DEFLATED, 1)
+
+
+def _load_prep(path: Path, key: str, conditions: list, domain: str) -> _DomainData | None:
+    """The prepared domain in the record at ``path``, if it is whole, keyed
+    ``key`` and has the files prep writes beside it; else None."""
+    ddir = path.parent
+    if not all((ddir / name).is_file() for name in _PREP_FILES):
+        return None
+    try:
+        with np.load(path, allow_pickle=False) as record:
+            if _unpacked(record, "key") != [key]:
+                return None
+            return _domain_of(record, conditions, domain, ddir)
+    except (OSError, EOFError, LookupError, TypeError, ValueError, zipfile.BadZipFile,
+            zlib.error):  # missing, cut short, not a zip or not this layout: a miss
+        return None
+
+
+def _domain_of(record, conditions: list, domain: str, ddir: Path) -> _DomainData:
+    forms = Forms(tuple(_unpacked(record, "vocab")), record["ids"], record["offsets"], domain)
+    plans: dict = {}
+    for condition in conditions:
+        slug = condition_slug(condition)
+        if f"{slug}.error" in record:
+            plans[condition] = ValueError(_unpacked(record, f"{slug}.error")[0])
+            continue
+        arrays = {
+            name: record[f"{slug}.{name}"] for name in _PLAN_ARRAYS if f"{slug}.{name}" in record
+        }
+        plans[condition] = PerturbPlan(
+            condition, forms.offsets, members=tuple(_unpacked(record, f"{slug}.members")),
+            **arrays,
+        )
+    members = Sentences.of_encoded(
+        Forms(tuple(_unpacked(record, "members.vocab")), record["members.ids"],
+              record["members.offsets"]),
+        record["members.index"],
+    )
+    pair_ids = _unpacked(record, "pair_ids")
+    paradigms = _unpacked(record, "paradigms")
+    sids = [f"{pid}::{member}" for pid in pair_ids for member in ("good", "bad")]
+    return _DomainData(
+        forms=forms, plans=plans,
+        member_rows=list(zip(sids, map(members.distinct.__getitem__, members.index.tolist()))),
+        members=members,
+        pairs_meta=dict(zip(pair_ids, map(paradigms.__getitem__, record["paradigm"].tolist()))),
+        pairs_path=ddir / "pairs" / "pairs.jsonl",
+        stats=CorpusStats(**json.loads(_unpacked(record, "stats")[0])),
     )
 
 
@@ -525,12 +699,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     shas = {spec.domain: _sha256(spec.path) for spec in config.corpora}
 
     domains: dict[str, _DomainData] = {}
+    prep: dict[str, str] = {}
     failures: list[tuple[str, str]] = []
     for spec in config.corpora:
         try:
-            domains[spec.domain] = _prepare_domain(config, spec, out)
+            domains[spec.domain], loaded = _prepare_domain(config, spec, out, shas[spec.domain])
+            prep[spec.domain] = "loaded" if loaded else "prepared"
         except Exception as exc:  # domain prep failure takes down its cells only
             failures.append((spec.domain, str(exc)))
+            prep[spec.domain] = "failed"
 
     cells = [
         (spec.domain, condition, seed)
@@ -626,4 +803,5 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         computed=computed,
         shared=shared,
         failed=failed,
+        domains=prep,
     )

@@ -290,13 +290,3 @@ def perturb_corpus(
             end += span
     out = Corpus(tuple(sentences), domain=corpus.domain, split=corpus.split)
     return out, _report(condition, corpus.n_tokens, replaced, seed)
-
-
-def recount_differences(before: Corpus, after: Corpus) -> int:
-    """Independent tally of positions whose form changed (report cross-check)."""
-    diff = 0
-    for s1, s2 in zip(before.sentences, after.sentences):
-        for t1, t2 in zip(s1.tokens, s2.tokens):
-            if t1.form != t2.form:
-                diff += 1
-    return diff

@@ -11,10 +11,13 @@ and the child answers, in any order it likes, one line per request:
 Scores are total natural-log probabilities; the child may tokenize
 however it wants, only the per-sentence total matters. Stdin is closed
 after the last request; the child must answer every id and exit 0. Any
-deviation (unparseable line, unknown or duplicate id, positive or NaN
-logprob, missing answers, nonzero exit, batch timeout) raises
-ExternalScorerError naming the offending line or ids. ``check_score``
-holds the rules of one score; the score TSV reader applies them too.
+deviation (unparseable line, unknown or duplicate id, a logprob that is
+not a JSON number or is positive or NaN, num_tokens that is not a JSON
+integer, missing answers, nonzero exit, batch timeout) raises
+ExternalScorerError naming the offending line or ids; true, false and
+numbers in strings are refused, not converted. ``check_score`` holds the
+rules of one score's values; the score TSV reader, whose fields are text,
+applies them too.
 
 ``ExternalScorer`` holds the command, its timeout and, inside its
 context, the child started for the next batch. Its scores carry no scorer
@@ -138,8 +141,13 @@ def external_score(
             raise ExternalScorerError(f"response line {lineno}: unknown id {rid!r}")
         if rid in results:
             raise ExternalScorerError(f"response line {lineno}: duplicate id {rid!r}")
-        try:  # a missing field reads as None, which is not a number
-            results[rid] = check_score(row.get("logprob"), row.get("num_tokens"))
+        logprob, num_tokens = row.get("logprob"), row.get("num_tokens")
+        try:  # JSON types, not conversions: a bool, a string or 2.5 tokens is refused
+            if type(logprob) not in (int, float):
+                raise ValueError(f"logprob {logprob!r} is not a number")
+            if type(num_tokens) is not int:
+                raise ValueError(f"num_tokens {num_tokens!r} is not an integer")
+            results[rid] = check_score(logprob, num_tokens)
         except ValueError as exc:
             raise ExternalScorerError(f"response line {lineno} (id {rid!r}): {exc}") from None
 

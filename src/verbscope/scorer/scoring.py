@@ -49,7 +49,7 @@ class Sentences:
     sequence (both int32 arrays). ``encoded`` is the distinct sequences as
     a ``Forms`` view, built on first use and kept, so every model that
     scores the same rows can reuse one encoding. The rows themselves are
-    not kept.
+    not kept. ``of_encoded`` rebuilds a batch from its encoding and index.
     """
 
     def __init__(self, rows: Sequence[tuple[str, Sequence[str]]]):
@@ -60,6 +60,15 @@ class Sentences:
         self.distinct = list(seen)
         self.first = np.unique(self.index, return_index=True)[1]
         self._encoded: Forms | None = None
+
+    @classmethod
+    def of_encoded(cls, encoded: Forms, index: np.ndarray) -> "Sentences":
+        """The batch whose distinct sequences ``encoded`` holds in first-seen
+        order, row r being sequence ``index[r]``."""
+        batch = cls.__new__(cls)
+        batch.index, batch.distinct, batch._encoded = index, list(encoded), encoded
+        batch.first = np.unique(index, return_index=True)[1]
+        return batch
 
     @property
     def encoded(self) -> Forms:
@@ -97,12 +106,6 @@ def score_sentences(
         counts = [results[sid][1] for sid in first_ids]
     index = batch.index.tolist()
     return [logprobs[at] for at in index], [counts[at] for at in index]
-
-
-def score_pairs(scorer, pairs: Sequence[MinimalPair]) -> list[ScoredPair]:
-    """(pair_id, logprob_good, logprob_bad) rows, in pair order."""
-    logprobs, _counts = score_sentences(scorer, pair_items(pairs))
-    return list(zip([p.pair_id for p in pairs], logprobs[0::2], logprobs[1::2]))
 
 
 def write_scores(ids: Iterable[str], logprobs: Sequence, counts: Sequence, path) -> None:

@@ -9,6 +9,7 @@ except ImportError:
 import pytest
 
 from verbscope.corpus import AnnotatedSentence, Corpus, Token
+from verbscope.scorer.scoring import pair_items, score_sentences
 
 
 def sent(spec: str, sentence_id: str = "s1") -> AnnotatedSentence:
@@ -47,6 +48,21 @@ def corpus_of(*specs: str, domain: str = "", split: str = "unsplit") -> Corpus:
         tuple(sent(s, f"s{i + 1}") for i, s in enumerate(specs)),
         domain=domain,
         split=split,
+    )
+
+
+def score_pairs(scorer, pairs) -> list[tuple[str, float, float]]:
+    """(pair_id, logprob_good, logprob_bad) rows, in pair order."""
+    logprobs, _counts = score_sentences(scorer, pair_items(pairs))
+    return list(zip([p.pair_id for p in pairs], logprobs[0::2], logprobs[1::2]))
+
+
+def recount_differences(before: Corpus, after: Corpus) -> int:
+    """Independent tally of positions whose form changed (report cross-check)."""
+    return sum(
+        t1.form != t2.form
+        for s1, s2 in zip(before.sentences, after.sentences)
+        for t1, t2 in zip(s1.tokens, s2.tokens)
     )
 
 

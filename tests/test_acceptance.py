@@ -37,8 +37,9 @@ from verbscope.perturb import (
     perturb_corpus,
 )
 from verbscope.scorer.ngram import train_ngram
-from verbscope.scorer.scoring import score_pairs
 from verbscope.tagger import heuristic_root
+
+from conftest import score_pairs
 
 SEEDS = (1, 2, 3)
 

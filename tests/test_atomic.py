@@ -22,6 +22,7 @@ from verbscope.analysis import (
 )
 from verbscope.atomic import loads_line
 from verbscope.cli import main
+from verbscope.corpus import Forms
 from verbscope.evaluate import (
     RESULT_COLUMNS,
     CrossDomainMatrix,
@@ -29,6 +30,7 @@ from verbscope.evaluate import (
     write_results_csv,
 )
 from verbscope.perturb import perturb_corpus
+from verbscope.scorer.scoring import Sentences
 from verbscope.stats import CorpusStats, RateTable, write_rates_csv, write_stats_csv
 from verbscope.tagger import TaggerModel, save_tagger
 
@@ -104,12 +106,35 @@ def _perturb_report(path, monkeypatch):
         raise RuntimeError(f"perturb exited {status}")
 
 
+def _prep_record(path, monkeypatch):
+    import numpy as np
+
+    import verbscope.experiment as experiment
+
+    real, written = np.lib.format.write_array, []
+
+    def refuse_the_third(member, array, **kwargs):  # fails after two arrays are in the zip
+        written.append(array)
+        if len(written) == 3:
+            raise RuntimeError("unwritable")
+        return real(member, array, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", refuse_the_third)
+    forms = Forms.encode([("a", "b")])
+    members = Sentences([("p::good", ("a", "b")), ("p::bad", ("b", "a"))])
+    data = experiment._DomainData(
+        forms=forms, plans={}, member_rows=[], members=members, pairs_meta={"p": "x"},
+        pairs_path=path, stats=CorpusStats(1.0, 1.0, None, 2.0, 1, 2),
+    )
+    experiment._save_prep(path, "key", data)
+
+
 @pytest.mark.parametrize(
     "write",
     [_regression, _trajectory, _results, _matrix, _stats, _rates, _chart, _tagger,
-     _perturb_report],
+     _perturb_report, _prep_record],
     ids=["regression-csv", "trajectory-csv", "results-csv", "matrix-csv", "stats-csv",
-         "rates-csv", "chart", "tagger", "perturb-report"],
+         "rates-csv", "chart", "tagger", "perturb-report", "prep-record"],
 )
 def test_failed_write_leaves_previous_file(tmp_path, monkeypatch, write):
     target = tmp_path / "target"

@@ -234,7 +234,9 @@ def test_run_minimal(tmp_path, fixture_dir, capsys):
     assert (out / "manifest.json").exists()
     rows = (out / "results.csv").read_text().splitlines()
     assert len(rows) > 1
-    assert "3 cells: 3 computed, 0 shared, 0 cached, 0 failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "3 cells: 3 computed, 0 shared, 0 cached, 0 failed\n" in err
+    assert "1 domains: 1 prepared, 0 loaded, 0 failed\n" in err
 
 
 def test_a_domain_without_pairs_fails_only_its_own_cells(tmp_path, fixture_dir, capsys):
@@ -258,6 +260,7 @@ def test_a_domain_without_pairs_fails_only_its_own_cells(tmp_path, fixture_dir, 
     ]) == 1
     err = capsys.readouterr().err
     assert "6 cells: 3 computed, 0 shared, 0 cached, 3 failed" in err
+    assert "2 domains: 1 prepared, 0 loaded, 1 failed\n" in err
     assert "FAILED short: no pairs\n" in err and err.count("FAILED") == 1
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["cells"] == {

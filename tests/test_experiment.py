@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from verbscope.experiment import (
     CorpusSpec,
@@ -583,3 +584,290 @@ class TestCellCache:
             })
         assert trees[0] == trees[1]
         assert len(trees[0]) == 2 * 4  # cell.json, perturb.json, two score TSVs
+
+
+def _outputs(out: Path) -> dict:
+    """Every file of a run directory, the manifest without its out_dir and
+    pair-file paths."""
+    files = {
+        p.relative_to(out).as_posix(): p.read_bytes()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name != "manifest.json"
+    }
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"].pop("out_dir")
+    manifest.pop("pairs_files")
+    return {**files, "manifest.json": manifest}
+
+
+def _no_corpus_reads(monkeypatch):
+    """Make every corpus read raise: the name ``run`` calls and ingest's own."""
+    import verbscope.experiment as exp
+    import verbscope.ingest as ingest
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a corpus was parsed")
+
+    monkeypatch.setattr(exp, "read_corpus", refuse)
+    monkeypatch.setattr(ingest, "read_corpus", refuse)
+
+
+class TestPrepRecord:
+    """A domain's prep is one keyed record, <domain>/prep.npz: a run whose
+    record matches loads it and parses no corpus, and any other record is
+    never served."""
+
+    def test_cached_rerun_and_added_seed_parse_no_corpus(self, tmp_path, small_config, monkeypatch):
+        out = tmp_path / "out"
+        cold = run_experiment(small_config(out, seeds=(1, 2)))
+        assert cold.domains == {"chat": "prepared", "written": "prepared"}
+        assert cold.domain_summary() == "2 domains: 2 prepared, 0 loaded, 0 failed"
+        before = _outputs(out)
+        _no_corpus_reads(monkeypatch)
+        again = run_experiment(small_config(out, seeds=(1, 2)))
+        assert again.status == 0
+        assert again.domain_summary() == "2 domains: 0 prepared, 2 loaded, 0 failed"
+        assert again.summary() == "8 cells: 0 computed, 0 shared, 8 cached, 0 failed"
+        assert _outputs(out) == before
+        grown = run_experiment(small_config(out, seeds=(1, 2, 3)))
+        assert grown.status == 0
+        assert grown.domains == {"chat": "loaded", "written": "loaded"}
+        assert grown.computed == [("chat", "REPLACE.WORD", 3), ("written", "REPLACE.WORD", 3)]
+        monkeypatch.undo()
+        run_experiment(small_config(tmp_path / "fresh", seeds=(1, 2, 3)))
+        assert _outputs(out) == _outputs(tmp_path / "fresh")
+
+    def test_model_change_and_added_domain_load_the_other_records(self, tmp_path, small_config):
+        """Another model, another order of the same conditions and a third
+        domain leave the first two domains' records keyed alike."""
+        out = tmp_path / "out"
+        run_experiment(small_config(out, seeds=(1,)))
+        config = small_config(out, seeds=(1,))
+        copy = tmp_path / "bcopy.conllu"
+        copy.write_bytes(Path(config.corpora[0].path).read_bytes())
+        config.corpora = config.corpora + [CorpusSpec("bcopy", str(copy), "conllu")]
+        config.lm_order, config.discount, config.min_count_unk = 2, 0.5, 2
+        config.conditions = config.conditions[::-1]
+        result = run_experiment(config)
+        assert result.status == 0
+        assert result.domains == {"chat": "loaded", "written": "loaded", "bcopy": "prepared"}
+
+    @staticmethod
+    def _cut_record(out, config):
+        record = out / "chat" / "prep.npz"
+        data = record.read_bytes()
+        record.write_bytes(data[: len(data) // 2])  # as a kill during an in-place write
+        return {"chat": "prepared", "written": "loaded"}
+
+    @staticmethod
+    def _change_corpus(out, config):
+        written = Path(config.corpora[1].path)
+        text = written.read_text(encoding="utf-8")
+        form_at = text.index("\n1\t") + 3  # first letter of the first form
+        written.write_text(text[:form_at] + "Z" + text[form_at + 1:], encoding="utf-8")
+        return {"chat": "loaded", "written": "prepared"}
+
+    @staticmethod
+    def _change_split(out, config):
+        config.split = "3/4,1/8,1/8"
+        return {"chat": "prepared", "written": "prepared"}
+
+    @staticmethod
+    def _include_propn(out, config):
+        config.include_propn = True
+        return {"chat": "prepared", "written": "prepared"}
+
+    @staticmethod
+    def _delete_pairs(out, config):
+        (out / "chat" / "pairs" / "pairs.jsonl").unlink()
+        return {"chat": "prepared", "written": "loaded"}
+
+    @staticmethod
+    def _crash_other_prep(out, config):
+        """Config B's prep dies after its splits: config A's record must not
+        then be served beside B's split files."""
+        import verbscope.experiment as exp
+
+        other = exp.ExperimentConfig(**{**config.__dict__, "split": "3/4,1/8,1/8"})
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("killed")
+
+        real, exp.write_pairs = exp.write_pairs, crash
+        try:
+            assert run_experiment(other).domains == {"chat": "failed", "written": "failed"}
+        finally:
+            exp.write_pairs = real
+        assert not list(out.glob("*/prep.npz"))
+        return {"chat": "prepared", "written": "prepared"}
+
+    @pytest.mark.parametrize(
+        "change",
+        ["_cut_record", "_change_corpus", "_change_split", "_include_propn", "_delete_pairs",
+         "_crash_other_prep"],
+    )
+    def test_a_record_that_does_not_match_is_prepared_again(
+        self, tmp_path, small_config, change
+    ):
+        """Each change re-prepares what it touches, and the directory then
+        holds the bytes a fresh run of the changed config writes, its records
+        included."""
+        config = small_config(tmp_path / "out", seeds=(1,))
+        copies = []
+        for spec in config.corpora:
+            copy = tmp_path / f"{spec.domain}.conllu"
+            copy.write_bytes(Path(spec.path).read_bytes())
+            copies.append(CorpusSpec(spec.domain, str(copy), spec.format))
+        config.corpora = copies
+        assert run_experiment(config).status == 0
+        expected = getattr(self, change)(tmp_path / "out", config)
+        result = run_experiment(config)
+        assert result.status == 0
+        assert result.domains == expected
+        config.out_dir = str(tmp_path / "fresh")
+        run_experiment(config)
+        assert _outputs(tmp_path / "out") == _outputs(tmp_path / "fresh")
+
+    def test_traced_run_adds_a_seed_over_a_cut_cell(self, tmp_path, small_config, monkeypatch):
+        """The benchmark's traced grid-add-seed round: with the layer timers
+        of perfbench/child.py installed, which read each wrapped call's
+        arguments by name, every cell of the re-run over loaded records is
+        ok, it scores and trains, and its rows equal an untraced cold grid's."""
+        import importlib
+        import importlib.util
+        import sys
+
+        three = ["ORIGINAL", "REPLACE.WORD", "SHUFFLE.ORDER"]
+        cold = small_config(tmp_path / "cold", seeds=(1, 2, 3))
+        cold.conditions = three
+        assert run_experiment(cold).status == 0
+
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+        spec = importlib.util.spec_from_file_location("perfbench_child", path)
+        child = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(child)
+        for module_name, attr, _classify in child.TARGETS:  # undone after the test
+            fn = getattr(importlib.import_module(module_name), attr, None)
+            for name, module in list(sys.modules.items()):
+                if module is not None and name.startswith("verbscope"):
+                    for key, value in list(vars(module).items()):
+                        if value is fn:
+                            monkeypatch.setattr(module, key, value)
+        tracer = child.Tracer()
+        tracer.install()
+
+        out = tmp_path / "out"
+        config = small_config(out, seeds=(1, 2))
+        config.conditions = three
+        assert run_experiment(config).status == 0
+        cut = out / "chat" / "replace-word" / "seed1" / "cell.json"
+        data = cut.read_bytes()
+        cut.write_bytes(data[: len(data) // 2])
+        tracer.layers = {}
+        config.seeds = [1, 2, 3]
+        result = run_experiment(config)
+        assert result.domains == {"chat": "loaded", "written": "loaded"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["cells"].values()) == {"ok"} and len(manifest["cells"]) == 18
+        assert tracer.layers["scorer.score"]["s"] > 0
+        assert tracer.layers["scorer.score"]["sentences"] > 0
+        assert tracer.layers["scorer.train"]["models"] == 5
+        assert "ingest.read" not in tracer.layers
+        assert (out / "results.csv").read_bytes() == (tmp_path / "cold" / "results.csv").read_bytes()
+
+
+_VERBS = ("eats", "sees", "hits", "gets", "buys", "sells", "takes")
+# forms a record must keep exactly: spaces, non-BMP letters, combining marks
+# and the scorer's own unknown-word symbol
+_FORM = st.one_of(
+    st.sampled_from(["<unk>", "a b", " ", "\U0001d518\U0001d52b", "é", "_", "#x"]),
+    st.text(st.characters(exclude_categories=("Cs", "Cc", "Zl", "Zp")), min_size=1, max_size=6),
+)
+
+
+def _conllu(nouns, shape: str) -> str:
+    """Twelve "noun verb noun" sentences: the last two, the test split, give
+    semantic pairs. "pronouns" tags the nouns PRON, so REPLACE.WORD has no
+    target; "untagged" leaves the first training sentence untagged, so its
+    plan fails. Whitespace, which a pair file cannot store in a token, is
+    kept to the training split."""
+    upos, xpos = ("PRON", "PRP") if shape == "pronouns" else ("NOUN", "NN")
+    lines = []
+    for i in range(12):
+        tags = [(upos, xpos), ("VERB", "VBZ"), (upos, xpos)]
+        if shape == "untagged" and i == 0:
+            tags = [("_", "_")] * 3
+        words = [nouns[2 * i % len(nouns)], _VERBS[i % 7], nouns[(2 * i + 1) % len(nouns)]]
+        if i >= 10:
+            words = ["".join(form.split()) or "x" for form in words]
+        heads, rels = ("2", "0", "2"), ("nsubj", "root", "obj")
+        lines.append(f"# sent_id = s{i}")
+        for k, (form, (u, x)) in enumerate(zip(words, tags)):
+            lemma = form.lower() if u == "VERB" else "_"
+            lines.append("\t".join((str(k + 1), form, lemma, u, x, "_", heads[k], rels[k], "_", "_")))
+        lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def _assert_same_domain(a, b):
+    """Two prepared domains equal field by field, array dtypes included."""
+    import numpy as np
+
+    from dataclasses import fields as dc_fields
+
+    from verbscope.perturb import PerturbPlan
+
+    def same_array(x, y):
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+    for fa, fb in ((a.forms, b.forms), (a.members.encoded, b.members.encoded)):
+        assert (fa.vocab, fa.domain) == (fb.vocab, fb.domain)
+        same_array(fa.ids, fb.ids)
+        same_array(fa.offsets, fb.offsets)
+    assert list(a.plans) == list(b.plans)
+    for condition, plan in a.plans.items():
+        other = b.plans[condition]
+        if isinstance(plan, ValueError):
+            assert type(other) is ValueError and str(other) == str(plan)
+            continue
+        assert (other.condition, other.members) == (plan.condition, plan.members)
+        for f in dc_fields(PerturbPlan):
+            if f.name not in ("condition", "members"):
+                same_array(getattr(plan, f.name), getattr(other, f.name))
+    assert a.member_rows == b.member_rows
+    assert all(type(sid) is str and type(tokens) is tuple for sid, tokens in b.member_rows)
+    assert a.members.distinct == b.members.distinct
+    same_array(a.members.index, b.members.index)
+    same_array(a.members.first, b.members.first)
+    assert list(a.pairs_meta.items()) == list(b.pairs_meta.items())
+    assert a.pairs_path == b.pairs_path
+    assert a.stats == b.stats and repr(a.stats) == repr(b.stats)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_FORM, min_size=1, max_size=24), st.sampled_from(["nouns", "pronouns", "untagged"]))
+def test_a_prepared_domain_equals_its_reloaded_record(nouns, shape):
+    import tempfile
+
+    from verbscope.experiment import _prepare_domain, _sha256
+    from verbscope.perturb import REPLACE_WORD
+
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "d.conllu"
+        corpus.write_text(_conllu(nouns, shape), encoding="utf-8")
+        config = ExperimentConfig(
+            corpora=[f"d:{corpus}:conllu"], out_dir=tmp, len_min=1, seeds=[1],
+        )
+        spec = config.corpora[0]
+        prepared, loaded = _prepare_domain(config, spec, Path(tmp), _sha256(corpus))
+        assert not loaded
+        reloaded, loaded = _prepare_domain(config, spec, Path(tmp), _sha256(corpus))
+        assert loaded
+        _assert_same_domain(prepared, reloaded)
+        plan = prepared.plans[REPLACE_WORD]
+        if shape == "untagged":
+            assert isinstance(plan, ValueError)
+        elif shape == "pronouns":
+            assert len(plan.targets) == 0

@@ -15,7 +15,8 @@ import verbscope.scorer.external as external
 from verbscope.cli import main
 from verbscope.pairgen import MinimalPair
 from verbscope.scorer.external import ExternalScorer, ExternalScorerError, external_score
-from verbscope.scorer.scoring import score_pairs
+
+from conftest import score_pairs
 
 # the module is stdlib-only, so the child needs no import path setup
 ECHO = [sys.executable, verbscope.echo_scorer.__file__]
@@ -114,7 +115,12 @@ class TestProtocolViolations:
     ("float('nan')", "2", "logprob is NaN"),
     ("0.5", "2", "positive logprob 0.5"),
     ("-1.0", "0", "num_tokens must be >= 1, got 0"),
-], ids=["nan", "positive", "tokens-zero"])
+    ("-1.0", "2.5", "num_tokens 2.5 is not an integer"),
+    ("-1.0", "True", "num_tokens True is not an integer"),
+    ("'-1.5'", "3", "logprob '-1.5' is not a number"),
+    ("False", "1", "logprob False is not a number"),
+], ids=["nan", "positive", "tokens-zero", "tokens-float", "tokens-bool", "logprob-string",
+        "logprob-bool"])
 def test_score_external_rejects_a_score_outside_the_protocol(
     tmp_path, capsys, logprob, num_tokens, message
 ):
@@ -136,6 +142,22 @@ def test_score_external_rejects_a_score_outside_the_protocol(
     assert main(args) == 1
     assert capsys.readouterr().err == f"error: response line 1 (id 'ok::good'): {message}\n"
     assert not out.exists()
+
+
+def test_score_external_takes_an_integer_logprob(tmp_path):
+    """A JSON integer is a JSON number: logprob -3 is a score of -3.0."""
+    child = (
+        "import sys, json\n"
+        "for line in sys.stdin:\n"
+        "    print(json.dumps({'id': json.loads(line)['id'], 'logprob': -3, 'num_tokens': 2}))\n"
+    )
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text('{"pair_id": "ok", "paradigm": "semantic-verb", "good": "a b", '
+                     '"bad": "a c", "diff_index": 1, "meta": {}}\n')
+    out = tmp_path / "scores.tsv"
+    assert main(["score", "--external", shlex.join([sys.executable, "-c", child]),
+                 "--pairs", str(pairs), "--out", str(out)]) == 0
+    assert out.read_text() == "ok::good\t-3.0\t2\nok::bad\t-3.0\t2\n"
 
 
 _TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)

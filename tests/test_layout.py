@@ -182,13 +182,15 @@ def test_a_prepared_domain_keeps_no_pair_records(tmp_path, fixture_dir):
     pair_id -> paradigm map in pair order, not as MinimalPair records."""
     from dataclasses import fields
 
-    from verbscope.experiment import ExperimentConfig, _DomainData, _prepare_domain
+    from verbscope.experiment import ExperimentConfig, _DomainData, _prepare_domain, _sha256
     from verbscope.scorer.scoring import pair_items
 
     config = ExperimentConfig(
         corpora=[f"chat:{fixture_dir / 'chat.conllu'}:conllu"], out_dir=str(tmp_path)
     )
-    data = _prepare_domain(config, config.corpora[0], tmp_path)
+    spec = config.corpora[0]
+    data, loaded = _prepare_domain(config, spec, tmp_path, _sha256(spec.path))
+    assert not loaded
     assert "pairs" not in {f.name for f in fields(_DomainData)}
     for f in fields(data):
         value = getattr(data, f.name)
@@ -199,3 +201,22 @@ def test_a_prepared_domain_keeps_no_pair_records(tmp_path, fixture_dir):
     assert pairs
     assert data.member_rows == pair_items(pairs)
     assert list(data.pairs_meta.items()) == [(p.pair_id, p.paradigm) for p in pairs]
+
+
+def test_test_only_functions_live_in_the_tests():
+    """score_pairs and recount_differences serve only tests, so they live
+    in conftest.py, and no module under src/ defines either."""
+    import ast
+    from pathlib import Path
+
+    import verbscope
+
+    package = Path(verbscope.__file__).parent
+    defined = {
+        f"{path.relative_to(package)}:{node.name}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.AsyncFunctionDef))
+        and node.name in ("score_pairs", "recount_differences")
+    }
+    assert not defined

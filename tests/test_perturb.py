@@ -16,12 +16,11 @@ from verbscope.perturb import (
     perturb_corpus,
     perturb_forms,
     perturb_plan,
-    recount_differences,
     replace_plan,
 )
 from verbscope.rng import Stream, mix64
 
-from conftest import corpus_of, sent
+from conftest import corpus_of, recount_differences, sent
 
 
 def replace_word(plan, stream):

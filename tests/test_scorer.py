@@ -20,12 +20,11 @@ from verbscope.scorer.ngram import (
 from verbscope.scorer.scoring import (
     pair_items,
     read_pair_scores,
-    score_pairs,
     score_sentences,
     write_scores,
 )
 
-from conftest import corpus_of
+from conftest import corpus_of, score_pairs
 from kn_reference import DictKN
 
 
