@@ -12,22 +12,23 @@ Domain prep encodes the train split once as an int32 id array over its
 sorted forms (``Corpus.form_view``), builds the perturb plan of each of
 the run's conditions as arrays, and encodes the distinct members of its
 pairs once (``scoring.Sentences``). A cell perturbs that id array,
-trains on it and scores the encoded pairs, all as array work. A prepared
-domain keeps only those, its pair members as ``pair_items`` rows, each
-pair's paradigm and its stats: its Token and ``MinimalPair`` records are
-dropped once prep has written the pair file, and they are most of a
-corpus's memory. A domain without pairs fails at prep, alone.
+trains on it and scores the encoded pairs, all as array work. A domain
+without pairs fails at prep, alone.
 
-Those arrays are also the domain's prep record, ``<domain>/prep.npz``,
-one compressed ``.npz`` whose strings are packed as UTF-8 bytes and
-offsets. It is keyed (``_prep_key``) over the domain's own corpus by
-content, ``CACHE_FORMAT`` and the config fields prep reads, so neither
-the seeds, nor the model fields, nor another domain change it. A run
-whose record is whole, keyed alike and beside the files prep writes
-loads it and reads no corpus: the pair rows come back as real
-(id, tokens) rows in pair order, so every score is the same. Any other
-record is deleted before the domain is prepared again, and the new one
-is written after the domain's other files.
+Prep's product is the domain's prep record, ``<domain>/prep.npz``: one
+zip of ``.npy`` arrays and one ``strings.json`` member holding the key,
+the vocabularies, each pair's paradigm in pair order, each condition's
+plan members (or the error building the plan raised) and the stats. It
+is keyed (``_prep_key``) over the domain's own corpus by content,
+``CACHE_FORMAT`` and the config fields prep reads, so neither the seeds,
+nor the model fields, nor another domain change it. A run whose record
+is whole, keyed alike and beside the files prep writes loads it and
+reads no corpus. A prepared domain is always built from a record, just
+written or loaded (``_domain_of``), so both give the same rows in pair
+order and the same scores. Its Token and ``MinimalPair`` records are
+never kept: they are most of a corpus's memory. Any other record is
+deleted before the domain is prepared again, and the new one is written
+after the domain's other files.
 
 Cells run in forked worker processes, as many as ``threads`` (at least 1)
 asks for, capped at the number of cache units and the CPU count; one
@@ -62,8 +63,9 @@ files: ``cell.json`` stores them with ``accuracy`` as a JSON number,
 ``cross_domain.csv`` cell is the mean of the ORIGINAL seeds' ALL rows for
 its (train, eval) domains.
 
-Config files are flat key = value text (a TOML subset, parsed in-package):
-strings quoted, booleans true/false, numbers bare, lists in brackets.
+Config files are flat key = value text (a TOML subset): each value is a
+JSON value, so strings are double-quoted with TOML's escapes (a backslash
+is written twice), booleans true/false, numbers bare, lists in brackets.
 Corpora are "domain:path[:format]" strings (``CorpusSpec.parse``). Full-line
 comments start with #.
 """
@@ -125,7 +127,7 @@ from .perturb import (
     perturb_plan,
 )
 from .scorer.ngram import check_discount, save_lm, train_ngram
-from .scorer.scoring import Sentences, pair_items, score_sentences, write_scores
+from .scorer.scoring import Sentences, member_ids, pair_items, score_sentences, write_scores
 from .stats import (
     CorpusStats,
     compare_replacement_rates,
@@ -247,7 +249,10 @@ def parse_flat_config(text: str, source: str = "config") -> dict:
             raise ValueError(f"{where}: unknown key {key!r}")
         if key in out:
             raise ValueError(f"{where}: {key} is set twice")
-        out[key] = _parse_value(value.strip(), where)
+        try:
+            out[key] = json.loads(value)
+        except ValueError:
+            raise ValueError(f"{where}: cannot parse value {value.strip()!r}") from None
         want, got = types[key], type(out[key]).__name__
         if got != want and (want, got) != ("float", "int"):
             raise ValueError(f"{where}: {key} must be {want}, got {got} {out[key]!r}")
@@ -261,26 +266,6 @@ def parse_flat_config(text: str, source: str = "config") -> dict:
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     return out
-
-
-def _parse_value(text: str, where: str):
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_value(part.strip(), where) for part in inner.split(",")]
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"{where}: cannot parse value {text!r}")
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -394,7 +379,6 @@ class _DomainData:
     member_rows: list  # pair_items rows: pair k's members at rows 2k and 2k + 1
     members: Sentences  # the distinct pair members, encoded once for every cell
     pairs_meta: dict  # pair_id -> paradigm, in pair order
-    pairs_path: Path
     stats: object
 
 
@@ -427,21 +411,23 @@ def _prepare_domain(
     record. A miss deletes the record, prepares the domain and writes its
     files, and writes the record last, so a crash never leaves a record
     beside files it does not match."""
-    record, key = out / spec.domain / PREP_RECORD, _prep_key(config, spec, sha)
-    data = _load_prep(record, key, config.conditions, spec.domain)
-    if data is not None:
-        return data, True
-    record.unlink(missing_ok=True)
-    data = _prepare(config, spec, out)
-    _save_prep(record, key, data)
-    return data, False
+    path, key = out / spec.domain / PREP_RECORD, _prep_key(config, spec, sha)
+    record = _load_prep(path, key)
+    loaded = record is not None
+    if not loaded:
+        path.unlink(missing_ok=True)
+        record = _prepare(config, spec, out, key)
+        _save_prep(path, record)
+    return _domain_of(record, config.conditions, spec.domain), loaded
 
 
-def _prepare(config: ExperimentConfig, spec: CorpusSpec, out: Path) -> _DomainData:
+def _prepare(config: ExperimentConfig, spec: CorpusSpec, out: Path, key: str) -> dict:
+    """Prepare the domain, write its files and return its prep record: the
+    arrays by name, and under ``strings`` the record's one dict of strings."""
+    corpus = read_corpus(spec.path, spec.format, spec.domain)
     ddir = out / spec.domain
     (ddir / "splits").mkdir(parents=True, exist_ok=True)
     (ddir / "pairs").mkdir(parents=True, exist_ok=True)
-    corpus = read_corpus(spec.path, spec.format, spec.domain)
     train, dev, test = split_corpus(
         corpus, config.split_spec(), shuffle=config.shuffle_split,
         seed=config.pair_seed,
@@ -466,133 +452,103 @@ def _prepare(config: ExperimentConfig, spec: CorpusSpec, out: Path) -> _DomainDa
             )
         except ValueError as exc:
             agreement_note = str(exc)
-    pairs_path = ddir / "pairs" / "pairs.jsonl"
-    write_pairs(pairs, pairs_path)
+    write_pairs(pairs, ddir / "pairs" / "pairs.jsonl")
     counters["semantic_verb_lemmas"] = distinct_verb_lemmas(pairs)
     if agreement_note:
         counters["agreement_skipped"] = agreement_note
     write_json(ddir / "pairs" / "genreport.json", counters)
     if not pairs:  # fails this domain alone, before any cell scores it
         raise ValueError("no pairs")
-    plans = {}
+    forms, stats = train.form_view(), compute_stats(train)  # before the rows: a lower peak
+    record: dict = {"ids": forms.ids, "offsets": forms.offsets}
+    plans: dict = {}
     for condition in config.conditions:
         try:
-            plans[condition] = perturb_plan(
+            plan = perturb_plan(
                 train, condition, table, config.include_propn, config.pin_final_punct
             )
         except ValueError as exc:  # fails the condition's cells, not the domain
-            plans[condition] = exc
-    forms, stats = train.form_view(), compute_stats(train)  # before the rows: a lower peak
-    member_rows = pair_items(pairs)
-    members = Sentences(member_rows)
-    members.encoded  # encoded here, once, not in each cell or worker
-    return _DomainData(
-        forms=forms, plans=plans, member_rows=member_rows, members=members,
-        pairs_meta={p.pair_id: p.paradigm for p in pairs},
-        pairs_path=pairs_path, stats=stats,
-    )
-
-
-def _packed(strings) -> tuple[np.ndarray, np.ndarray]:
-    """Strings as one UTF-8 byte array and the code-point offsets that cut
-    its text back into them."""
-    offsets = np.zeros(len(strings) + 1, dtype=np.int64)
-    np.cumsum([len(s) for s in strings], out=offsets[1:])
-    return np.frombuffer("".join(strings).encode("utf-8"), dtype=np.uint8), offsets
-
-
-def _unpacked(record, name: str) -> list[str]:
-    text = record[name].tobytes().decode("utf-8")
-    bounds = record[name + ".at"].tolist()
-    return [text[start:end] for start, end in zip(bounds, bounds[1:])]
-
-
-def _save_prep(path: Path, key: str, data: _DomainData) -> None:
-    """A prepared domain's arrays as one compressed ``.npz`` record, its
-    strings packed by ``_packed``. Each member is stamped 1980, as
-    ``zipfile.ZipInfo`` stamps by default, where ``np.savez_compressed``
-    stamps the time of writing, so equal domains write equal bytes."""
-    arrays: dict = {}
-
-    def strings(name, values):
-        arrays[name], arrays[name + ".at"] = _packed(values)
-
-    strings("key", [key])
-    strings("vocab", data.forms.vocab)
-    arrays["ids"], arrays["offsets"] = data.forms.ids, data.forms.offsets
-    for condition, plan in data.plans.items():
-        slug = condition_slug(condition)
-        if isinstance(plan, ValueError):
-            strings(f"{slug}.error", [str(plan)])
+            plans[condition] = str(exc)
             continue
-        strings(f"{slug}.members", plan.members)
+        plans[condition] = list(plan.members)
         for name in _PLAN_ARRAYS:
             if getattr(plan, name) is not None:
-                arrays[f"{slug}.{name}"] = getattr(plan, name)
-    encoded = data.members.encoded
-    strings("members.vocab", encoded.vocab)
-    arrays["members.ids"], arrays["members.offsets"] = encoded.ids, encoded.offsets
-    arrays["members.index"] = data.members.index
-    strings("pair_ids", list(data.pairs_meta))
-    paradigms = sorted(set(data.pairs_meta.values()))
-    strings("paradigms", paradigms)
-    code = {p: i for i, p in enumerate(paradigms)}
-    arrays["paradigm"] = np.array([code[p] for p in data.pairs_meta.values()], dtype=np.int32)
-    strings("stats", [json.dumps(asdict(data.stats))])  # repr floats: they round-trip exactly
+                record[f"{condition}.{name}"] = getattr(plan, name)
+    members = Sentences(pair_items(pairs))
+    encoded = members.encoded
+    record["members.ids"], record["members.offsets"] = encoded.ids, encoded.offsets
+    record["members.index"] = members.index
+    record["strings"] = {
+        "key": key, "vocab": list(forms.vocab), "members.vocab": list(encoded.vocab),
+        "pairs": {p.pair_id: p.paradigm for p in pairs}, "plans": plans,
+        "stats": asdict(stats),
+    }
+    return record
+
+
+def _save_prep(path: Path, record: dict) -> None:
+    """A prep record as one compressed zip: each array an ``.npy`` member,
+    the strings one ``strings.json`` member. Each member is stamped 1980,
+    as ``zipfile.ZipInfo`` stamps by default, where ``np.savez_compressed``
+    stamps the time of writing, so equal domains write equal bytes."""
     with atomic_write(path, binary=True) as fh, zipfile.ZipFile(fh, "w") as zf:
-        for name, array in arrays.items():
-            npy = io.BytesIO()
-            np.lib.format.write_array(npy, np.asanyarray(array), allow_pickle=False)
+        for name, value in record.items():
+            if name == "strings":  # repr floats in the stats: they round-trip exactly
+                name, data = "strings.json", json.dumps(value).encode()
+            else:
+                npy = io.BytesIO()
+                np.lib.format.write_array(npy, np.asanyarray(value), allow_pickle=False)
+                name, data = name + ".npy", npy.getvalue()
             # level 1: at 100k tokens, a fifth of level 6's time for a quarter more bytes
-            zf.writestr(zipfile.ZipInfo(name + ".npy"), npy.getvalue(), zipfile.ZIP_DEFLATED, 1)
+            zf.writestr(zipfile.ZipInfo(name), data, zipfile.ZIP_DEFLATED, 1)
 
 
-def _load_prep(path: Path, key: str, conditions: list, domain: str) -> _DomainData | None:
-    """The prepared domain in the record at ``path``, if it is whole, keyed
-    ``key`` and has the files prep writes beside it; else None."""
+def _load_prep(path: Path, key: str) -> dict | None:
+    """The prep record at ``path``, as ``_prepare`` returns it, if it is
+    whole, keyed ``key`` and has the files prep writes beside it; else None."""
     ddir = path.parent
     if not all((ddir / name).is_file() for name in _PREP_FILES):
         return None
     try:
-        with np.load(path, allow_pickle=False) as record:
-            if _unpacked(record, "key") != [key]:
+        with np.load(path, allow_pickle=False) as npz:
+            strings = json.loads(npz["strings.json"])
+            if strings["key"] != key:
                 return None
-            return _domain_of(record, conditions, domain, ddir)
+            return {
+                **{name: npz[name] for name in npz.files if name != "strings.json"},
+                "strings": strings,
+            }
     except (OSError, EOFError, LookupError, TypeError, ValueError, zipfile.BadZipFile,
             zlib.error):  # missing, cut short, not a zip or not this layout: a miss
         return None
 
 
-def _domain_of(record, conditions: list, domain: str, ddir: Path) -> _DomainData:
-    forms = Forms(tuple(_unpacked(record, "vocab")), record["ids"], record["offsets"], domain)
+def _domain_of(record: dict, conditions: list, domain: str) -> _DomainData:
+    """The prepared domain a prep record holds, its plans those of ``conditions``."""
+    strings = record["strings"]
+    forms = Forms(tuple(strings["vocab"]), record["ids"], record["offsets"], domain)
     plans: dict = {}
     for condition in conditions:
-        slug = condition_slug(condition)
-        if f"{slug}.error" in record:
-            plans[condition] = ValueError(_unpacked(record, f"{slug}.error")[0])
+        plan = strings["plans"][condition]
+        if isinstance(plan, str):
+            plans[condition] = ValueError(plan)
             continue
         arrays = {
-            name: record[f"{slug}.{name}"] for name in _PLAN_ARRAYS if f"{slug}.{name}" in record
+            name: record[f"{condition}.{name}"]
+            for name in _PLAN_ARRAYS if f"{condition}.{name}" in record
         }
-        plans[condition] = PerturbPlan(
-            condition, forms.offsets, members=tuple(_unpacked(record, f"{slug}.members")),
-            **arrays,
-        )
+        plans[condition] = PerturbPlan(condition, forms.offsets, members=tuple(plan), **arrays)
     members = Sentences.of_encoded(
-        Forms(tuple(_unpacked(record, "members.vocab")), record["members.ids"],
-              record["members.offsets"]),
+        Forms(tuple(strings["members.vocab"]), record["members.ids"], record["members.offsets"]),
         record["members.index"],
     )
-    pair_ids = _unpacked(record, "pair_ids")
-    paradigms = _unpacked(record, "paradigms")
-    sids = [f"{pid}::{member}" for pid in pair_ids for member in ("good", "bad")]
+    pairs_meta = strings["pairs"]
     return _DomainData(
         forms=forms, plans=plans,
-        member_rows=list(zip(sids, map(members.distinct.__getitem__, members.index.tolist()))),
-        members=members,
-        pairs_meta=dict(zip(pair_ids, map(paradigms.__getitem__, record["paradigm"].tolist()))),
-        pairs_path=ddir / "pairs" / "pairs.jsonl",
-        stats=CorpusStats(**json.loads(_unpacked(record, "stats")[0])),
+        member_rows=list(zip(
+            member_ids(pairs_meta), map(members.distinct.__getitem__, members.index.tolist())
+        )),
+        members=members, pairs_meta=pairs_meta, stats=CorpusStats(**strings["stats"]),
     )
 
 
@@ -696,13 +652,14 @@ def _attempt_adopted(unit_key: tuple):
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    shas = {spec.domain: _sha256(spec.path) for spec in config.corpora}
 
+    shas: dict[str, str] = {}
     domains: dict[str, _DomainData] = {}
     prep: dict[str, str] = {}
     failures: list[tuple[str, str]] = []
     for spec in config.corpora:
-        try:
+        try:  # an unreadable corpus fails its domain alone
+            shas[spec.domain] = _sha256(spec.path)
             domains[spec.domain], loaded = _prepare_domain(config, spec, out, shas[spec.domain])
             prep[spec.domain] = "loaded" if loaded else "prepared"
         except Exception as exc:  # domain prep failure takes down its cells only
@@ -790,7 +747,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "config_hash": _key(config, corpus_files=shas),
         "cells": {_cell_name(c): "failed" if c in failed else "ok" for c in cells},
         "failures": sorted(failures),
-        "pairs_files": {d: str(data.pairs_path) for d, data in domains.items()},
+        "pairs_files": {d: str(out / d / "pairs" / "pairs.jsonl") for d in domains},
     }
     write_json(out / "manifest.json", manifest)
 

@@ -26,6 +26,15 @@ from .ngram import NGramLM
 ScoredPair = tuple[str, float, float]  # (pair_id, logprob_good, logprob_bad)
 
 
+_MEMBERS = ("good", "bad")
+
+
+def member_ids(pair_ids: Iterable[str]) -> list[str]:
+    """The composite ids of the pairs' members in row order: "<pair_id>::good"
+    then "<pair_id>::bad" for each pair."""
+    return [f"{pid}::{member}" for pid in pair_ids for member in _MEMBERS]
+
+
 def pair_items(pairs: Sequence[MinimalPair]) -> list[tuple[str, tuple[str, ...]]]:
     """Both members of every pair as (composite id, tokens) rows: pair k's
     good member at row 2k and its bad member at row 2k + 1, so the scores
@@ -34,11 +43,7 @@ def pair_items(pairs: Sequence[MinimalPair]) -> list[tuple[str, tuple[str, ...]]
     ids = [p.pair_id for p in pairs]
     if len(set(ids)) != len(ids):
         raise ValueError("pair ids must be unique")
-    items: list[tuple[str, tuple[str, ...]]] = []
-    for p in pairs:
-        items.append((p.pair_id + "::good", p.good))
-        items.append((p.pair_id + "::bad", p.bad))
-    return items
+    return list(zip(member_ids(ids), [tokens for p in pairs for tokens in (p.good, p.bad)]))
 
 
 class Sentences:
@@ -135,7 +140,7 @@ def read_pair_scores(path) -> list[ScoredPair]:
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated columns")
             pair_id, _, member = sid.rpartition("::")
-            if member not in ("good", "bad") or not pair_id:
+            if member not in _MEMBERS or not pair_id:
                 raise ValueError(f"{path}: line {lineno}: id {sid!r} lacks ::good/::bad suffix")
             target = good if member == "good" else bad
             if pair_id in target:

@@ -122,24 +122,37 @@ def _prep_record(path, monkeypatch):
     monkeypatch.setattr(np.lib.format, "write_array", refuse_the_third)
     forms = Forms.encode([("a", "b")])
     members = Sentences([("p::good", ("a", "b")), ("p::bad", ("b", "a"))])
-    data = experiment._DomainData(
-        forms=forms, plans={}, member_rows=[], members=members, pairs_meta={"p": "x"},
-        pairs_path=path, stats=CorpusStats(1.0, 1.0, None, 2.0, 1, 2),
-    )
-    experiment._save_prep(path, "key", data)
+    record = {
+        "ids": forms.ids, "offsets": forms.offsets, "members.ids": members.encoded.ids,
+        "members.index": members.index,
+        "strings": {"key": "key", "vocab": list(forms.vocab), "pairs": {"p": "x"}},
+    }
+    experiment._save_prep(path, record)
 
 
 @pytest.mark.parametrize(
-    "write",
-    [_regression, _trajectory, _results, _matrix, _stats, _rates, _chart, _tagger,
-     _perturb_report, _prep_record],
+    "write, error, message",
+    [
+        (_regression, RuntimeError, "^unprintable$"),
+        (_trajectory, RuntimeError, "^unprintable$"),
+        (_results, ValueError, "^a results row must have exactly the columns"),
+        (_matrix, RuntimeError, "^unprintable$"),
+        (_stats, RuntimeError, "^unprintable$"),
+        (_rates, RuntimeError, "^unprintable$"),
+        (_chart, TypeError, "^cannot serialize 1"),
+        (_tagger, RuntimeError, "^unprintable$"),
+        (_perturb_report, TypeError, "^Object of type object is not JSON serializable$"),
+        (_prep_record, RuntimeError, "^unwritable$"),
+    ],
     ids=["regression-csv", "trajectory-csv", "results-csv", "matrix-csv", "stats-csv",
          "rates-csv", "chart", "tagger", "perturb-report", "prep-record"],
 )
-def test_failed_write_leaves_previous_file(tmp_path, monkeypatch, write):
+def test_failed_write_leaves_previous_file(tmp_path, monkeypatch, write, error, message):
+    """Each writer fails with the error its case injects, not one raised
+    while setting the case up, and leaves the previous file whole."""
     target = tmp_path / "target"
     target.write_text("previous\n", encoding="utf-8")
-    with pytest.raises(Exception):
+    with pytest.raises(error, match=message):
         write(target, monkeypatch)
     assert target.read_text(encoding="utf-8") == "previous\n"
     assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]

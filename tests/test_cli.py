@@ -273,6 +273,29 @@ def test_a_domain_without_pairs_fails_only_its_own_cells(tmp_path, fixture_dir, 
     assert (out / "short" / "pairs" / "genreport.json").exists()
 
 
+def test_an_unreadable_corpus_fails_only_its_own_domain(tmp_path, fixture_dir, capsys):
+    """A corpus path that exists but cannot be read, here a directory,
+    fails its domain alone, as a missing file does."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = tmp_path / "exp"
+    assert main([
+        "run",
+        "--corpus", f"chat:{fixture_dir / 'chat.conllu'}:conllu",
+        "--corpus", f"d:{folder}:conllu",
+        "--seeds", "1",
+        "--out", str(out),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert "6 cells: 3 computed, 0 shared, 0 cached, 3 failed" in err
+    assert "2 domains: 1 prepared, 0 loaded, 1 failed\n" in err
+    assert f"FAILED d: [Errno 21] Is a directory: '{folder}'\n" in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [name for name, _err in manifest["failures"]] == ["d"]
+    assert manifest["cells"]["chat/ORIGINAL/1"] == "ok"
+    assert not (out / "d").exists()
+
+
 def test_run_from_config(tmp_path, fixture_dir):
     config = tmp_path / "exp.cfg"
     config.write_text(

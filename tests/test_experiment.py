@@ -56,12 +56,12 @@ class TestConfig:
             "lm_order = 3\n"
             "discount = 0.75\n"
             "agreement = false\n"
-            'corpora = ["a:x.conllu", "b:y.conllu"]\n'
+            'corpora = ["a:x.conllu", "b:/d/a,b \\\\ \\"c\\".conllu:conllu"]\n'
         )
         assert values["seeds"] == [1, 2, 3]
         assert values["discount"] == 0.75
         assert values["agreement"] is False
-        assert values["corpora"] == ["a:x.conllu", "b:y.conllu"]
+        assert values["corpora"] == ["a:x.conllu", 'b:/d/a,b \\ "c".conllu:conllu']
         assert parse_flat_config("discount = 1\n") == {"discount": 1}  # a float field takes an int
 
     def test_flat_parser_rejects_garbage(self):
@@ -106,6 +106,8 @@ class TestConfig:
             ('discount = 0\n', r"c\.cfg: line 1: discount must be in \(0, 1\], got 0"),
             ('out_dir = "o"\ncorpora = ["..:x.conllu"]\n',
              r"c\.cfg: line 2: corpus spec \.\.:x\.conllu:conllu: domain '\.\.'"),
+            ('out_dir = "C:\\data"\n', r"c\.cfg: line 1: cannot parse value '\"C:\\\\data\"'"),
+            ("seeds = [1, 2,]\n", r"c\.cfg: line 1: cannot parse value '\[1, 2,\]'"),
         ],
     )
     def test_load_config_rejects_bad_input_with_file_and_line(self, tmp_path, text, message):
@@ -331,6 +333,7 @@ class TestRunExperiment:
         assert manifest["cells"]["ghost/ORIGINAL/1"] == "failed"
         assert manifest["cells"]["ghost/REPLACE.WORD/1"] == "failed"
         assert [name for name, _err in manifest["failures"]] == ["ghost"]
+        assert not (tmp_path / "fail" / "ghost").exists()  # no empty splits/ or pairs/
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_gc_freeze_is_scoped_to_the_cells(self, tmp_path, small_config, monkeypatch, threads):
@@ -701,6 +704,29 @@ class TestPrepRecord:
         assert not list(out.glob("*/prep.npz"))
         return {"chat": "prepared", "written": "prepared"}
 
+    def test_a_record_of_the_packed_layout_is_prepared_again(self, tmp_path, small_config):
+        """A record of the earlier layout, its strings packed as UTF-8 bytes
+        and offsets, is a miss even under the right key: its domain is
+        prepared again, to the same bytes, and every cell stays cached."""
+        import numpy as np
+
+        import verbscope.experiment as exp
+
+        out = tmp_path / "out"
+        config = small_config(out, seeds=(1,))
+        assert run_experiment(config).status == 0
+        before = _outputs(out)
+        spec = config.corpora[0]
+        key = exp._prep_key(config, spec, exp._sha256(spec.path))
+        record = out / "chat" / "prep.npz"
+        with open(record, "wb") as fh:
+            np.savez(fh, key=np.frombuffer(key.encode(), dtype=np.uint8),
+                     **{"key.at": np.array([0, len(key)])})
+        result = run_experiment(config)
+        assert result.domains == {"chat": "prepared", "written": "loaded"}
+        assert result.summary() == "4 cells: 0 computed, 0 shared, 4 cached, 0 failed"
+        assert _outputs(out) == before
+
     @pytest.mark.parametrize(
         "change",
         ["_cut_record", "_change_corpus", "_change_split", "_include_propn", "_delete_pairs",
@@ -809,23 +835,24 @@ def _conllu(nouns, shape: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _assert_same_domain(a, b):
-    """Two prepared domains equal field by field, array dtypes included."""
+def _same_array(x, y):
     import numpy as np
 
+    assert (x is None) == (y is None)
+    if x is not None:
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def _assert_same_domain(a, b):
+    """Two prepared domains equal field by field, array dtypes included."""
     from dataclasses import fields as dc_fields
 
     from verbscope.perturb import PerturbPlan
 
-    def same_array(x, y):
-        assert (x is None) == (y is None)
-        if x is not None:
-            assert x.dtype == y.dtype and np.array_equal(x, y)
-
     for fa, fb in ((a.forms, b.forms), (a.members.encoded, b.members.encoded)):
         assert (fa.vocab, fa.domain) == (fb.vocab, fb.domain)
-        same_array(fa.ids, fb.ids)
-        same_array(fa.offsets, fb.offsets)
+        _same_array(fa.ids, fb.ids)
+        _same_array(fa.offsets, fb.offsets)
     assert list(a.plans) == list(b.plans)
     for condition, plan in a.plans.items():
         other = b.plans[condition]
@@ -835,15 +862,53 @@ def _assert_same_domain(a, b):
         assert (other.condition, other.members) == (plan.condition, plan.members)
         for f in dc_fields(PerturbPlan):
             if f.name not in ("condition", "members"):
-                same_array(getattr(plan, f.name), getattr(other, f.name))
+                _same_array(getattr(plan, f.name), getattr(other, f.name))
     assert a.member_rows == b.member_rows
     assert all(type(sid) is str and type(tokens) is tuple for sid, tokens in b.member_rows)
     assert a.members.distinct == b.members.distinct
-    same_array(a.members.index, b.members.index)
-    same_array(a.members.first, b.members.first)
+    _same_array(a.members.index, b.members.index)
+    _same_array(a.members.first, b.members.first)
     assert list(a.pairs_meta.items()) == list(b.pairs_meta.items())
-    assert a.pairs_path == b.pairs_path
     assert a.stats == b.stats and repr(a.stats) == repr(b.stats)
+
+
+def _assert_domain_of_its_files(data, config, ddir):
+    """A domain built from its prep record holds what its files give: the
+    train split's forms, stats and perturb plans, and the pair file's rows."""
+    from dataclasses import fields
+
+    from verbscope.corpus import build_frequency_table
+    from verbscope.ingest import read_conllu
+    from verbscope.pairgen import read_pairs
+    from verbscope.perturb import PerturbPlan, perturb_plan
+    from verbscope.scorer.scoring import Sentences, pair_items
+    from verbscope.stats import compute_stats
+
+    train = read_conllu(ddir / "splits" / "train.conllu", domain="d")
+    forms = train.form_view()
+    assert (data.forms.vocab, data.forms.domain) == (forms.vocab, forms.domain)
+    _same_array(data.forms.ids, forms.ids)
+    _same_array(data.forms.offsets, forms.offsets)
+    assert data.stats == compute_stats(train)
+    table = build_frequency_table(train)
+    for condition in config.conditions:
+        try:
+            plan = perturb_plan(train, condition, table, config.include_propn,
+                                config.pin_final_punct)
+        except ValueError as exc:
+            assert str(data.plans[condition]) == str(exc)
+            continue
+        assert data.plans[condition].members == plan.members
+        for f in fields(PerturbPlan):
+            if f.name not in ("condition", "members"):
+                _same_array(getattr(data.plans[condition], f.name), getattr(plan, f.name))
+    pairs = read_pairs(ddir / "pairs" / "pairs.jsonl")
+    rows = pair_items(pairs)
+    assert data.member_rows == rows
+    assert list(data.pairs_meta.items()) == [(p.pair_id, p.paradigm) for p in pairs]
+    batch = Sentences(rows)
+    assert data.members.distinct == batch.distinct
+    _same_array(data.members.index, batch.index)
 
 
 @settings(max_examples=50, deadline=None)
@@ -866,6 +931,7 @@ def test_a_prepared_domain_equals_its_reloaded_record(nouns, shape):
         reloaded, loaded = _prepare_domain(config, spec, Path(tmp), _sha256(corpus))
         assert loaded
         _assert_same_domain(prepared, reloaded)
+        _assert_domain_of_its_files(reloaded, config, Path(tmp) / "d")
         plan = prepared.plans[REPLACE_WORD]
         if shape == "untagged":
             assert isinstance(plan, ValueError)

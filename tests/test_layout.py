@@ -197,7 +197,7 @@ def test_a_prepared_domain_keeps_no_pair_records(tmp_path, fixture_dir):
         if isinstance(value, (list, dict)):
             held = value.values() if isinstance(value, dict) else value
             assert not any(isinstance(item, MinimalPair) for item in held), f.name
-    pairs = read_pairs(data.pairs_path)
+    pairs = read_pairs(tmp_path / "chat" / "pairs" / "pairs.jsonl")
     assert pairs
     assert data.member_rows == pair_items(pairs)
     assert list(data.pairs_meta.items()) == [(p.pair_id, p.paradigm) for p in pairs]
@@ -220,3 +220,33 @@ def test_test_only_functions_live_in_the_tests():
         and node.name in ("score_pairs", "recount_differences")
     }
     assert not defined
+
+
+def test_one_builder_of_a_prepared_domain():
+    """experiment._domain_of is the one place that builds a _DomainData: a
+    domain prepared by this run and one loaded from its prep record both
+    come from the record."""
+    import ast
+    from pathlib import Path
+
+    import verbscope
+
+    def builds(node):
+        return isinstance(node, ast.Call) and "_DomainData" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        )
+
+    package = Path(verbscope.__file__).parent
+    trees = {
+        path.relative_to(package).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.rglob("*.py"))
+    }
+    assert sum(builds(node) for tree in trees.values() for node in ast.walk(tree)) == 1
+    builders = [
+        f"{name}:{fn.name}"
+        for name, tree in trees.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(builds(node) for node in ast.walk(fn))
+    ]
+    assert builders == ["experiment.py:_domain_of"]
