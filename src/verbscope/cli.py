@@ -49,7 +49,7 @@ from .pairgen import (
 from .perturb import CONDITIONS, REPLACE_WORD, condition_slug, perturb_corpus
 from .scorer.external import ExternalScorer, ExternalScorerError
 from .scorer.ngram import corpus_perplexity, load_lm, save_lm, train_ngram
-from .scorer.scoring import pair_items, read_pair_scores, score_sentences, write_scores
+from .scorer.scoring import Sentences, pair_items, read_pair_scores, score_sentences, write_scores
 from .stats import compute_stats, format_stats, write_stats_csv
 from .tagger import load_tagger, save_tagger, train_tagger
 
@@ -196,12 +196,13 @@ def _cmd_score(args) -> int:
         else nullcontext(load_lm(args.lm))
     ) as scorer:
         if args.pairs:
-            rows = pair_items(read_pairs(args.pairs))
+            batch = pair_items(read_pairs(args.pairs))
         else:
-            rows = [(s.sentence_id, s.forms()) for s in read_corpus(args.infile, args.format)]
-        logprobs, counts = score_sentences(scorer, rows)
-    write_scores((sid for sid, _tokens in rows), logprobs, counts, args.out)
-    print(f"scored {len(rows)} sentences -> {args.out}")
+            corpus = read_corpus(args.infile, args.format)
+            batch = Sentences((s.sentence_id, s.forms()) for s in corpus)
+        logprobs, counts = score_sentences(scorer, batch)
+    write_scores(batch.ids, logprobs, counts, args.out)
+    print(f"scored {len(batch)} sentences -> {args.out}")
     return 0
 
 

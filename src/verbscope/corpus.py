@@ -178,7 +178,7 @@ class Corpus:
     def form_view(self) -> "Forms":
         return Forms.of_flat(
             [t.form for s in self.sentences for t in s.tokens],
-            [len(s.tokens) for s in self.sentences], self.domain,
+            [len(s.tokens) for s in self.sentences],
         )
 
 
@@ -192,19 +192,19 @@ class Forms:
     objects and no per-sentence tuples.
     """
 
-    __slots__ = ("vocab", "ids", "offsets", "domain")
+    __slots__ = ("vocab", "ids", "offsets")
 
-    def __init__(self, vocab: tuple, ids: np.ndarray, offsets: np.ndarray, domain: str = ""):
-        self.vocab, self.ids, self.offsets, self.domain = vocab, ids, offsets, domain
+    def __init__(self, vocab: tuple, ids: np.ndarray, offsets: np.ndarray):
+        self.vocab, self.ids, self.offsets = vocab, ids, offsets
 
     @classmethod
-    def encode(cls, sentences: Iterable[Iterable[str]], domain: str = "") -> "Forms":
+    def encode(cls, sentences: Iterable[Iterable[str]]) -> "Forms":
         """The view of form sequences, over their sorted distinct forms."""
         sentences = [s if isinstance(s, (list, tuple)) else list(s) for s in sentences]
-        return cls.of_flat(list(chain.from_iterable(sentences)), list(map(len, sentences)), domain)
+        return cls.of_flat(list(chain.from_iterable(sentences)), list(map(len, sentences)))
 
     @classmethod
-    def of_flat(cls, forms: list[str], lengths: list[int], domain: str = "") -> "Forms":
+    def of_flat(cls, forms: list[str], lengths: list[int]) -> "Forms":
         """The view of ``forms``, every sentence's forms one after another,
         the sentences ``lengths`` long."""
         vocab = tuple(sorted(set(forms)))
@@ -212,11 +212,11 @@ class Forms:
         ids = np.fromiter(map(index.__getitem__, forms), dtype=np.int32, count=len(forms))
         offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        return cls(vocab, ids, offsets, domain)
+        return cls(vocab, ids, offsets)
 
     def with_ids(self, ids: np.ndarray) -> "Forms":
         """The same sentences and vocabulary holding other ids."""
-        return Forms(self.vocab, ids, self.offsets, self.domain)
+        return Forms(self.vocab, ids, self.offsets)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1

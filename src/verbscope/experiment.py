@@ -10,10 +10,10 @@ domain's pairs.
 
 Domain prep encodes the train split once as an int32 id array over its
 sorted forms (``Corpus.form_view``), builds the perturb plan of each of
-the run's conditions as arrays, and encodes the distinct members of its
-pairs once (``scoring.Sentences``). A cell perturbs that id array,
-trains on it and scores the encoded pairs, all as array work. A domain
-without pairs fails at prep, alone.
+the run's conditions as arrays, and keeps its pairs' members as one
+batch (``scoring.Sentences``: their ids, each distinct member encoded
+once). A cell perturbs that id array, trains on it and scores the
+batch, all as array work. A domain without pairs fails at prep, alone.
 
 Prep's product is the domain's prep record, ``<domain>/prep.npz``: one
 zip of ``.npy`` arrays and one ``strings.json`` member holding the key,
@@ -23,12 +23,12 @@ is keyed (``_prep_key``) over the domain's own corpus by content,
 ``CACHE_FORMAT`` and the config fields prep reads, so neither the seeds,
 nor the model fields, nor another domain change it. A run whose record
 is whole, keyed alike and beside the files prep writes loads it and
-reads no corpus. A prepared domain is always built from a record, just
-written or loaded (``_domain_of``), so both give the same rows in pair
-order and the same scores. Its Token and ``MinimalPair`` records are
-never kept: they are most of a corpus's memory. Any other record is
-deleted before the domain is prepared again, and the new one is written
-after the domain's other files.
+reads no corpus, nor the plan arrays an earlier layout also stored. A
+prepared domain is always built from a record, just written or loaded
+(``_domain_of``), so both give the same rows and scores. Its Token and
+``MinimalPair`` records are never kept: they are most of a corpus's
+memory. Any other record is deleted before the domain is prepared
+again, and the new one is written after the domain's other files.
 
 Cells run in forked worker processes, as many as ``threads`` (at least 1)
 asks for, capped at the number of cache units and the CPU count; one
@@ -191,8 +191,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.corpora = _corpus_specs(self.corpora)
-        for name in ("corpora", "conditions", "seeds", "threads", "discount"):
-            _check_field(name, getattr(self, name))
+        for f in fields(self):
+            _check_field(f.name, getattr(self, f.name))
 
     def split_spec(self) -> SplitSpec:
         return SplitSpec.parse(self.split) if self.split else DEFAULT_SPLIT
@@ -217,8 +217,10 @@ def _check_field(name: str, value) -> None:
         unknown = [c for c in value if c not in CONDITIONS]
         if unknown:
             raise ValueError(f"unknown condition {unknown[0]!r}")
-    elif name == "threads" and value < 1:
-        raise ValueError(f"threads must be >= 1, got {value}")
+    elif name in ("threads", "lm_order") and value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    elif name == "split" and value:  # empty: the default split
+        SplitSpec.parse(value)
     elif name == "discount":
         check_discount(value)
     if name in ("conditions", "seeds") and len(set(value)) != len(value):
@@ -376,8 +378,7 @@ class ExperimentResult:
 class _DomainData:
     forms: Forms  # the train split as an id array: what cells perturb and train on
     plans: dict  # condition -> its perturb plan, or the ValueError building it raised
-    member_rows: list  # pair_items rows: pair k's members at rows 2k and 2k + 1
-    members: Sentences  # the distinct pair members, encoded once for every cell
+    members: Sentences  # pair k's members at rows 2k and 2k + 1, encoded once for every cell
     pairs_meta: dict  # pair_id -> paradigm, in pair order
     stats: object
 
@@ -418,7 +419,7 @@ def _prepare_domain(
         path.unlink(missing_ok=True)
         record = _prepare(config, spec, out, key)
         _save_prep(path, record)
-    return _domain_of(record, config.conditions, spec.domain), loaded
+    return _domain_of(record, config.conditions), loaded
 
 
 def _prepare(config: ExperimentConfig, spec: CorpusSpec, out: Path, key: str) -> dict:
@@ -474,7 +475,7 @@ def _prepare(config: ExperimentConfig, spec: CorpusSpec, out: Path, key: str) ->
         for name in _PLAN_ARRAYS:
             if getattr(plan, name) is not None:
                 record[f"{condition}.{name}"] = getattr(plan, name)
-    members = Sentences(pair_items(pairs))
+    members = pair_items(pairs)
     encoded = members.encoded
     record["members.ids"], record["members.offsets"] = encoded.ids, encoded.offsets
     record["members.index"] = members.index
@@ -523,10 +524,10 @@ def _load_prep(path: Path, key: str) -> dict | None:
         return None
 
 
-def _domain_of(record: dict, conditions: list, domain: str) -> _DomainData:
+def _domain_of(record: dict, conditions: list) -> _DomainData:
     """The prepared domain a prep record holds, its plans those of ``conditions``."""
     strings = record["strings"]
-    forms = Forms(tuple(strings["vocab"]), record["ids"], record["offsets"], domain)
+    forms = Forms(tuple(strings["vocab"]), record["ids"], record["offsets"])
     plans: dict = {}
     for condition in conditions:
         plan = strings["plans"][condition]
@@ -539,16 +540,13 @@ def _domain_of(record: dict, conditions: list, domain: str) -> _DomainData:
         }
         plans[condition] = PerturbPlan(condition, forms.offsets, members=tuple(plan), **arrays)
     members = Sentences.of_encoded(
+        member_ids(strings["pairs"]),
         Forms(tuple(strings["members.vocab"]), record["members.ids"], record["members.offsets"]),
         record["members.index"],
     )
-    pairs_meta = strings["pairs"]
     return _DomainData(
-        forms=forms, plans=plans,
-        member_rows=list(zip(
-            member_ids(pairs_meta), map(members.distinct.__getitem__, members.index.tolist())
-        )),
-        members=members, pairs_meta=pairs_meta, stats=CorpusStats(**strings["stats"]),
+        forms=forms, plans=plans, members=members, pairs_meta=strings["pairs"],
+        stats=CorpusStats(**strings["stats"]),
     )
 
 
@@ -575,14 +573,10 @@ def _run_unit(config: ExperimentConfig, domains: dict, unit: tuple, out: Path):
         if eval_domain != domain and condition != ORIGINAL:
             continue  # cross-domain check runs on unperturbed models only
         target: _DomainData = domains[eval_domain]
-        logprobs, counts = score_sentences(lm, target.member_rows, target.members)
-        write_scores((sid for sid, _tokens in target.member_rows), logprobs, counts,
-                     unit_dir / f"scores-{eval_domain}.tsv")
-        result = evaluate(
-            zip(target.pairs_meta, logprobs[0::2], logprobs[1::2]),
-            target.pairs_meta,
-            Labels(domain, eval_domain, condition),
-        )
+        logprobs, counts = score_sentences(lm, target.members)
+        write_scores(target.members.ids, logprobs, counts, unit_dir / f"scores-{eval_domain}.tsv")
+        scored = zip(target.pairs_meta, logprobs[0::2], logprobs[1::2])
+        result = evaluate(scored, target.pairs_meta, Labels(domain, eval_domain, condition))
         rows.extend(result_rows(result))
     return rows, asdict(report)
 
@@ -740,10 +734,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     manifest = {
         "package_version": __version__,
-        "config": {
-            **{k: v for k, v in asdict(config).items() if k != "corpora"},
-            "corpora": [asdict(c) for c in config.corpora],
-        },
+        "config": asdict(config),
         "config_hash": _key(config, corpus_files=shas),
         "cells": {_cell_name(c): "failed" if c in failed else "ok" for c in cells},
         "failures": sorted(failures),

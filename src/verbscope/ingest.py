@@ -61,7 +61,10 @@ class SplitSpec:
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 3:
             raise ValueError(f"expected three comma-separated ratios, got {text!r}")
-        fracs = [Fraction(p) for p in parts]
+        try:
+            fracs = [Fraction(p) for p in parts]
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"split ratios must be numbers or p/q, got {text!r}") from None
         total = sum(fracs)
         if total <= 0:
             raise ValueError("split ratios must have positive sum")

@@ -14,9 +14,9 @@ pin_final_punct is set; both knobs exist because reasonable pipelines
 differ here.
 
 A seed-independent plan (``perturb_plan``) fixes what each sentence
-draws from, as arrays: the REPLACE.WORD targets (corpus position,
-stratum, own member) with the strata's members and running counts, or
-each sentence's SHUFFLE.ORDER span. ``_draws`` computes every draw of a
+draws from, as arrays: the REPLACE.WORD targets (corpus position, own
+member) with the strata's members and running counts, or each
+sentence's SHUFFLE.ORDER span. ``_draws`` computes every draw of a
 cell at once from the counter-based streams (``rng.picks``: one
 ``searchsorted`` for all frequency-weighted picks; ``rng.shuffles``: the
 Fisher-Yates swaps stepped across all sentences together), redoing a
@@ -112,18 +112,19 @@ class PerturbPlan:
     Sentence i holds the corpus's tokens ``offsets[i]:offsets[i + 1]``.
     SHUFFLE.ORDER moves the first ``spans[i]`` tokens of sentence i.
     REPLACE.WORD has one target per replaceable token, in corpus order:
-    its corpus position (``targets``), its sentence, its stratum and its
-    own entry in ``members`` (int32, as the ids of ``corpus.Forms``), the
-    strata's member forms one stratum after another. Stratum s holds ``members[strata[s]:strata[s + 1]]``, and
-    ``cumulative`` (uint64) runs the members' counts on over all strata.
+    its corpus position (``targets``) and its own entry (``member``) in
+    ``members`` (int32, as the ids of ``corpus.Forms``), the strata's
+    member forms one stratum after another. Stratum s holds
+    ``members[strata[s]:strata[s + 1]]``, and ``cumulative`` (uint64) runs
+    the members' counts on over all strata. A target's sentence and stratum
+    are not stored: a ``searchsorted`` over ``offsets`` or ``strata`` finds
+    each exactly, as no sentence or stratum is empty.
     """
 
     condition: str
     offsets: np.ndarray
     spans: np.ndarray | None = None
     targets: np.ndarray | None = None
-    sentence: np.ndarray | None = None
-    stratum: np.ndarray | None = None
     member: np.ndarray | None = None
     members: tuple = ()
     strata: np.ndarray | None = None
@@ -175,7 +176,6 @@ def perturb_plan(
     return PerturbPlan(
         condition, offsets,
         targets=(offsets[sentence] + [pos for pos, _alts in flat]).astype(np.int32),
-        sentence=sentence, stratum=stratum,
         member=(starts[stratum] + [alts[2] for alts in alternatives]).astype(np.int32),
         members=tuple(form for members, _c, _i in strata for form, _count in members),
         strata=starts, cumulative=np.array(cumulative, dtype=np.uint64),
@@ -192,8 +192,8 @@ def _draws(plan: PerturbPlan, seed: int):
     """
     if plan.condition == REPLACE_WORD:
         seeds = stream_seeds(seed, np.arange(len(plan.offsets) - 1))
-        return picks(seeds, plan.sentence, plan.cumulative, plan.strata,
-                     plan.stratum, plan.member)
+        sentence = np.searchsorted(plan.offsets, plan.targets, side="right") - 1
+        return picks(seeds, sentence, plan.cumulative, plan.strata, plan.member)
     moving = np.flatnonzero(plan.spans > 1)
     return moving, shuffles(stream_seeds(seed, moving), plan.spans[moving])
 
@@ -275,8 +275,9 @@ def perturb_corpus(
     replaced = 0
     if condition == REPLACE_WORD:
         chosen = _draws(plan, seed).tolist()
+        sentence = np.searchsorted(plan.offsets, plan.targets, side="right") - 1
         by_sentence: dict[int, list] = {}
-        for pos, si, m in zip(plan.targets.tolist(), plan.sentence.tolist(), chosen):
+        for pos, si, m in zip(plan.targets.tolist(), sentence.tolist(), chosen):
             by_sentence.setdefault(si, []).append((pos - offsets[si], plan.members[m]))
         for si, replacements in by_sentence.items():
             sentences[si] = apply_replacements(sentences[si], replacements)

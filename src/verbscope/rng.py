@@ -158,16 +158,17 @@ def shuffles(seeds: Sequence[int], spans: np.ndarray) -> np.ndarray:
 
 def picks(
     seeds: Sequence[int], stream: np.ndarray, cumulative: np.ndarray,
-    strata: np.ndarray, stratum: np.ndarray, member: np.ndarray,
+    strata: np.ndarray, member: np.ndarray,
 ) -> np.ndarray:
     """``pick_cumulative`` draws with ``exclude``, for many streams at once.
 
     Draw d belongs to stream ``stream[d]`` (nondecreasing), whose seed is
     ``seeds[stream[d]]``, and a stream's draws come in order. It picks from
-    stratum ``stratum[d]`` with member ``member[d]`` excluded. The strata's
-    member weights run on as one prefix sum, ``cumulative`` (uint64), and
-    stratum s holds members ``strata[s]:strata[s + 1]``. Returns each
-    draw's member, as an index into ``cumulative``.
+    the stratum of member ``member[d]``, with that member excluded. The
+    strata's member weights run on as one prefix sum, ``cumulative``
+    (uint64), and stratum s, never empty, holds members
+    ``strata[s]:strata[s + 1]``. Returns each draw's member, as an index
+    into ``cumulative``.
 
     One ``searchsorted`` over ``cumulative`` finds every pick. A draw whose
     remaining total is 1 takes no draw of its stream, as ``randbelow(1)``
@@ -176,6 +177,7 @@ def picks(
     """
     cumulative = np.asarray(cumulative, dtype=np.uint64)
     before = np.concatenate(([np.uint64(0)], cumulative))  # mass before each member
+    stratum = np.searchsorted(strata, member, side="right") - 1
     first, end = strata[stratum], strata[stratum + 1]
     base, lo, hi = before[first], before[member], before[member + 1]
     total = before[end] - base - (hi - lo)

@@ -9,7 +9,7 @@ Import each name from the module that defines it:
   sequential sum of its events' logs.
 - ``scoring``: ``score_sentences``, which scores each distinct sentence
   once with any scorer (an external command gets each distinct text once,
-  under its first id) into two columns; ``Sentences``, which finds and
-  encodes those sentences once for many models; and the score TSV.
+  under its first id) into two columns; ``Sentences``, a batch's ids and
+  those sentences, encoded once for many models; and the score TSV.
 - ``external``: ``ExternalScorer``, the protocol, and ``check_score``.
 """

@@ -2,18 +2,20 @@
 
 Both members of a pair go through the identical scorer and tokenization.
 ``score_sentences`` is the one scoring path: native model or external
-command, each distinct token sequence is scored once and its repeats copy
-the score (semantic pairs of one source sentence share their good
-member). A batch's scores are two columns in row order, log-probabilities
-and event counts, from the model to the score TSV; pair rows are read
-off them by position. On disk, pair members live in the ordinary score
-TSV under composite ids "<pair_id>::good" and "<pair_id>::bad", one row
-per id, checked on reading as the external protocol checks a score.
+command, it scores each distinct token sequence of a batch once and its
+repeats copy the score (semantic pairs of one source sentence share
+their good member). A batch (``Sentences``) carries its rows' ids, and
+its scores are two columns in row order, log-probabilities and event
+counts, from the model to the score TSV beside those ids; pair rows are
+read off them by position. On disk, pair members live in the ordinary
+score TSV under composite ids "<pair_id>::good" and "<pair_id>::bad",
+one row per id, checked on reading as the external protocol checks a
+score.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,45 +37,50 @@ def member_ids(pair_ids: Iterable[str]) -> list[str]:
     return [f"{pid}::{member}" for pid in pair_ids for member in _MEMBERS]
 
 
-def pair_items(pairs: Sequence[MinimalPair]) -> list[tuple[str, tuple[str, ...]]]:
-    """Both members of every pair as (composite id, tokens) rows: pair k's
-    good member at row 2k and its bad member at row 2k + 1, so the scores
-    of these rows pair up by position. The tokens are the pair's own
-    member tuples."""
+def pair_items(pairs: Sequence[MinimalPair]) -> "Sentences":
+    """Both members of every pair as one batch: pair k's good member at
+    row 2k and its bad member at row 2k + 1, so the scores of these rows
+    pair up by position. The tokens are the pair's own member tuples."""
     ids = [p.pair_id for p in pairs]
     if len(set(ids)) != len(ids):
         raise ValueError("pair ids must be unique")
-    return list(zip(member_ids(ids), [tokens for p in pairs for tokens in (p.good, p.bad)]))
+    return Sentences(zip(member_ids(ids), [tokens for p in pairs for tokens in (p.good, p.bad)]))
 
 
 class Sentences:
-    """The distinct token sequences of (sentence_id, tokens) rows.
+    """A batch of (id, tokens) rows, each distinct token sequence kept once.
 
-    ``distinct`` holds each distinct sequence in first-seen order,
-    ``first[d]`` the row it first appears in and ``index[r]`` row r's
-    sequence (both int32 arrays). ``encoded`` is the distinct sequences as
-    a ``Forms`` view, built on first use and kept, so every model that
-    scores the same rows can reuse one encoding. The rows themselves are
-    not kept. ``of_encoded`` rebuilds a batch from its encoding and index.
+    ``ids`` holds the rows' ids, ``distinct`` each distinct sequence in
+    first-seen order and ``index[r]`` (int32) row r's sequence. Iterating
+    gives the (id, tokens) rows; ``len()`` is their count. ``encoded`` is
+    the distinct sequences as a ``Forms`` view, built on first use and
+    kept, so every model that scores the same rows can reuse one encoding.
+    ``of_encoded`` rebuilds a batch from its ids, encoding and index.
     """
 
-    def __init__(self, rows: Sequence[tuple[str, Sequence[str]]]):
+    def __init__(self, rows: Iterable[tuple[str, Sequence[str]]]):
+        rows = list(rows)
         seen: dict[tuple, int] = {}
+        self.ids = [sid for sid, _tokens in rows]
         self.index = np.array(
             [seen.setdefault(tuple(tokens), len(seen)) for _sid, tokens in rows], dtype=np.int32
         )
         self.distinct = list(seen)
-        self.first = np.unique(self.index, return_index=True)[1]
         self._encoded: Forms | None = None
 
     @classmethod
-    def of_encoded(cls, encoded: Forms, index: np.ndarray) -> "Sentences":
+    def of_encoded(cls, ids: list[str], encoded: Forms, index: np.ndarray) -> "Sentences":
         """The batch whose distinct sequences ``encoded`` holds in first-seen
-        order, row r being sequence ``index[r]``."""
+        order, row r being ``ids[r]`` with sequence ``index[r]``."""
         batch = cls.__new__(cls)
-        batch.index, batch.distinct, batch._encoded = index, list(encoded), encoded
-        batch.first = np.unique(index, return_index=True)[1]
+        batch.ids, batch.index, batch.distinct, batch._encoded = ids, index, list(encoded), encoded
         return batch
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[tuple[str, tuple[str, ...]]]:
+        return zip(self.ids, map(self.distinct.__getitem__, self.index.tolist()))
 
     @property
     def encoded(self) -> Forms:
@@ -82,34 +89,27 @@ class Sentences:
         return self._encoded
 
 
-def score_sentences(
-    scorer, sentences: Sequence[tuple[str, Sequence[str]]], batch: Sentences | None = None
-) -> tuple[list[float], list[int]]:
-    """(sentence_id, tokens) rows -> two columns in row order: each row's
-    log-probability and its event count.
+def score_sentences(scorer, sentences: Sentences) -> tuple[list[float], list[int]]:
+    """A batch -> two columns in row order: each row's log-probability and
+    its event count.
 
     Each distinct token sequence is scored once, by a native model (one
     ``score_forms`` call over the batch's encoding) or an external scorer
     (sent under the id it first appears with); a repeat takes that score
     under its own id. A scorer's total depends only on the text it is
-    sent, so no score changes. ``batch``, if given, is ``Sentences`` of
-    these same rows, built once for many scorers.
+    sent, so no score changes.
     """
-    rows = sentences if isinstance(sentences, list) else list(sentences)
-    if batch is None:
-        batch = Sentences(rows)
-    elif len(batch.index) != len(rows):
-        raise ValueError(f"a batch of {len(batch.index)} rows given for {len(rows)} sentences")
     if isinstance(scorer, NGramLM):
-        logprobs, counts = scorer.score_forms(batch.encoded)
+        logprobs, counts = scorer.score_forms(sentences.encoded)
     else:
-        first_ids = [rows[r][0] for r in batch.first.tolist()]
+        first = np.unique(sentences.index, return_index=True)[1].tolist()
+        first_ids = [sentences.ids[r] for r in first]
         results = scorer.score_texts(
-            [(sid, " ".join(key)) for sid, key in zip(first_ids, batch.distinct)]
+            [(sid, " ".join(key)) for sid, key in zip(first_ids, sentences.distinct)]
         )
         logprobs = [results[sid][0] for sid in first_ids]
         counts = [results[sid][1] for sid in first_ids]
-    index = batch.index.tolist()
+    index = sentences.index.tolist()
     return [logprobs[at] for at in index], [counts[at] for at in index]
 
 

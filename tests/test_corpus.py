@@ -258,6 +258,13 @@ def test_table_bad_count_names_file_and_line(tmp_path):
         load_table(path)
 
 
+def test_table_wrong_column_count_names_file_and_line(tmp_path):
+    path = tmp_path / "table.tsv"
+    path.write_text("verbscope-table/1\nNOUN\tNN\tcat\t3\n\nVERB\tsits\t2\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 4: expected 4 columns$"):
+        load_table(path)
+
+
 def test_table_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("not a table\n")

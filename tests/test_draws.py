@@ -110,7 +110,7 @@ WEIGHTS = st.integers(min_value=1, max_value=9) | st.integers(min_value=1, max_v
 def test_picks_are_pick_cumulative_with_exclude(strata_weights, streams):
     strata = [0, *accumulate(len(w) for w in strata_weights)]
     cumulative = list(accumulate(w for weights in strata_weights for w in weights))
-    stream, stratum, member, expected = [], [], [], []
+    stream, member, expected = [], [], []
     for s, (seed, draws) in enumerate(streams):
         scalar = Stream(seed)
         for which, own in draws:
@@ -118,13 +118,11 @@ def test_picks_are_pick_cumulative_with_exclude(strata_weights, streams):
             own %= len(strata_weights[which])
             local = list(accumulate(strata_weights[which]))
             stream.append(s)
-            stratum.append(which)
             member.append(strata[which] + own)
             expected.append(strata[which] + scalar.pick_cumulative(local, exclude=own))
     chosen = picks(
         np.array([seed for seed, _d in streams], dtype=np.uint64), np.array(stream, dtype=np.int64),
-        np.array(cumulative, dtype=np.uint64), np.array(strata), np.array(stratum, dtype=np.int64),
-        np.array(member, dtype=np.int64),
+        np.array(cumulative, dtype=np.uint64), np.array(strata), np.array(member, dtype=np.int64),
     )
     assert chosen.tolist() == expected
 
@@ -159,10 +157,11 @@ def test_rejected_draws_fall_back_to_the_scalar_stream():
     ])
     plan = perturb_plan(corpus, REPLACE_WORD, table)
     for seed in (1, 2, 2**63 + 5):
-        firsts = stream_seeds(seed, plan.sentence)
+        sentence = np.searchsorted(plan.offsets, plan.targets, side="right") - 1
+        firsts = stream_seeds(seed, sentence)
         totals = np.array([sum(nouns.values()) - nouns[corpus.sentences[i].tokens[p].form]
-                           for i, p in zip(plan.sentence.tolist(),
-                                           (plan.targets - plan.offsets[plan.sentence]).tolist())],
+                           for i, p in zip(sentence.tolist(),
+                                           (plan.targets - plan.offsets[sentence]).tolist())],
                           dtype=np.uint64)
         _values, rejected = below(firsts, np.zeros(len(firsts), dtype=np.int64), totals)
         assert 0.3 < rejected.mean() < 0.7  # the first draws alone reject about half the time

@@ -12,6 +12,7 @@ from verbscope.experiment import (
     parse_flat_config,
     run_experiment,
 )
+from verbscope.ingest import DEFAULT_SPLIT
 
 
 class TestConfig:
@@ -87,6 +88,13 @@ class TestConfig:
             with pytest.raises(ValueError, match=re.escape(f"discount must be in (0, 1], got {discount!r}")):
                 ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", discount=discount)
         assert ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", discount=1).discount == 1
+        with pytest.raises(ValueError, match="lm_order must be >= 1, got 0"):
+            ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", lm_order=0)
+        with pytest.raises(ValueError, match=re.escape("dev fraction 0 outside (0, 1)")):
+            ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", split="1,0,1")
+        assert ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", split="").split_spec() == (
+            DEFAULT_SPLIT
+        )
 
     @pytest.mark.parametrize(
         "text, message",
@@ -108,6 +116,10 @@ class TestConfig:
              r"c\.cfg: line 2: corpus spec \.\.:x\.conllu:conllu: domain '\.\.'"),
             ('out_dir = "C:\\data"\n', r"c\.cfg: line 1: cannot parse value '\"C:\\\\data\"'"),
             ("seeds = [1, 2,]\n", r"c\.cfg: line 1: cannot parse value '\[1, 2,\]'"),
+            ('out_dir = "o"\nlm_order = 0\n', r"c\.cfg: line 2: lm_order must be >= 1, got 0"),
+            ('split = "1,0,1"\n', r"c\.cfg: line 1: dev fraction 0 outside \(0, 1\)"),
+            ('split = "1,1"\n', r"c\.cfg: line 1: expected three comma-separated ratios"),
+            ('split = "1/0,1,1"\n', r"c\.cfg: line 1: split ratios must be numbers or p/q"),
         ],
     )
     def test_load_config_rejects_bad_input_with_file_and_line(self, tmp_path, text, message):
@@ -247,14 +259,14 @@ class TestRunExperiment:
     def test_failed_cell_logged_and_summarized(self, tmp_path, small_config, monkeypatch):
         import verbscope.experiment as exp
 
-        real = exp.train_ngram
+        real = exp._run_unit
 
-        def sabotaged(corpus, order, **kwargs):
-            if corpus.domain == "written":
+        def sabotaged(config, domains, unit, out):
+            if unit[0] == "written":
                 raise RuntimeError("boom")
-            return real(corpus, order, **kwargs)
+            return real(config, domains, unit, out)
 
-        monkeypatch.setattr(exp, "train_ngram", sabotaged)
+        monkeypatch.setattr(exp, "_run_unit", sabotaged)
         result = run_experiment(small_config(tmp_path / "cellfail", seeds=(1,)))
         assert result.status == 1
         assert any("boom" in err for _cell, err in result.failures)
@@ -269,14 +281,14 @@ class TestRunExperiment:
             def __init__(self, domain, seed):  # pickle would rebuild it from one arg
                 super().__init__(f"boom in {domain}, seed {seed}")
 
-        real = exp.train_ngram
+        real = exp._run_unit
 
-        def sabotaged(corpus, order, **kwargs):
-            if corpus.domain == "written":
-                raise Unpicklable(corpus.domain, 1)
-            return real(corpus, order, **kwargs)
+        def sabotaged(config, domains, unit, out):
+            if unit[0] == "written":
+                raise Unpicklable(unit[0], 1)
+            return real(config, domains, unit, out)
 
-        monkeypatch.setattr(exp, "train_ngram", sabotaged)  # forked workers see it
+        monkeypatch.setattr(exp, "_run_unit", sabotaged)  # forked workers see it
         serial = run_experiment(small_config(tmp_path / "one", seeds=(1,)))
         forked = run_experiment(small_config(tmp_path / "two", threads=2, seeds=(1,)))
         assert serial.failures == forked.failures
@@ -727,6 +739,49 @@ class TestPrepRecord:
         assert result.summary() == "4 cells: 0 computed, 0 shared, 4 cached, 0 failed"
         assert _outputs(out) == before
 
+    def test_a_record_with_plan_sentences_and_strata_is_loaded(self, tmp_path, small_config):
+        """A REPLACE.WORD plan's record holds its targets, members, strata and
+        cumulative counts only. A record that also holds each target's
+        sentence and stratum, as records of the earlier layout do, is loaded,
+        and the cells computed from it write the bytes they wrote before."""
+        import io
+        import zipfile
+
+        import numpy as np
+
+        out = tmp_path / "out"
+        config = small_config(out, seeds=(1,))
+        assert run_experiment(config).status == 0
+        before = _outputs(out)
+        record = out / "chat" / "prep.npz"
+        with zipfile.ZipFile(record) as zf:
+            plan = sorted(n for n in zf.namelist() if n.startswith("REPLACE.WORD."))
+        assert plan == [f"REPLACE.WORD.{name}.npy"
+                        for name in ("cumulative", "member", "strata", "targets")]
+        with np.load(record) as npz:
+            derived = {
+                "sentence": np.searchsorted(npz["offsets"], npz["REPLACE.WORD.targets"], "right"),
+                "stratum": np.searchsorted(
+                    npz["REPLACE.WORD.strata"], npz["REPLACE.WORD.member"], "right"
+                ),
+            }
+        with zipfile.ZipFile(record, "a") as zf:
+            for name, array in derived.items():
+                npy = io.BytesIO()
+                np.lib.format.write_array(npy, (array - 1).astype(np.int32))
+                zf.writestr(f"REPLACE.WORD.{name}.npy", npy.getvalue())
+        stale = record.read_bytes()
+        (out / "chat" / "replace-word" / "seed1" / "cell.json").unlink()
+        cut = out / "chat" / "original" / "cell.json"
+        cut.write_bytes(cut.read_bytes()[: len(cut.read_bytes()) // 2])
+        result = run_experiment(config)
+        assert result.domains == {"chat": "loaded", "written": "loaded"}
+        assert result.summary() == "4 cells: 2 computed, 0 shared, 2 cached, 0 failed"
+        after = _outputs(out)
+        assert after.pop("chat/prep.npz") == stale
+        before.pop("chat/prep.npz")
+        assert after == before
+
     @pytest.mark.parametrize(
         "change",
         ["_cut_record", "_change_corpus", "_change_split", "_include_propn", "_delete_pairs",
@@ -850,7 +905,7 @@ def _assert_same_domain(a, b):
     from verbscope.perturb import PerturbPlan
 
     for fa, fb in ((a.forms, b.forms), (a.members.encoded, b.members.encoded)):
-        assert (fa.vocab, fa.domain) == (fb.vocab, fb.domain)
+        assert fa.vocab == fb.vocab
         _same_array(fa.ids, fb.ids)
         _same_array(fa.offsets, fb.offsets)
     assert list(a.plans) == list(b.plans)
@@ -863,11 +918,10 @@ def _assert_same_domain(a, b):
         for f in dc_fields(PerturbPlan):
             if f.name not in ("condition", "members"):
                 _same_array(getattr(plan, f.name), getattr(other, f.name))
-    assert a.member_rows == b.member_rows
-    assert all(type(sid) is str and type(tokens) is tuple for sid, tokens in b.member_rows)
+    assert a.members.ids == b.members.ids and list(a.members) == list(b.members)
+    assert all(type(sid) is str and type(tokens) is tuple for sid, tokens in b.members)
     assert a.members.distinct == b.members.distinct
     _same_array(a.members.index, b.members.index)
-    _same_array(a.members.first, b.members.first)
     assert list(a.pairs_meta.items()) == list(b.pairs_meta.items())
     assert a.stats == b.stats and repr(a.stats) == repr(b.stats)
 
@@ -881,12 +935,12 @@ def _assert_domain_of_its_files(data, config, ddir):
     from verbscope.ingest import read_conllu
     from verbscope.pairgen import read_pairs
     from verbscope.perturb import PerturbPlan, perturb_plan
-    from verbscope.scorer.scoring import Sentences, pair_items
+    from verbscope.scorer.scoring import pair_items
     from verbscope.stats import compute_stats
 
     train = read_conllu(ddir / "splits" / "train.conllu", domain="d")
     forms = train.form_view()
-    assert (data.forms.vocab, data.forms.domain) == (forms.vocab, forms.domain)
+    assert data.forms.vocab == forms.vocab
     _same_array(data.forms.ids, forms.ids)
     _same_array(data.forms.offsets, forms.offsets)
     assert data.stats == compute_stats(train)
@@ -903,10 +957,9 @@ def _assert_domain_of_its_files(data, config, ddir):
             if f.name not in ("condition", "members"):
                 _same_array(getattr(data.plans[condition], f.name), getattr(plan, f.name))
     pairs = read_pairs(ddir / "pairs" / "pairs.jsonl")
-    rows = pair_items(pairs)
-    assert data.member_rows == rows
+    batch = pair_items(pairs)
+    assert data.members.ids == batch.ids and list(data.members) == list(batch)
     assert list(data.pairs_meta.items()) == [(p.pair_id, p.paradigm) for p in pairs]
-    batch = Sentences(rows)
     assert data.members.distinct == batch.distinct
     _same_array(data.members.index, batch.index)
 

@@ -102,6 +102,21 @@ class TestProtocolViolations:
         with pytest.raises(ExternalScorerError, match="unknown id"):
             external_score(rogue, _items(2))
 
+    def test_duplicate_response_id_rejected(self):
+        twice = [
+            sys.executable,
+            "-c",
+            (
+                "import sys, json\n"
+                "for line in sys.stdin:\n"
+                "    row = json.loads(line)\n"
+                "    for _ in range(2):\n"
+                "        print(json.dumps({'id': row['id'], 'logprob': -1.0, 'num_tokens': 1}))\n"
+            ),
+        ]
+        with pytest.raises(ExternalScorerError, match="^response line 2: duplicate id 'id0'$"):
+            external_score(twice, _items(2))
+
     def test_unlaunchable_command(self):
         with pytest.raises(ExternalScorerError, match="could not launch"):
             external_score(["/definitely/not/a/binary"], _items(1))

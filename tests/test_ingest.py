@@ -85,6 +85,13 @@ class TestReadConllu:
             read_conllu(path)
         assert str(err.value) == f"{path}: sentence ending at line {closing}: {message}"
 
+    def test_non_integer_token_id_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.conllu"
+        path.write_text("1\tfine\tfine\tX\tX\t_\t0\troot\t_\t_\nx\tb\tb\tX\tX\t_\t1\tdep\t_\t_\n\n")
+        with pytest.raises(ValueError) as err:
+            read_conllu(path)
+        assert str(err.value) == f"{path}: line 2: non-integer token id 'x'"
+
     def test_duplicate_sent_id_names_file_and_closing_line(self, tmp_path):
         path = tmp_path / "dup.conllu"
         block = "# sent_id = a\n1\tfine\tfine\tX\tX\t_\t0\troot\t_\t_\n\n"
@@ -359,6 +366,19 @@ class TestSplitSpec:
     def test_fractions_must_be_proper(self):
         with pytest.raises(ValueError):
             SplitSpec(Fraction(1), Fraction(0), Fraction(0))
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,1", "expected three comma-separated ratios, got '1,1'"),
+        ("1,1,1,1", "expected three comma-separated ratios, got '1,1,1,1'"),
+        ("0,0,0", "split ratios must have positive sum"),
+        ("1,-1,-1", "split ratios must have positive sum"),
+        ("a,1,1", "split ratios must be numbers or p/q, got 'a,1,1'"),
+        ("1/0,1,1", "split ratios must be numbers or p/q, got '1/0,1,1'"),
+    ])
+    def test_parse_rejects_bad_ratios(self, text, message):
+        with pytest.raises(ValueError) as err:
+            SplitSpec.parse(text)
+        assert str(err.value) == message
 
     def test_sum_must_be_one(self):
         with pytest.raises(ValueError, match="sum to 1"):

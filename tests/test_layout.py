@@ -168,7 +168,7 @@ def test_a_batch_scores_as_two_columns():
     assert not _names(Path(experiment.__file__)) & {"SentenceScore", "scored_pairs"}
     lm = ngram.train_ngram([["a", "b"], ["b"]], 2)
     logprobs, counts = scoring.score_sentences(
-        lm, [("x", ["a", "b"]), ("y", ["b"]), ("z", ["a", "b"])]
+        lm, scoring.Sentences([("x", ["a", "b"]), ("y", ["b"]), ("z", ["a", "b"])])
     )
     assert type(logprobs) is list and type(counts) is list
     assert [type(v) for v in logprobs] == [float] * 3
@@ -178,7 +178,7 @@ def test_a_batch_scores_as_two_columns():
 
 
 def test_a_prepared_domain_keeps_no_pair_records(tmp_path, fixture_dir):
-    """A prepared domain keeps its pairs as pair_items rows and a
+    """A prepared domain keeps its pairs as a pair_items batch and a
     pair_id -> paradigm map in pair order, not as MinimalPair records."""
     from dataclasses import fields
 
@@ -199,7 +199,8 @@ def test_a_prepared_domain_keeps_no_pair_records(tmp_path, fixture_dir):
             assert not any(isinstance(item, MinimalPair) for item in held), f.name
     pairs = read_pairs(tmp_path / "chat" / "pairs" / "pairs.jsonl")
     assert pairs
-    assert data.member_rows == pair_items(pairs)
+    batch = pair_items(pairs)
+    assert data.members.ids == batch.ids and list(data.members) == list(batch)
     assert list(data.pairs_meta.items()) == [(p.pair_id, p.paradigm) for p in pairs]
 
 
@@ -250,3 +251,28 @@ def test_one_builder_of_a_prepared_domain():
         and any(builds(node) for node in ast.walk(fn))
     ]
     assert builders == ["experiment.py:_domain_of"]
+
+
+def test_one_copy_of_each_prepared_fact():
+    """A prepared domain keeps each fact once: its pair members only as
+    one scoring batch that carries the rows' ids, and a REPLACE.WORD plan
+    only the targets' positions and members, from which their sentences
+    and strata follow."""
+    import inspect
+    from dataclasses import fields
+
+    from verbscope import rng
+    from verbscope.corpus import Forms
+    from verbscope.experiment import _DomainData
+    from verbscope.perturb import PerturbPlan
+    from verbscope.scorer.scoring import Sentences, score_sentences
+
+    assert [f.name for f in fields(_DomainData)] == [
+        "forms", "plans", "members", "pairs_meta", "stats"
+    ]
+    assert list(inspect.signature(score_sentences).parameters) == ["scorer", "sentences"]
+    assert not {"sentence", "stratum"} & {f.name for f in fields(PerturbPlan)}
+    assert "stratum" not in inspect.signature(rng.picks).parameters
+    batch = Sentences([("x", ["a"]), ("y", ["a"])])
+    assert not hasattr(batch, "first") and "domain" not in Forms.__slots__
+    assert (batch.ids, list(batch), len(batch)) == (["x", "y"], [("x", ("a",)), ("y", ("a",))], 2)

@@ -243,7 +243,6 @@ class TestPerturbCorpus:
             )
             forms, form_report = perturb_forms(subset.form_view(), condition, plan, seed)
             assert forms == out.form_view()
-            assert forms.domain == "chat"
             assert form_report == report
             if condition == REPLACE_WORD:
                 assert report.tokens_replaced == recount_differences(subset, out)

@@ -18,6 +18,7 @@ from verbscope.scorer.ngram import (
     train_ngram,
 )
 from verbscope.scorer.scoring import (
+    Sentences,
     pair_items,
     read_pair_scores,
     score_sentences,
@@ -118,7 +119,7 @@ class TestTrainNGram:
 class TestLogprob:
     def test_empty_tokens_is_eos_only(self):
         lm = train_ngram(corpus_of("a b", "b a").form_view(), order=2)
-        (logprob,), (events,) = score_sentences(lm, [("s", [])])
+        (logprob,), (events,) = score_sentences(lm, Sentences([("s", [])]))
         assert events == 1
         assert logprob == lm.logprob([])
         assert logprob == pytest.approx(math.log(lm.prob(EOS, [BOS])), abs=1e-12)
@@ -153,7 +154,7 @@ class TestLogprob:
 
     def test_score_is_negative_and_counts_eos(self):
         lm = train_ngram(corpus_of("a b c d").form_view(), order=2)
-        (logprob,), (events,) = score_sentences(lm, [("sid", ["a", "b"])])
+        (logprob,), (events,) = score_sentences(lm, Sentences([("sid", ["a", "b"])]))
         assert logprob < 0
         assert logprob == lm.logprob(["a", "b"])
         assert events == 3
@@ -251,10 +252,12 @@ class TestModelProperties:
         ({7: "a"}, 7, "form 'a' repeats or breaks the sorted order"),
         ({6: "c"}, 7, "form 'b' repeats or breaks the sorted order"),
         ({10: "<unk>"}, 10, "form '<unk>' is a reserved symbol"),
+        ({1: "verbscope-ngram/0"}, 1, "unsupported model version 'verbscope-ngram/0'"),
+        ({18: "grams\t3\t14"}, 18, "expected the order-2 grams, got order 3"),
     ], ids=["fewer-discounts", "more-discounts", "unequal-discounts", "extra-bigram",
             "changed-unigram", "short-gram", "id-99", "negative-id", "bos-predicted",
             "zero-count", "repeated-gram", "discount-above-1", "discount-0",
-            "repeated-form", "unsorted-forms", "reserved-form"])
+            "repeated-form", "unsorted-forms", "reserved-form", "version", "grams-order"])
     def test_malformed_model_names_file_and_line(self, edits, line, message, tmp_path, capsys):
         from verbscope.cli import main
 
@@ -282,7 +285,7 @@ class TestPacking:
         with pytest.raises(ValueError, match=message):
             train_ngram([forms], 7)
         lm = train_ngram([forms], 6)  # 1003**6 stays below 2**63
-        assert score_sentences(lm, [("s", forms[:3])])[1] == [4]
+        assert score_sentences(lm, Sentences([("s", forms[:3])]))[1] == [4]
         path = tmp_path / "m.lm"
         save_lm(train_ngram([["a"]], 7), path)
         lines = path.read_text().splitlines()
@@ -337,7 +340,7 @@ class TestScorePairs:
         ]
         items = pair_items(pairs)
         logprobs, counts = score_sentences(lm, items)
-        write_scores([sid for sid, _tokens in items], logprobs, counts, tmp_path / "scores.tsv")
+        write_scores(items.ids, logprobs, counts, tmp_path / "scores.tsv")
         assert read_pair_scores(tmp_path / "scores.tsv") == score_pairs(lm, pairs)
         assert score_pairs(lm, pairs) == [
             ("p1", logprobs[0], logprobs[1]), ("p2", logprobs[2], logprobs[3])
@@ -348,6 +351,20 @@ class TestScorePairs:
         path = tmp_path / "scores.tsv"
         path.write_text("p::good\t-1.5\t2\np::bad\tabc\t2\n")
         with pytest.raises(ValueError, match=r"scores\.tsv: line 2: logprob 'abc' is not a number"):
+            read_pair_scores(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("p::good\t-1.5\t2\np::bad\t-2.0\n", "line 2: expected 3 tab-separated columns"),
+        ("p::good\t-1.5\t2\np::worse\t-2.0\t2\n", "line 2: id 'p::worse' lacks ::good/::bad suffix"),
+        ("::good\t-1.5\t2\n", "line 1: id '::good' lacks ::good/::bad suffix"),
+        ("p::good\t-1.5\t2\np::bad\t-2.0\t2\np::good\t-1.0\t2\n", "line 3: duplicate 'p::good'"),
+        ("p::good\t-1.5\t2\nq::bad\t-2.0\t2\n", r"unpaired ids: \['p', 'q'\]"),
+    ], ids=["two-columns", "no-member-suffix", "no-pair-id", "duplicate-id",
+            "unpaired"])
+    def test_malformed_score_tsv_names_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "scores.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
             read_pair_scores(path)
 
     def test_duplicate_pair_ids_rejected(self):
@@ -471,7 +488,9 @@ class TestMemoizedScoring:
         the dict reference's score."""
         lm = train_ngram(_forms_corpus(*self.TRAIN).form_view(), order)
         ref = DictKN(self.TRAIN, order)
-        batch, _counts = score_sentences(lm, [(f"s{i}", p) for i, p in enumerate(self.PROBES)])
+        batch, _counts = score_sentences(
+            lm, Sentences((f"s{i}", p) for i, p in enumerate(self.PROBES))
+        )
         for probe, logprob in zip(reversed(self.PROBES), reversed(batch)):
             assert lm.logprob(probe) == logprob == ref.logprob(probe), probe
 
@@ -481,7 +500,9 @@ class TestMemoizedScoring:
         lm = train_ngram(train.form_view(), order)
         ref = DictKN([s.forms() for s in train], order)
         probes = [s.forms() for s in chat_fixture.sentences[300:500]]
-        logprobs, _counts = score_sentences(lm, [(f"s{i}", p) for i, p in enumerate(probes)])
+        logprobs, _counts = score_sentences(
+            lm, Sentences((f"s{i}", p) for i, p in enumerate(probes))
+        )
         for probe, logprob in zip(probes, logprobs):
             assert logprob == lm.logprob(probe) == ref.logprob(probe)
 
@@ -537,7 +558,7 @@ class TestMemoizedScoring:
         calls = []
         score_forms = lm.score_forms
         lm.score_forms = lambda forms: calls.append(list(forms)) or score_forms(forms)
-        logprobs, counts = score_sentences(lm, sentences)
+        logprobs, counts = score_sentences(lm, Sentences(sentences))
         # each distinct token list scored once, in first-seen order
         assert calls == [[("you", "want", "it", "."), ("they", "see", "milk"), ()]]
         assert len(logprobs) == len(counts) == len(sentences)
@@ -557,7 +578,7 @@ class TestMemoizedScoring:
         sentences = [("a", ["x", "y"]), ("b", ["x", "y"]), ("c", ["z"]), ("d", ["x", "y"]),
                      ("e", []), ("f", ["z"])]
         fake = FakeScorer()
-        logprobs, counts = score_sentences(fake, sentences)
+        logprobs, counts = score_sentences(fake, Sentences(sentences))
         assert fake.received == [("a", "x y"), ("c", "z"), ("e", "")]  # under its first id
         assert list(zip(logprobs, counts)) == [
             (-3.0, 3), (-3.0, 3), (-1.0, 2), (-3.0, 3), (0.0, 1), (-1.0, 2),
