@@ -8,6 +8,7 @@ genpairs, score, eval, regress, trajectory, plot, run. Exit codes:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
@@ -207,10 +208,10 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    pairs = read_pairs(args.pairs)
+    paradigms = {p.pair_id: p.paradigm for p in read_pairs(args.pairs)}
     scored = read_pair_scores(args.scores)
     labels = Labels(args.train_domain, args.eval_domain, args.condition, args.checkpoint)
-    result = evaluate(scored, {p.pair_id: p.paradigm for p in pairs}, labels)
+    result = evaluate(scored, paradigms, labels)
     print(
         f"accuracy {result.accuracy:.4f} over {result.n_pairs} pairs "
         f"({result.n_ties} ties)"
@@ -458,7 +459,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader of stdout went away: as the Python docs' note on
+        # SIGPIPE does, say nothing and point stdout at os.devnull, so the
+        # flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OSError, ExternalScorerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

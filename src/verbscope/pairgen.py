@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from sys import intern
+from typing import Iterator
 
 from .atomic import atomic_write, loads_line
 from .corpus import Corpus, FrequencyTable, bin_index, check_field, tag_pair
@@ -363,12 +365,15 @@ def write_pairs(pairs, path) -> None:
             )
 
 
-def read_pairs(path) -> list[MinimalPair]:
-    """The pairs of a ``write_pairs`` file. A malformed record is a
-    ValueError naming the file and record; the pairs of one good text
-    share one ``good`` tuple."""
-    pairs = []
+def read_pairs(path) -> Iterator[MinimalPair]:
+    """The pairs of a ``write_pairs`` file, each yielded as its record is
+    read; of the records before it, only their ids and good tuples are
+    kept. A malformed record, or one whose pair id an earlier record
+    holds, is a ValueError naming the file and record, raised once the
+    pairs before it are yielded. Tokens are interned, and the pairs of one
+    good text share one ``good`` tuple."""
     goods: dict[str, tuple[str, ...]] = {}  # each distinct good text, split once
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for recno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -397,12 +402,13 @@ def read_pairs(path) -> list[MinimalPair]:
                     raise ValueError(f"diff_index must be an integer, got {diff_index!r}")
                 good = goods.get(text)
                 if good is None:
-                    good = goods[text] = tuple(text.split(" "))
-                bad = tuple(bad.split(" "))
+                    good = goods[text] = tuple(map(intern, text.split(" ")))
+                bad = tuple(map(intern, bad.split(" ")))
                 # positional: matching seven keywords is a tenth of a record's cost
-                pairs.append(
-                    MinimalPair(pair_id, paradigm, good, bad, diff_index, source, meta)
-                )
+                pair = MinimalPair(pair_id, paradigm, good, bad, diff_index, source, meta)
+                if pair_id in seen:  # checked last: a malformed record names its own fault
+                    raise ValueError(f"duplicate pair_id {pair_id!r}")
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"{path}: record {recno}: {exc}") from exc
-    return pairs
+            seen.add(pair_id)
+            yield pair

@@ -10,14 +10,17 @@ and the child answers, in any order it likes, one line per request:
 
 Scores are total natural-log probabilities; the child may tokenize
 however it wants, only the per-sentence total matters. Stdin is closed
-after the last request; the child must answer every id and exit 0. Any
-deviation (unparseable line, unknown or duplicate id, a logprob that is
-not a JSON number or is positive or NaN, num_tokens that is not a JSON
-integer, missing answers, nonzero exit, batch timeout) raises
-ExternalScorerError naming the offending line or ids; true, false and
-numbers in strings are refused, not converted. ``check_score`` holds the
-rules of one score's values; the score TSV reader, whose fields are text,
-applies them too.
+after the last request; the child must answer every id and exit 0. Its
+stdout and stderr go to unnamed temporary files, so a child never blocks
+on a full pipe and the caller holds no copy of the answers; once the
+child exits, the answers are read back line by line, split on "\n"
+alone. Any deviation (unparseable line, unknown or duplicate id, a
+logprob that is not a JSON number or is positive or NaN, num_tokens that
+is not a JSON integer, missing answers, nonzero exit, batch timeout)
+raises ExternalScorerError naming the offending line or ids; true, false
+and numbers in strings are refused, not converted. ``check_score`` holds
+the rules of one score's values; the score TSV reader, whose fields are
+text, applies them too.
 
 ``ExternalScorer`` holds the command, its timeout and, inside its
 context, the child started for the next batch. Its scores carry no scorer
@@ -27,11 +30,12 @@ or checkpoint label: a checkpoint is named where the scores are evaluated
 
 from __future__ import annotations
 
-import json
 import shlex
 import subprocess
+import tempfile
+from contextlib import ExitStack
 from json.encoder import encode_basestring as _encode
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 from ..atomic import loads_line
 
@@ -71,69 +75,54 @@ def _argv(command: str | Sequence[str]) -> list[str]:
     return shlex.split(command) if isinstance(command, str) else list(command)
 
 
-def _request(items: Sequence[tuple[str, str]]) -> bytes:
-    """The request lines: each is ``json.dumps({"id": ..., "text": ...},
-    ensure_ascii=False)`` byte for byte, without its per-line overhead."""
-    return "".join(
-        f'{{"id": {_encode(item_id)}, "text": {_encode(text)}}}\n' for item_id, text in items
-    ).encode("utf-8")
+def _request(items: Sequence[tuple[str, str]]) -> bytearray:
+    """The request, built once as bytes: each line is
+    ``json.dumps({"id": ..., "text": ...}, ensure_ascii=False)`` byte for
+    byte, without its per-line overhead."""
+    request = bytearray()
+    for item_id, text in items:
+        request += f'{{"id": {_encode(item_id)}, "text": {_encode(text)}}}\n'.encode("utf-8")
+    return request
 
 
 def _launch(argv: list[str]) -> subprocess.Popen:
-    """Start a scorer child with piped stdin, stdout and stderr."""
-    try:
-        return subprocess.Popen(
-            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE
-        )
-    except OSError as exc:
-        raise ExternalScorerError(f"could not launch external scorer: {exc}")
+    """Start a scorer child with piped stdin. Its stdout and stderr go to
+    unnamed temporary files, kept as the child's ``answers`` and
+    ``errors`` and read once it exits; ``_reap`` closes them."""
+    with ExitStack() as files:
+        answers = files.enter_context(tempfile.TemporaryFile())
+        errors = files.enter_context(tempfile.TemporaryFile())
+        try:
+            child = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=answers, stderr=errors)
+        except OSError as exc:
+            raise ExternalScorerError(f"could not launch external scorer: {exc}")
+        files.pop_all()
+    child.answers, child.errors = answers, errors
+    return child
 
 
-def _reap(proc: subprocess.Popen) -> None:
-    """Kill the child if it still runs, close its pipes and wait for it."""
-    proc.kill()  # a no-op once the child has been waited for
-    with proc:
+def _reap(child: subprocess.Popen) -> None:
+    """Kill the child if it still runs, wait for it, and close its stdin
+    and its two files."""
+    child.kill()  # a no-op once the child has been waited for
+    with child, child.answers, child.errors:
         pass
 
 
-def external_score(
-    command: str | Sequence[str],
-    items: Sequence[tuple[str, str]],
-    timeout: float = 300.0,
-    child: subprocess.Popen | None = None,
-) -> dict[str, tuple[float, int]]:
-    """Score (id, text) items through one child process; returns id -> (logprob, num_tokens).
-
-    ``child`` is a child already started for ``command``; without one, a
-    child is launched here. Either way the child is reaped before this
-    returns or raises. The timeout counts from when the request is sent.
-    """
-    argv = _argv(command)
-    try:
-        expected = {item_id for item_id, _ in items}
-        if len(expected) != len(items):
-            raise ExternalScorerError("request ids must be unique")
-        request = _request(items)
-        if child is None:
-            child = _launch(argv)
-        try:
-            stdout, stderr = child.communicate(request, timeout=timeout)
-        except subprocess.TimeoutExpired:
-            raise ExternalScorerError(
-                f"external scorer timed out after {timeout}s: {argv[0]}"
-            ) from None
-    finally:
-        if child is not None:
-            _reap(child)
-
+def _read_answers(answers: BinaryIO, expected: set[str]) -> dict[str, tuple[float, int]]:
+    """The child's answers, read back from their file as JSON Lines: split
+    on "\n" alone. A JSON string never holds a raw newline, but it may
+    hold U+2028 or U+0085, where ``str.splitlines`` would break it."""
+    answers.seek(0)
     results: dict[str, tuple[float, int]] = {}
-    for lineno, line in enumerate(stdout.decode("utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in enumerate(answers, start=1):
         try:
+            line = line.decode("utf-8")
+            if not line.strip():
+                continue
             row = loads_line(line)
-        except json.JSONDecodeError as exc:
-            raise ExternalScorerError(f"response line {lineno}: not valid JSON ({exc})")
+        except ValueError as exc:  # a JSON or a UTF-8 decoding error
+            raise ExternalScorerError(f"response line {lineno}: not valid JSON ({exc})") from None
         if not isinstance(row, dict) or "id" not in row:
             raise ExternalScorerError(f"response line {lineno}: missing id")
         rid = row["id"]
@@ -150,18 +139,53 @@ def external_score(
             results[rid] = check_score(logprob, num_tokens)
         except ValueError as exc:
             raise ExternalScorerError(f"response line {lineno} (id {rid!r}): {exc}") from None
+    return results
 
-    missing = expected - set(results)
-    if missing:
-        raise ExternalScorerError(
-            f"external scorer exited before answering: missing ids {_listed(missing)}"
-        )
-    if child.returncode != 0:
-        stderr = stderr.decode("utf-8", "replace").strip()
-        raise ExternalScorerError(
-            f"external scorer exited with status {child.returncode}"
-            + (f": {stderr[:200]}" if stderr else "")
-        )
+
+def external_score(
+    command: str | Sequence[str],
+    items: Sequence[tuple[str, str]],
+    timeout: float = 300.0,
+    child: subprocess.Popen | None = None,
+) -> dict[str, tuple[float, int]]:
+    """Score (id, text) items through one child process; returns id -> (logprob, num_tokens).
+
+    ``child`` is a child already started for ``command``; without one, a
+    child is launched here. Either way the child is reaped, and its files
+    closed, before this returns or raises. The timeout counts from when
+    the request is sent.
+    """
+    argv = _argv(command)
+    try:
+        expected = {item_id for item_id, _ in items}
+        if len(expected) != len(items):
+            raise ExternalScorerError("request ids must be unique")
+        request = _request(items)
+        if child is None:
+            child = _launch(argv)
+        try:
+            child.communicate(request, timeout=timeout)
+        except subprocess.TimeoutExpired:
+            raise ExternalScorerError(
+                f"external scorer timed out after {timeout}s: {argv[0]}"
+            ) from None
+        request.clear()  # sent: the child object keeps a reference to it
+        results = _read_answers(child.answers, expected)
+        missing = expected - set(results)
+        if missing:
+            raise ExternalScorerError(
+                f"external scorer exited before answering: missing ids {_listed(missing)}"
+            )
+        if child.returncode != 0:
+            child.errors.seek(0)  # its head only: the error quotes 200 characters
+            stderr = child.errors.read(4096).decode("utf-8", "replace").strip()
+            raise ExternalScorerError(
+                f"external scorer exited with status {child.returncode}"
+                + (f": {stderr[:200]}" if stderr else "")
+            )
+    finally:
+        if child is not None:
+            _reap(child)
     return results
 
 

@@ -37,14 +37,19 @@ def member_ids(pair_ids: Iterable[str]) -> list[str]:
     return [f"{pid}::{member}" for pid in pair_ids for member in _MEMBERS]
 
 
-def pair_items(pairs: Sequence[MinimalPair]) -> "Sentences":
+def pair_items(pairs: Iterable[MinimalPair]) -> "Sentences":
     """Both members of every pair as one batch: pair k's good member at
     row 2k and its bad member at row 2k + 1, so the scores of these rows
-    pair up by position. The tokens are the pair's own member tuples."""
-    ids = [p.pair_id for p in pairs]
+    pair up by position. The tokens are the pair's own member tuples;
+    of each pair only its id and those tuples are kept as it arrives, so
+    a stream of pairs is never held whole."""
+    ids, members = [], []
+    for p in pairs:
+        ids.append(p.pair_id)
+        members += p.good, p.bad
     if len(set(ids)) != len(ids):
         raise ValueError("pair ids must be unique")
-    return Sentences(zip(member_ids(ids), [tokens for p in pairs for tokens in (p.good, p.bad)]))
+    return Sentences(zip(member_ids(ids), members))
 
 
 class Sentences:
@@ -59,12 +64,13 @@ class Sentences:
     """
 
     def __init__(self, rows: Iterable[tuple[str, Sequence[str]]]):
-        rows = list(rows)
         seen: dict[tuple, int] = {}
-        self.ids = [sid for sid, _tokens in rows]
-        self.index = np.array(
-            [seen.setdefault(tuple(tokens), len(seen)) for _sid, tokens in rows], dtype=np.int32
-        )
+        self.ids: list[str] = []
+        index = []
+        for sid, tokens in rows:  # one pass: ``rows`` may be a stream
+            self.ids.append(sid)
+            index.append(seen.setdefault(tuple(tokens), len(seen)))
+        self.index = np.array(index, dtype=np.int32)
         self.distinct = list(seen)
         self._encoded: Forms | None = None
 

@@ -368,20 +368,72 @@ _OK_PAIR = ('{"pair_id": "ok", "paradigm": "semantic-verb", "good": "a b", "bad"
         "diff-index-bool", "source-list"])
 @pytest.mark.parametrize("command", ["eval", "score"])
 def test_pairs_record_of_the_wrong_type_is_one_error_line(tmp_path, capsys, command, record, message):
-    from verbscope.scorer.ngram import save_lm, train_ngram
-
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text(_OK_PAIR + record.rstrip("\n") + "\n")
+    assert main(_pairs_command(tmp_path, command, pairs)) == 1
+    assert capsys.readouterr().err == f"error: {pairs}: record 2: {message}\n"
+
+
+def _pairs_command(tmp_path, command, pairs) -> list[str]:
+    """``eval`` of pair "ok"'s scores, or ``score --lm``, over the pair file ``pairs``."""
+    from verbscope.scorer.ngram import save_lm, train_ngram
+
     scores = tmp_path / "scores.tsv"
     scores.write_text("ok::good\t-1.0\t3\nok::bad\t-2.0\t3\n")
     lm = tmp_path / "m.lm"
     save_lm(train_ngram([["a", "b"]], 2), lm)
-    args = {
+    return {
         "eval": ["eval", "--pairs", str(pairs), "--scores", str(scores)],
         "score": ["score", "--lm", str(lm), "--pairs", str(pairs), "--out", str(tmp_path / "s")],
     }[command]
-    assert main(args) == 1
-    assert capsys.readouterr().err == f"error: {pairs}: record 2: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "score"])
+def test_a_repeated_pair_id_is_refused_where_it_repeats(tmp_path, capsys, command):
+    """A fourth record that repeats the first one's id, under another
+    paradigm, fails both commands at that record."""
+    repeat = ('{"pair_id": "ok", "paradigm": "agr-simple", "good": "The dog barks .", '
+              '"bad": "The dogs barks .", "diff_index": 1, "meta": {}}\n')
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(_OK_PAIR + _OK_PAIR.replace('"ok"', '"p2"') + _OK_PAIR.replace('"ok"', '"p3"')
+                     + repeat)
+    assert main(_pairs_command(tmp_path, command, pairs)) == 1
+    assert capsys.readouterr().err == f"error: {pairs}: record 4: duplicate pair_id 'ok'\n"
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_is_no_error(tmp_path, unbuffered):
+    """A command whose stdout reader has gone, as in ``regress | head -1``,
+    prints nothing to stderr: the broken pipe is not an input error."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import verbscope
+
+    results = tmp_path / "results.csv"
+    results.write_text("paradigm,accuracy,n,checkpoint\n" + "".join(
+        f"{paradigm},{0.5 + i / 100},10,{i}\n"
+        for i in range(1, 200) for paradigm in ("semantic-verb", "agr-simple")
+    ))
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the command writes a byte
+    env = dict(os.environ, PYTHONPATH=str(Path(verbscope.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "verbscope.cli", "trajectory", "--in", str(results),
+             "--out", str(tmp_path / "t.csv")],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.stderr == b""
+    assert done.returncode == 1
 
 
 @pytest.mark.parametrize("row, message", [

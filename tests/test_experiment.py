@@ -956,7 +956,7 @@ def _assert_domain_of_its_files(data, config, ddir):
         for f in fields(PerturbPlan):
             if f.name not in ("condition", "members"):
                 _same_array(getattr(data.plans[condition], f.name), getattr(plan, f.name))
-    pairs = read_pairs(ddir / "pairs" / "pairs.jsonl")
+    pairs = list(read_pairs(ddir / "pairs" / "pairs.jsonl"))
     batch = pair_items(pairs)
     assert data.members.ids == batch.ids and list(data.members) == list(batch)
     assert list(data.pairs_meta.items()) == [(p.pair_id, p.paradigm) for p in pairs]

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -44,6 +45,27 @@ class TestEchoScorer:
         rows = score_pairs(ExternalScorer(ECHO), pairs)
         assert rows[0] == ("p1", -4.0, -4.0)
         assert rows[1] == ("p2", -2.0, -1.0)
+
+
+@pytest.mark.parametrize("mode", ["ok", "positive", "drop", "garbage"])
+def test_echo_scorer_answers_in_one_write_of_json_dumps_bytes(monkeypatch, mode):
+    """The answers are json.dumps' bytes, ASCII-escaped, in one write."""
+    rows = [{"id": "caf\u00e9\u2028", "text": "a b"}, {"id": "x", "text": "ccc"},
+            {"id": "y", "text": "d"}]
+    writes = []
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)))
+    monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": lambda _self, s: writes.append(s)})())
+    assert verbscope.echo_scorer.main(["--mode", mode]) == 0
+    expected = []
+    for i, row in enumerate(reversed(rows[:-1] if mode == "drop" else rows)):
+        if mode == "garbage" and i == 0:
+            expected.append("this is not json\n")
+            continue
+        logprob = 0.5 if mode == "positive" and i == 0 else -float(len(row["text"]))
+        expected.append(json.dumps({"id": row["id"], "logprob": logprob,
+                                    "num_tokens": max(1, len(row["text"].split()))}) + "\n")
+    assert writes == ["".join(expected)]
 
 
 def test_echo_scorer_loads_no_other_verbscope_module():
@@ -124,6 +146,41 @@ class TestProtocolViolations:
     def test_duplicate_request_ids_rejected(self):
         with pytest.raises(ExternalScorerError, match="unique"):
             external_score(ECHO, [("same", "a"), ("same", "b")])
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u0085", "\u2029"])
+def test_answers_are_split_on_newline_alone(separator):
+    """An id may hold a character that ``str.splitlines`` breaks at, and a
+    child may write it raw (``ensure_ascii=False``): its answer still parses."""
+    raw = [sys.executable, "-c", (
+        "import sys, json\n"
+        "for line in sys.stdin.buffer:\n"
+        "    row = json.loads(line)\n"
+        "    answer = {'id': row['id'], 'logprob': -1.0, 'num_tokens': 1}\n"
+        "    sys.stdout.buffer.write((json.dumps(answer, ensure_ascii=False) + '\\n').encode())\n"
+    )]
+    items = [(f"a{separator}b", "x y"), ("c", "z")]
+    assert external_score(raw, items) == {f"a{separator}b": (-1.0, 1), "c": (-1.0, 1)}
+
+
+def test_a_child_writing_more_stderr_than_a_pipe_holds_still_scores():
+    noisy = [sys.executable, "-c", (
+        "import sys, json\n"
+        "for line in sys.stdin:\n"
+        "    row = json.loads(line)\n"
+        "    print(json.dumps({'id': row['id'], 'logprob': -1.0, 'num_tokens': 1}), flush=True)\n"
+        "    print('x' * 4096, file=sys.stderr, flush=True)\n"
+    )]
+    items = _items(20)  # 80 KiB of stderr; a pipe holds 64 KiB
+    assert external_score(noisy, items) == {item_id: (-1.0, 1) for item_id, _text in items}
+
+
+def test_a_failed_child_has_the_head_of_its_stderr_in_the_error():
+    crash = [sys.executable, "-c",
+             "import sys; sys.stdin.read(); sys.stderr.write('  boom ' + 'x' * 100_000); sys.exit(3)"]
+    with pytest.raises(ExternalScorerError) as err:
+        external_score(crash, [])
+    assert str(err.value) == "external scorer exited with status 3: boom " + "x" * 195
 
 
 @pytest.mark.parametrize("logprob, num_tokens, message", [
@@ -228,6 +285,28 @@ class TestChildLifecycle:
         with ExternalScorer(ECHO, timeout=1.0) as scorer:
             time.sleep(1.2)  # the child waits on its stdin meanwhile
             assert scorer.score_texts(_items(1)) == {"id0": (-5.0, 1)}
+
+    @pytest.mark.parametrize("case", ["success", "protocol-error", "exit-status", "timeout",
+                                      "unused"])
+    def test_the_temporary_files_are_closed(self, launched, case):
+        """Whatever a batch's outcome, the child's two files are closed and
+        the process holds no more descriptors than before it."""
+        before = set(os.listdir("/proc/self/fd"))
+        command, timeout, error = {
+            "success": (ECHO, 300.0, None),
+            "protocol-error": (ECHO + ["--mode", "garbage"], 300.0, "not valid JSON"),
+            "exit-status": ([sys.executable, "-c", "import sys; sys.exit(3)"], 300.0, "status 3"),
+            "timeout": ([sys.executable, "-c", "import time; time.sleep(30)"], 1.0, "timed out"),
+            "unused": (ECHO, 300.0, None),
+        }[case]
+        with ExternalScorer(command, timeout=timeout) as scorer:
+            if error:  # children that read no request get none
+                with pytest.raises(ExternalScorerError, match=error):
+                    scorer.score_texts(_items(3 if case == "protocol-error" else 0))
+            elif case == "success":
+                assert len(scorer.score_texts(_items(3))) == 3
+        assert set(os.listdir("/proc/self/fd")) == before
+        assert launched[0].answers.closed and launched[0].errors.closed
 
     def test_a_timed_out_child_is_killed_and_reaped(self, launched):
         slow = [sys.executable, "-c", "import time,sys; sys.stdin.read(); time.sleep(30)"]

@@ -101,9 +101,25 @@ def test_pairs_read_from_a_file_share_one_good_member_per_text(tmp_path):
     pairs.append(MinimalPair("q", "semantic-verb", ("she", "eats", "it"), ("she", "sees", "it"), 1))
     path = tmp_path / "pairs.jsonl"
     write_pairs(pairs, path)
-    first, second, third, other = read_pairs(path)
+    first, second, third, other = list(read_pairs(path))
     assert first.good is second.good is third.good
     assert other.good is not first.good
+    # tokens are interned: equal tokens of different pairs are one object
+    assert other.good[1] is first.good[1] and other.bad[1] is first.bad[1]
+    assert first.bad[0] is first.good[0] and third.bad[2] is other.good[2]
+
+
+def test_the_pair_reader_streams():
+    """``read_pairs`` is a generator function, and no module under src/
+    holds its whole stream in a list."""
+    import inspect
+    from pathlib import Path
+
+    import verbscope
+
+    assert inspect.isgeneratorfunction(read_pairs)
+    for path in Path(verbscope.__file__).parent.rglob("*.py"):
+        assert "list(read_pairs(" not in path.read_text(encoding="utf-8"), path
 
 
 def _names(path) -> set[str]:
@@ -197,7 +213,7 @@ def test_a_prepared_domain_keeps_no_pair_records(tmp_path, fixture_dir):
         if isinstance(value, (list, dict)):
             held = value.values() if isinstance(value, dict) else value
             assert not any(isinstance(item, MinimalPair) for item in held), f.name
-    pairs = read_pairs(tmp_path / "chat" / "pairs" / "pairs.jsonl")
+    pairs = list(read_pairs(tmp_path / "chat" / "pairs" / "pairs.jsonl"))
     assert pairs
     batch = pair_items(pairs)
     assert data.members.ids == batch.ids and list(data.members) == list(batch)

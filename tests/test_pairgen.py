@@ -295,7 +295,7 @@ class TestPairsIO:
         pairs += gen_agreement_pairs(PAINTER_LEXICON, AGREEMENT_PARADIGMS, 20, seed=1)
         path = tmp_path / "pairs.jsonl"
         write_pairs(pairs, path)
-        assert read_pairs(path) == pairs
+        assert list(read_pairs(path)) == pairs
 
     @pytest.mark.parametrize("member", ["good", "bad"])
     @pytest.mark.parametrize("form", ["New York", "a\tb", "New\u00a0York"])
@@ -313,7 +313,7 @@ class TestPairsIO:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert read_pairs(path) == []
+        assert list(read_pairs(path)) == []
 
     def test_two_position_diff_rejected_with_record_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -322,7 +322,7 @@ class TestPairsIO:
             '{"pair_id": "bad", "paradigm": "semantic-verb", "good": "a b", "bad": "x y", "diff_index": 0, "meta": {}}\n'
         )
         with pytest.raises(ValueError, match="record 2"):
-            read_pairs(path)
+            list(read_pairs(path))
 
     @pytest.mark.parametrize(
         "pair_id, message",
@@ -335,7 +335,7 @@ class TestPairsIO:
               "diff_index": 1, "meta": {}}
         path.write_text(json.dumps(ok) + "\n" + json.dumps(dict(ok, pair_id=pair_id)) + "\n")
         with pytest.raises(ValueError) as err:
-            read_pairs(path)
+            list(read_pairs(path))
         assert str(err.value) == f"{path}: record 2: {message}"
 
     @pytest.mark.parametrize("cut, message", [
@@ -348,8 +348,21 @@ class TestPairsIO:
         path = tmp_path / "cut.jsonl"
         path.write_text(ok + ok[:cut])  # a write cut short, as a crash leaves it
         with pytest.raises(ValueError) as err:
-            read_pairs(path)
+            list(read_pairs(path))
         assert str(err.value) == f"{path}: record 2: {message}"
+
+    def test_the_records_before_a_malformed_one_are_yielded(self, tmp_path):
+        ok = ('{"pair_id": "ok", "paradigm": "semantic-verb", "good": "a b", "bad": "a c", '
+              '"diff_index": 1, "meta": {}}\n')
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(ok + ok.replace('"ok"', '"p2"') + ok[:40])
+        stream = read_pairs(path)
+        assert [next(stream).pair_id, next(stream).pair_id] == ["ok", "p2"]
+        with pytest.raises(ValueError) as err:
+            next(stream)
+        assert str(err.value) == (
+            f"{path}: record 3: Unterminated string starting at: line 1 column 31 (char 30)"
+        )
 
     def test_double_space_rejected_with_record_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -358,4 +371,4 @@ class TestPairsIO:
             '{"pair_id": "p2", "paradigm": "semantic-verb", "good": "The  dog barks .", "bad": "The  dog bites .", "diff_index": 3, "meta": {}}\n'
         )
         with pytest.raises(ValueError, match="record 2: pair p2: a member holds an empty token"):
-            read_pairs(path)
+            list(read_pairs(path))
