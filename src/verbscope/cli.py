@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import select
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
@@ -462,17 +463,29 @@ def main(argv=None) -> int:
         status = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return status
-    except BrokenPipeError:
-        # the reader of stdout went away: as the Python docs' note on
-        # SIGPIPE does, say nothing and point stdout at os.devnull, so the
-        # flush at exit does not fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 1
     except (ValueError, OSError, ExternalScorerError) as exc:
+        if isinstance(exc, BrokenPipeError) and _stdout_gone():
+            # as the Python docs' note on SIGPIPE does: say nothing, and
+            # point stdout, dead for good, at os.devnull, so the flush at
+            # exit does not fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _stdout_gone() -> bool:
+    """Whether stdout is a pipe or socket whose reader has gone: ``poll``
+    flags the writing end of one with POLLERR or POLLHUP."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor, as under capture
+        return False
+    poller = select.poll()
+    poller.register(fd, select.POLLOUT)
+    return any(events & (select.POLLERR | select.POLLHUP) for _fd, events in poller.poll(0))
 
 
 if __name__ == "__main__":

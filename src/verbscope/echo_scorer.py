@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from json.encoder import encode_basestring_ascii
 
 
 def main(argv=None) -> int:
@@ -30,20 +29,22 @@ def main(argv=None) -> int:
     rows = [json.loads(line) for line in sys.stdin if line.strip()]
     if args.mode == "drop" and rows:
         rows = rows[:-1]
-    answers = []  # written at once: unbuffered, one write per line is one syscall each
-    for i in range(len(rows)):
-        row = rows.pop()  # reverse order, each request let go once answered
+    for i, row in enumerate(reversed(rows)):
         if args.mode == "garbage" and i == 0:
-            answers.append("this is not json\n")
+            sys.stdout.write("this is not json\n")
             continue
         text = row["text"]
         logprob = 0.5 if args.mode == "positive" and i == 0 else -float(len(text))
-        # json.dumps' bytes for {"id", "logprob", "num_tokens"}, ASCII-escaped as it escapes
-        answers.append(
-            f'{{"id": {encode_basestring_ascii(row["id"])}, "logprob": {logprob!r}, '
-            f'"num_tokens": {max(1, len(text.split()))}}}\n'
+        sys.stdout.write(
+            json.dumps(
+                {
+                    "id": row["id"],
+                    "logprob": logprob,
+                    "num_tokens": max(1, len(text.split())),
+                }
+            )
+            + "\n"
         )
-    sys.stdout.write("".join(answers))
     return 0
 
 

@@ -11,16 +11,15 @@ and the child answers, in any order it likes, one line per request:
 Scores are total natural-log probabilities; the child may tokenize
 however it wants, only the per-sentence total matters. Stdin is closed
 after the last request; the child must answer every id and exit 0. Its
-stdout and stderr go to unnamed temporary files, so a child never blocks
-on a full pipe and the caller holds no copy of the answers; once the
-child exits, the answers are read back line by line, split on "\n"
-alone. Any deviation (unparseable line, unknown or duplicate id, a
-logprob that is not a JSON number or is positive or NaN, num_tokens that
-is not a JSON integer, missing answers, nonzero exit, batch timeout)
-raises ExternalScorerError naming the offending line or ids; true, false
-and numbers in strings are refused, not converted. ``check_score`` holds
-the rules of one score's values; the score TSV reader, whose fields are
-text, applies them too.
+stdout goes to an unnamed temporary file, so the caller holds no copy of
+the answers; once the child exits, they are read back line by line,
+split on "\n" alone. Any deviation (unparseable line, unknown or
+duplicate id, a logprob that is not a JSON number or is positive or NaN,
+num_tokens that is not a JSON integer, missing answers, nonzero exit,
+batch timeout) raises ExternalScorerError naming the offending line or
+ids; true, false and numbers in strings are refused, not converted.
+``check_score`` holds the rules of one score's values; the score TSV
+reader, whose fields are text, applies them too.
 
 ``ExternalScorer`` holds the command, its timeout and, inside its
 context, the child started for the next batch. Its scores carry no scorer
@@ -33,7 +32,6 @@ from __future__ import annotations
 import shlex
 import subprocess
 import tempfile
-from contextlib import ExitStack
 from json.encoder import encode_basestring as _encode
 from typing import BinaryIO, Iterable, Sequence
 
@@ -86,26 +84,26 @@ def _request(items: Sequence[tuple[str, str]]) -> bytearray:
 
 
 def _launch(argv: list[str]) -> subprocess.Popen:
-    """Start a scorer child with piped stdin. Its stdout and stderr go to
-    unnamed temporary files, kept as the child's ``answers`` and
-    ``errors`` and read once it exits; ``_reap`` closes them."""
-    with ExitStack() as files:
-        answers = files.enter_context(tempfile.TemporaryFile())
-        errors = files.enter_context(tempfile.TemporaryFile())
-        try:
-            child = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=answers, stderr=errors)
-        except OSError as exc:
-            raise ExternalScorerError(f"could not launch external scorer: {exc}")
-        files.pop_all()
-    child.answers, child.errors = answers, errors
+    """Start a scorer child with piped stdin and stderr. Its stdout goes
+    to an unnamed temporary file, kept as the child's ``answers`` and read
+    once it exits; ``_reap`` closes it."""
+    answers = tempfile.TemporaryFile()
+    try:
+        child = subprocess.Popen(
+            argv, stdin=subprocess.PIPE, stdout=answers, stderr=subprocess.PIPE
+        )
+    except OSError as exc:
+        answers.close()
+        raise ExternalScorerError(f"could not launch external scorer: {exc}")
+    child.answers = answers
     return child
 
 
 def _reap(child: subprocess.Popen) -> None:
-    """Kill the child if it still runs, wait for it, and close its stdin
-    and its two files."""
+    """Kill the child if it still runs, wait for it, and close its pipes
+    and its answers file."""
     child.kill()  # a no-op once the child has been waited for
-    with child, child.answers, child.errors:
+    with child, child.answers:
         pass
 
 
@@ -151,9 +149,9 @@ def external_score(
     """Score (id, text) items through one child process; returns id -> (logprob, num_tokens).
 
     ``child`` is a child already started for ``command``; without one, a
-    child is launched here. Either way the child is reaped, and its files
-    closed, before this returns or raises. The timeout counts from when
-    the request is sent.
+    child is launched here. Either way the child is reaped, and its
+    answers file closed, before this returns or raises. The timeout
+    counts from when the request is sent.
     """
     argv = _argv(command)
     try:
@@ -164,7 +162,7 @@ def external_score(
         if child is None:
             child = _launch(argv)
         try:
-            child.communicate(request, timeout=timeout)
+            _stdout, stderr = child.communicate(request, timeout=timeout)
         except subprocess.TimeoutExpired:
             raise ExternalScorerError(
                 f"external scorer timed out after {timeout}s: {argv[0]}"
@@ -177,8 +175,7 @@ def external_score(
                 f"external scorer exited before answering: missing ids {_listed(missing)}"
             )
         if child.returncode != 0:
-            child.errors.seek(0)  # its head only: the error quotes 200 characters
-            stderr = child.errors.read(4096).decode("utf-8", "replace").strip()
+            stderr = stderr.decode("utf-8", "replace").strip()
             raise ExternalScorerError(
                 f"external scorer exited with status {child.returncode}"
                 + (f": {stderr[:200]}" if stderr else "")

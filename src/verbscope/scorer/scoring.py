@@ -42,7 +42,10 @@ def pair_items(pairs: Iterable[MinimalPair]) -> "Sentences":
     row 2k and its bad member at row 2k + 1, so the scores of these rows
     pair up by position. The tokens are the pair's own member tuples;
     of each pair only its id and those tuples are kept as it arrives, so
-    a stream of pairs is never held whole."""
+    a stream of pairs is never held whole. A repeated id is refused here
+    for pairs built in memory, as a domain's prep generates them; a pair
+    file's repeat is refused by ``read_pairs`` at its record, so on that
+    path this check never fires."""
     ids, members = [], []
     for p in pairs:
         ids.append(p.pair_id)

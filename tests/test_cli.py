@@ -436,6 +436,34 @@ def test_a_closed_stdout_is_no_error(tmp_path, unbuffered):
     assert done.returncode == 1
 
 
+def test_a_broken_pipe_not_on_stdout_is_reported(monkeypatch, capsys):
+    """A broken pipe from anything but stdout, such as a FIFO given as
+    ``--out``, is an error like any other; a stdout without a descriptor,
+    as under capture, is left as it is."""
+    from verbscope import cli
+
+    def broken(_args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "_cmd_regress", broken)
+    assert main(["regress", "--in", "results.csv"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+def test_only_a_pipe_whose_reader_has_gone_is_a_closed_stdout(monkeypatch):
+    import os
+    import sys
+
+    from verbscope import cli
+
+    read, write = os.pipe()
+    with open(write, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        assert not cli._stdout_gone()
+        os.close(read)
+        assert cli._stdout_gone()
+
+
 @pytest.mark.parametrize("row, message", [
     ("ok::bad\tnan\t3", "logprob is NaN"),
     ("ok::bad\t0.5\t3", "positive logprob 0.5"),

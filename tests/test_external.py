@@ -1,5 +1,4 @@
 import hashlib
-import io
 import json
 import os
 import shlex
@@ -45,27 +44,6 @@ class TestEchoScorer:
         rows = score_pairs(ExternalScorer(ECHO), pairs)
         assert rows[0] == ("p1", -4.0, -4.0)
         assert rows[1] == ("p2", -2.0, -1.0)
-
-
-@pytest.mark.parametrize("mode", ["ok", "positive", "drop", "garbage"])
-def test_echo_scorer_answers_in_one_write_of_json_dumps_bytes(monkeypatch, mode):
-    """The answers are json.dumps' bytes, ASCII-escaped, in one write."""
-    rows = [{"id": "caf\u00e9\u2028", "text": "a b"}, {"id": "x", "text": "ccc"},
-            {"id": "y", "text": "d"}]
-    writes = []
-    monkeypatch.setattr(sys, "stdin", io.StringIO(
-        "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)))
-    monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": lambda _self, s: writes.append(s)})())
-    assert verbscope.echo_scorer.main(["--mode", mode]) == 0
-    expected = []
-    for i, row in enumerate(reversed(rows[:-1] if mode == "drop" else rows)):
-        if mode == "garbage" and i == 0:
-            expected.append("this is not json\n")
-            continue
-        logprob = 0.5 if mode == "positive" and i == 0 else -float(len(row["text"]))
-        expected.append(json.dumps({"id": row["id"], "logprob": logprob,
-                                    "num_tokens": max(1, len(row["text"].split()))}) + "\n")
-    assert writes == ["".join(expected)]
 
 
 def test_echo_scorer_loads_no_other_verbscope_module():
@@ -289,8 +267,8 @@ class TestChildLifecycle:
     @pytest.mark.parametrize("case", ["success", "protocol-error", "exit-status", "timeout",
                                       "unused"])
     def test_the_temporary_files_are_closed(self, launched, case):
-        """Whatever a batch's outcome, the child's two files are closed and
-        the process holds no more descriptors than before it."""
+        """Whatever a batch's outcome, the child's answers file is closed
+        and the process holds no more descriptors than before it."""
         before = set(os.listdir("/proc/self/fd"))
         command, timeout, error = {
             "success": (ECHO, 300.0, None),
@@ -306,7 +284,7 @@ class TestChildLifecycle:
             elif case == "success":
                 assert len(scorer.score_texts(_items(3))) == 3
         assert set(os.listdir("/proc/self/fd")) == before
-        assert launched[0].answers.closed and launched[0].errors.closed
+        assert launched[0].answers.closed
 
     def test_a_timed_out_child_is_killed_and_reaped(self, launched):
         slow = [sys.executable, "-c", "import time,sys; sys.stdin.read(); time.sleep(30)"]
