@@ -333,6 +333,7 @@ def write_trajectory_csv(table: TrajectoryTable, path) -> None:
 
 # -- SVG charts --------------------------------------------------------------
 
+_WIDTH, _HEIGHT = 640, 400  # the chart's size in SVG user units
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -346,8 +347,6 @@ def emit_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 640,
-    height: int = 400,
 ) -> None:
     """Standalone SVG 1.1 line chart: axes, ticks, legend, one polyline
     per series. Valid XML by construction."""
@@ -365,8 +364,8 @@ def emit_chart(
     if y_lo == y_hi:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     margin_l, margin_r, margin_t, margin_b = 60, 140, 40, 50
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _WIDTH - margin_l - margin_r
+    plot_h = _HEIGHT - margin_t - margin_b
 
     def sx(x: float) -> float:
         return round(margin_l + (x - x_lo) / (x_hi - x_lo) * plot_w, 2)
@@ -379,16 +378,16 @@ def emit_chart(
         {
             "xmlns": "http://www.w3.org/2000/svg",
             "version": "1.1",
-            "width": str(width),
-            "height": str(height),
-            "viewBox": f"0 0 {width} {height}",
+            "width": str(_WIDTH),
+            "height": str(_HEIGHT),
+            "viewBox": f"0 0 {_WIDTH} {_HEIGHT}",
         },
     )
-    ET.SubElement(svg, "rect", {"width": str(width), "height": str(height), "fill": "white"})
+    ET.SubElement(svg, "rect", {"width": str(_WIDTH), "height": str(_HEIGHT), "fill": "white"})
     if title:
         t = ET.SubElement(
             svg, "text",
-            {"x": str(width // 2), "y": "24", "text-anchor": "middle", "font-size": "16"},
+            {"x": str(_WIDTH // 2), "y": "24", "text-anchor": "middle", "font-size": "16"},
         )
         t.text = title
     axis_style = {"stroke": "black", "stroke-width": "1"}
@@ -431,7 +430,7 @@ def emit_chart(
     if x_label:
         t = ET.SubElement(
             svg, "text",
-            {"x": str(margin_l + plot_w // 2), "y": str(height - 10),
+            {"x": str(margin_l + plot_w // 2), "y": str(_HEIGHT - 10),
              "text-anchor": "middle", "font-size": "12"},
         )
         t.text = x_label

@@ -110,7 +110,7 @@ def _cmd_stats(args) -> int:
             raise ValueError(f"--in {paths[domain]} and --in {path} share the corpus name {domain!r}")
         paths[domain] = path
         corpus = read_corpus(path, args.format, domain)
-        named[domain] = compute_stats(corpus)
+        named[domain] = compute_stats(corpus.form_view())
         if args.save_table:
             save_table(build_frequency_table(corpus), args.save_table)
     print(format_stats(named))

@@ -14,8 +14,9 @@ coarse tag).
 
 All types are immutable after construction.
 
-A run holds every token, sentence and minimal pair of its corpora in
-memory at once, so the records are lean: ``Token`` and
+Token records live only while ``run`` prepares a domain, which it then
+keeps as arrays, or while a stage command works on a corpus; a read
+still builds one per token, so they are lean: ``Token`` and
 ``AnnotatedSentence`` (and ``pairgen.MinimalPair``) are slotted
 dataclasses with no per-instance ``__dict__``, and the corpus readers,
 the tagger and the fixtures intern the strings they put into tokens

@@ -33,10 +33,8 @@ again, and the new one is written after the domain's other files.
 Cells run in forked worker processes, as many as ``threads`` (at least 1)
 asks for, capped at the number of cache units and the CPU count; one
 worker runs them in-process. The workers inherit the prepared domains
-rather than receive them. The heap is frozen out of the cyclic GC
-(``gc.freeze``) while the cells run, so full collections skip the
-prepared domains. Every stage derives its randomness from (seed, index)
-streams, so outputs are byte identical whatever the worker count.
+rather than receive them. Every stage derives its randomness from (seed,
+index) streams, so outputs are byte identical whatever the worker count.
 
 The cache unit is what a run computes: (domain, condition, seed) for a
 perturbed condition, and (domain, ORIGINAL) for the unperturbed one,
@@ -72,7 +70,6 @@ comments start with #.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import io
 import json
@@ -460,7 +457,8 @@ def _prepare(config: ExperimentConfig, spec: CorpusSpec, out: Path, key: str) ->
     write_json(ddir / "pairs" / "genreport.json", counters)
     if not pairs:  # fails this domain alone, before any cell scores it
         raise ValueError("no pairs")
-    forms, stats = train.form_view(), compute_stats(train)  # before the rows: a lower peak
+    forms = train.form_view()
+    stats = compute_stats(forms)  # before the plans and rows: a lower peak
     record: dict = {"ids": forms.ids, "offsets": forms.offsets}
     plans: dict = {}
     for condition in config.conditions:
@@ -674,20 +672,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     workers = min(config.threads, len(keys), os.cpu_count() or 1)
     job = (config, domains, out)
-    # The prepared domains live through the run: full collections skip them,
-    # and forked workers do not touch (and so copy) their pages
-    gc.freeze()
-    try:
-        if workers > 1:  # forked workers inherit the job; only units and outcomes pickle
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_adopt, initargs=job,
-            ) as pool:
-                outcomes = list(pool.map(_attempt_adopted, keys.items()))
-        else:
-            outcomes = [_attempt(*job, unit_key) for unit_key in keys.items()]
-    finally:
-        gc.unfreeze()
+    if workers > 1:  # forked workers inherit the job; only units and outcomes pickle
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_adopt, initargs=job,
+        ) as pool:
+            outcomes = list(pool.map(_attempt_adopted, keys.items()))
+    else:
+        outcomes = [_attempt(*job, unit_key) for unit_key in keys.items()]
     outcome_of = dict(zip(keys, outcomes))
 
     all_rows: list[dict] = []

@@ -31,6 +31,8 @@ from .tagger import heuristic_root
 SEMANTIC_PARADIGM = "semantic-verb"
 AGREEMENT_PARADIGMS = ("agr-simple", "agr-pp", "agr-vp-coord", "agr-subj-rel", "agr-obj-rel")
 PARADIGMS = (SEMANTIC_PARADIGM,) + AGREEMENT_PARADIGMS
+_N_PREPS = 10  # the agreement lexicon's prepositions: the corpus's most frequent ADP forms
+_RELATIVIZER = "that"  # opens the relative clause of agr-subj-rel and agr-obj-rel
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,7 +176,6 @@ class AgreementLexicon:
     nouns: tuple[NounEntry, ...]
     verbs: tuple[VerbEntry, ...]
     preps: tuple[str, ...]
-    relativizer: str = "that"
 
 
 def build_lemma_index(corpus: Corpus) -> dict[str, dict[tuple[str, str], dict[str, int]]]:
@@ -205,12 +206,11 @@ def extract_agreement_lexicon(
     pct_lo: float = 50.0,
     pct_hi: float = 95.0,
     min_entries: int = 10,
-    n_preps: int = 10,
 ) -> AgreementLexicon:
     """Nouns with attested NN+NNS forms and verbs with attested VBZ+VBP forms,
     filtered to the [pct_lo, pct_hi] percentile band of combined lemma
     frequency (computed separately for nouns and verbs), plus the corpus's
-    most frequent prepositions.
+    ``_N_PREPS`` most frequent prepositions.
     """
     noun_rows: list[NounEntry] = []
     verb_rows: list[VerbEntry] = []
@@ -243,7 +243,7 @@ def extract_agreement_lexicon(
         )
     nouns.sort(key=lambda e: (-e.frequency, e.lemma))
     verbs.sort(key=lambda e: (-e.frequency, e.lemma))
-    preps = tuple(f for f, _c in train_table.forms_by_upos("ADP")[:n_preps])
+    preps = tuple(f for f, _c in train_table.forms_by_upos("ADP")[:_N_PREPS])
     return AgreementLexicon(tuple(nouns), tuple(verbs), preps)
 
 
@@ -266,7 +266,7 @@ def _agreement_tokens(
     if need_v2:
         v2 = verbs[stream.pick_cumulative(range(1, len(verbs) + 1), exclude=vi)]
     prep = lexicon.preps[stream.randbelow(len(lexicon.preps))] if paradigm == "agr-pp" else None
-    rel = lexicon.relativizer
+    rel = _RELATIVIZER
 
     if paradigm == "agr-simple":
         good = ["The", n1.singular, v1.third_sg, "."]

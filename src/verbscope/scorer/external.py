@@ -42,10 +42,13 @@ class ExternalScorerError(Exception):
     pass
 
 
-def _listed(ids: Iterable[str], limit: int = 10) -> str:
+_LISTED = 10  # ids an error message names before it gives their total
+
+
+def _listed(ids: Iterable[str]) -> str:
     ids = sorted(ids)
-    shown = ", ".join(ids[:limit])
-    if len(ids) > limit:
+    shown = ", ".join(ids[:_LISTED])
+    if len(ids) > _LISTED:
         shown += f", ... ({len(ids)} total)"
     return shown
 

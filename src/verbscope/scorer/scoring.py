@@ -15,6 +15,7 @@ score.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -61,9 +62,9 @@ class Sentences:
     ``ids`` holds the rows' ids, ``distinct`` each distinct sequence in
     first-seen order and ``index[r]`` (int32) row r's sequence. Iterating
     gives the (id, tokens) rows; ``len()`` is their count. ``encoded`` is
-    the distinct sequences as a ``Forms`` view, built on first use and
-    kept, so every model that scores the same rows can reuse one encoding.
-    ``of_encoded`` rebuilds a batch from its ids, encoding and index.
+    the distinct sequences as a ``Forms`` view. Each is derived from the
+    other on first use and kept, so the models of one batch share one
+    encoding, and ``of_encoded``'s batch holds no tuples until iterated.
     """
 
     def __init__(self, rows: Iterable[tuple[str, Sequence[str]]]):
@@ -75,14 +76,13 @@ class Sentences:
             index.append(seen.setdefault(tuple(tokens), len(seen)))
         self.index = np.array(index, dtype=np.int32)
         self.distinct = list(seen)
-        self._encoded: Forms | None = None
 
     @classmethod
     def of_encoded(cls, ids: list[str], encoded: Forms, index: np.ndarray) -> "Sentences":
         """The batch whose distinct sequences ``encoded`` holds in first-seen
         order, row r being ``ids[r]`` with sequence ``index[r]``."""
         batch = cls.__new__(cls)
-        batch.ids, batch.index, batch.distinct, batch._encoded = ids, index, list(encoded), encoded
+        batch.ids, batch.index, batch.encoded = ids, index, encoded
         return batch
 
     def __len__(self) -> int:
@@ -91,11 +91,13 @@ class Sentences:
     def __iter__(self) -> Iterator[tuple[str, tuple[str, ...]]]:
         return zip(self.ids, map(self.distinct.__getitem__, self.index.tolist()))
 
-    @property
+    @cached_property
+    def distinct(self) -> list[tuple[str, ...]]:
+        return list(self.encoded)
+
+    @cached_property
     def encoded(self) -> Forms:
-        if self._encoded is None:
-            self._encoded = Forms.encode(self.distinct)
-        return self._encoded
+        return Forms.encode(self.distinct)
 
 
 def score_sentences(scorer, sentences: Sentences) -> tuple[list[float], list[int]]:

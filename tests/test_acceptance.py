@@ -314,7 +314,7 @@ def test_criterion_8_stats_oracle(chat_fixture):
     from verbscope.stats import compute_stats
 
     subset = Corpus(chat_fixture.sentences[:1000], domain="chat")
-    stats = compute_stats(subset)
+    stats = compute_stats(subset.form_view())
 
     seen = {1: set(), 2: set(), 3: set()}
     totals = {1: 0, 2: 0, 3: 0}

@@ -480,3 +480,29 @@ def test_eval_rejects_a_score_the_protocol_would(tmp_path, capsys, row, message)
     scores.write_text(f"ok::good\t-1.0\t3\n{row}\n")
     assert main(["eval", "--pairs", str(pairs), "--scores", str(scores)]) == 1
     assert capsys.readouterr().err == f"error: {scores}: line 2: {message}\n"
+
+
+def test_stage_commands_write_what_run_writes(tmp_path, fixture_dir):
+    """ingest --split, stats --save-table and genpairs semantic plus
+    agreement, run with run's defaults, write the splits, table and pair
+    file that run writes for the domain, and stats --out gives its row of
+    run's stats.csv."""
+    corpus = fixture_dir / "chat.conllu"
+    out, p = tmp_path / "run", tmp_path / "stages"
+    assert main(["run", "--corpus", f"chat:{corpus}:conllu", "--seeds", "1",
+                 "--out", str(out)]) == 0
+    assert main(["ingest", "--in", str(corpus), "--split", "2/3,1/6,1/6", "--out", str(p)]) == 0
+    assert main(["stats", "--in", str(p / "train.conllu"), "--save-table", str(p / "table.tsv"),
+                 "--out", str(p / "stats.csv")]) == 0
+    assert main(["genpairs", "semantic", "--test", str(p / "test.conllu"), "--table",
+                 str(p / "table.tsv"), "--out", str(p / "sem.jsonl")]) == 0
+    assert main(["genpairs", "agreement", "--train", str(p / "train.conllu"),
+                 "--out", str(p / "agr.jsonl")]) == 0
+    ddir = out / "chat"
+    for name in ("train", "dev", "test"):
+        assert (p / f"{name}.conllu").read_bytes() == (ddir / "splits" / f"{name}.conllu").read_bytes()
+    assert (p / "table.tsv").read_bytes() == (ddir / "table.tsv").read_bytes()
+    pairs = (p / "sem.jsonl").read_bytes() + (p / "agr.jsonl").read_bytes()
+    assert pairs == (ddir / "pairs" / "pairs.jsonl").read_bytes()
+    header, stage_row = (p / "stats.csv").read_text().splitlines()
+    assert (out / "stats.csv").read_text().splitlines() == [header, "chat" + stage_row[len("train"):]]

@@ -348,28 +348,6 @@ class TestRunExperiment:
         assert not (tmp_path / "fail" / "ghost").exists()  # no empty splits/ or pairs/
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_gc_freeze_is_scoped_to_the_cells(self, tmp_path, small_config, monkeypatch, threads):
-        """Cells run with the prepared heap frozen; the caller gets it back."""
-        import gc
-
-        import verbscope.experiment as exp
-
-        assert gc.get_freeze_count() == 0
-        ok = run_experiment(small_config(tmp_path / "ok", threads=threads, seeds=(1,)))
-        assert ok.status == 0
-        assert gc.get_freeze_count() == 0
-
-        def sabotaged(corpus, order, **kwargs):  # reports the freeze its cell saw
-            raise RuntimeError(f"frozen: {gc.get_freeze_count() > 0}")
-
-        monkeypatch.setattr(exp, "train_ngram", sabotaged)
-        failed = run_experiment(small_config(tmp_path / "failed", threads=threads, seeds=(1,)))
-        assert failed.status == 1
-        assert len(failed.failures) == 4
-        assert {error for _cell, error in failed.failures} == {"frozen: True"}
-        assert gc.get_freeze_count() == 0
-
-    @pytest.mark.parametrize("threads", [1, 2])
     def test_untagged_domain_fails_only_its_replace_cells(
         self, tmp_path, small_config, threads
     ):
@@ -943,7 +921,7 @@ def _assert_domain_of_its_files(data, config, ddir):
     assert data.forms.vocab == forms.vocab
     _same_array(data.forms.ids, forms.ids)
     _same_array(data.forms.offsets, forms.offsets)
-    assert data.stats == compute_stats(train)
+    assert data.stats == compute_stats(forms)
     table = build_frequency_table(train)
     for condition in config.conditions:
         try:

@@ -1,7 +1,9 @@
-"""The in-memory layout of corpus records: slotted, with shared strings.
+"""The in-memory layout of corpus records and prepared domains.
 
-A run holds every token, sentence and pair of its corpora at once, so
-these tests keep the layout that makes that affordable (see corpus.py).
+A read builds one record per token, so these tests keep records slotted
+with shared strings (see corpus.py); a prepared domain is arrays, so they
+keep it to one copy of each fact and keep Token records out of the code
+that reads it.
 """
 
 import pytest
@@ -292,3 +294,46 @@ def test_one_copy_of_each_prepared_fact():
     batch = Sentences([("x", ["a"]), ("y", ["a"])])
     assert not hasattr(batch, "first") and "domain" not in Forms.__slots__
     assert (batch.ids, list(batch), len(batch)) == (["x", "y"], [("x", ("a",)), ("y", ("a",))], 2)
+
+
+def test_a_loaded_member_batch_holds_no_tuples_until_iterated():
+    """A batch rebuilt by Sentences.of_encoded keeps its encoding alone; its
+    distinct token tuples are derived from it on first iteration."""
+    from verbscope.scorer.scoring import Sentences
+
+    built = Sentences([("x", ["a", "b"]), ("y", ["b"]), ("z", ["a", "b"])])
+    loaded = Sentences.of_encoded(built.ids, built.encoded, built.index)
+
+    def tuple_lists(batch):
+        return [
+            value for value in vars(batch).values()
+            if isinstance(value, list) and any(isinstance(item, tuple) for item in value)
+        ]
+
+    assert tuple_lists(loaded) == []
+    assert list(loaded) == list(built)
+    assert tuple_lists(loaded) == [[("a", "b"), ("b",)]]
+
+
+def test_no_module_freezes_the_heap():
+    """No module under src/ calls gc.freeze or gc.unfreeze: a prepared
+    domain is arrays, which leave the cyclic GC nothing to skip."""
+    from pathlib import Path
+
+    import verbscope
+
+    for path in Path(verbscope.__file__).parent.rglob("*.py"):
+        assert not _names(path) & {"freeze", "unfreeze"}, path
+
+
+def test_stats_reads_the_form_view():
+    """compute_stats counts n-grams over a Forms view: stats.py walks no
+    Token records and calls no np.unique, which imports numpy.ma."""
+    import inspect
+    from pathlib import Path
+
+    import verbscope.stats as stats
+
+    assert list(inspect.signature(stats.compute_stats).parameters) == ["forms"]
+    names = _names(Path(stats.__file__))
+    assert not names & {"Token", "AnnotatedSentence", "Corpus", "tokens", "unique"}

@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from verbscope.corpus import FrequencyTable, bin_index, build_frequency_table
 from verbscope.pairgen import (
     AGREEMENT_PARADIGMS,
+    PARADIGMS,
     AgreementLexicon,
     MinimalPair,
     NounEntry,
@@ -372,3 +375,68 @@ class TestPairsIO:
         )
         with pytest.raises(ValueError, match="record 2: pair p2: a member holds an empty token"):
             list(read_pairs(path))
+
+
+_CHARS = st.characters(exclude_categories=("Cs",))
+# non-BMP letters, a combining mark alone and after a letter, JSON's escapes
+_TOKENS = st.sampled_from(["\U0001d400", "\U00010428", "e\u0301", "\u0301", '"', "\\", '\\"']) | (
+    st.text(_CHARS, min_size=1, max_size=4).filter(lambda t: not any(c.isspace() for c in t))
+)
+# U+2028 and U+0085 end a line for str.splitlines, not for a file's lines
+_PAIR_IDS = st.sampled_from(["::", "#", "a::good", "#1", "p\u2028q", "\u0085", '"', "\\"]) | (
+    st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r"),
+            min_size=1, max_size=8)
+)
+
+
+@st.composite
+def _pair_lists(draw, min_size=0):
+    pairs = []
+    for pair_id in draw(st.lists(_PAIR_IDS, min_size=min_size, max_size=4, unique=True)):
+        good = draw(st.lists(_TOKENS, min_size=1, max_size=4))
+        at = draw(st.integers(0, len(good) - 1))
+        bad = good[:at] + [draw(_TOKENS.filter(lambda t: t != good[at]))] + good[at + 1:]
+        meta = draw(st.dictionaries(
+            st.text(_CHARS, max_size=4).filter(lambda k: k != "source_sentence_id"),
+            st.text(_CHARS, max_size=4) | st.integers(), max_size=2,
+        ))
+        pairs.append(MinimalPair(
+            pair_id, draw(st.sampled_from(PARADIGMS)), tuple(good), tuple(bad), at,
+            draw(st.none() | st.text(_CHARS, max_size=4)), meta,
+        ))
+    return pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pair_lists())
+def test_pairs_round_trip_property(pairs):
+    """read_pairs(write_pairs(pairs)) gives the pairs back, for ids and
+    tokens holding non-BMP letters, combining marks, quotes, backslashes,
+    and ids holding "::", "#", U+2028 or U+0085."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.jsonl"
+        write_pairs(pairs, path)
+        assert list(read_pairs(path)) == pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pair_lists(min_size=1), st.data())
+def test_a_token_holding_whitespace_is_refused_property(pairs, data):
+    """A member token that holds whitespace is refused, naming its pair,
+    and no pair file is written."""
+    k = data.draw(st.integers(0, len(pairs) - 1))
+    p = pairs[k]
+    pos = data.draw(st.integers(0, len(p.good) - 1))
+    space = data.draw(st.sampled_from([" ", "\t", "\u00a0", "\u2028", "\u0085", "\u3000", "\x1c"]))
+
+    def lossy(tokens):
+        return tokens[:pos] + (tokens[pos] + space + tokens[pos],) + tokens[pos + 1:]
+
+    pairs[k] = MinimalPair(p.pair_id, p.paradigm, lossy(p.good), lossy(p.bad), p.diff_index)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.jsonl"
+        with pytest.raises(ValueError) as err:
+            write_pairs(pairs, path)
+        assert str(err.value).startswith(f"pair {p.pair_id!r}: token ")
+        assert "contains whitespace" in str(err.value)
+        assert not path.exists()

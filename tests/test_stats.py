@@ -2,8 +2,9 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from verbscope.corpus import Corpus
+from verbscope.corpus import AnnotatedSentence, Corpus, Token
 from verbscope.perturb import ORIGINAL, REPLACE_WORD, PerturbReport
 from verbscope.stats import (
     CorpusStats,
@@ -38,7 +39,7 @@ def brute_force_stats(corpus):
 
 class TestComputeStats:
     def test_hand_counted_single_sentence(self):
-        stats = compute_stats(corpus_of("a b a ."))
+        stats = compute_stats(corpus_of("a b a .").form_view())
         assert stats.ttr_1 == pytest.approx(3 / 4)
         assert stats.avg_sentence_length == 4
         assert stats.n_sentences == 1
@@ -47,21 +48,21 @@ class TestComputeStats:
     def test_two_token_sentence_has_no_trigrams(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            stats = compute_stats(corpus_of("hi there"))
+            stats = compute_stats(corpus_of("hi there").form_view())
         assert stats.ttr_3 is None
         assert any("ttr_3" in str(w.message) for w in caught)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
-            compute_stats(Corpus(()))
+            compute_stats(Corpus(()).form_view())
 
     def test_lowercased_counting(self):
-        stats = compute_stats(corpus_of("The the THE"))
+        stats = compute_stats(corpus_of("The the THE").form_view())
         assert stats.ttr_1 == pytest.approx(1 / 3)
 
     def test_exactly_matches_brute_force_on_fixture(self, chat_fixture):
         subset = Corpus(chat_fixture.sentences[:1000], domain="chat")
-        stats = compute_stats(subset)
+        stats = compute_stats(subset.form_view())
         ttr, avg_len = brute_force_stats(subset)
         assert stats.ttr_1 == ttr[1]
         assert stats.ttr_2 == ttr[2]
@@ -70,15 +71,41 @@ class TestComputeStats:
 
     def test_invariant_to_sentence_order(self, chat_fixture):
         subset = list(chat_fixture.sentences[:300])
-        fwd = compute_stats(Corpus(tuple(subset)))
-        rev = compute_stats(Corpus(tuple(reversed(subset))))
+        fwd = compute_stats(Corpus(tuple(subset)).form_view())
+        rev = compute_stats(Corpus(tuple(reversed(subset))).form_view())
         assert fwd == rev
 
     def test_written_fixture_longer_and_more_diverse(self, chat_fixture, written_fixture):
-        chat = compute_stats(chat_fixture)
-        written = compute_stats(written_fixture)
+        chat = compute_stats(chat_fixture.form_view())
+        written = compute_stats(written_fixture.form_view())
         assert written.avg_sentence_length > chat.avg_sentence_length
         assert written.ttr_2 > chat.ttr_2
+
+
+# case pairs, forms whose lowercase is another form ("İ" lowers to "i" plus a
+# combining dot), titlecase and final-sigma letters, and a non-BMP letter
+_FORMS = st.sampled_from(["a", "A", "b", "B", "i", "İ", "i\u0307", "ǅ", "ǆ", "Σ", "σ",
+                          "ς", "𐐀", "𐐨", ".", "The", "the"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_FORMS, min_size=1, max_size=5), min_size=1, max_size=8))
+def test_compute_stats_equals_the_set_of_tuples_count(sentences):
+    """compute_stats over a corpus's form view gives the brute-force
+    set-of-tuples TTRs exactly, and warns for each n that has no n-gram."""
+    corpus = Corpus(tuple(
+        AnnotatedSentence(tuple(map(Token, forms)), f"s{i}") for i, forms in enumerate(sentences)
+    ))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stats = compute_stats(corpus.form_view())
+    ttr, avg_len = brute_force_stats(corpus)
+    assert (stats.ttr_1, stats.ttr_2, stats.ttr_3) == (ttr[1], ttr[2], ttr[3])
+    assert stats.avg_sentence_length == avg_len
+    assert (stats.n_sentences, stats.n_tokens) == (len(sentences), sum(map(len, sentences)))
+    assert [str(w.message) for w in caught] == [
+        f"corpus has no {n}-grams; ttr_{n} undefined" for n in (1, 2, 3) if ttr[n] is None
+    ]
 
 
 class TestCorpusStatsType:
@@ -124,7 +151,7 @@ class TestCompareReplacementRates:
 
 def test_format_and_csv(tmp_path, chat_fixture):
     subset = Corpus(chat_fixture.sentences[:50], domain="chat")
-    named = {"chat": compute_stats(subset)}
+    named = {"chat": compute_stats(subset.form_view())}
     text = format_stats(named)
     assert "1-gram TTR" in text and "chat" in text
     path = tmp_path / "stats.csv"
