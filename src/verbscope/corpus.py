@@ -12,7 +12,8 @@ Tokens without a fine tag fall back to their coarse tag for binning, so
 raw-text pipelines still stratify (a degraded mode: one stratum per
 coarse tag).
 
-All types are immutable after construction.
+All types are immutable after construction. A ``Corpus`` carries no
+split label: ``ingest.split_corpus`` cuts any corpus, as files read back.
 
 Token records live only while ``run`` prepares a domain, which it then
 keeps as arrays, or while a stage command works on a corpus; a read
@@ -44,8 +45,6 @@ import numpy as np
 from .atomic import atomic_write
 
 UNK_TAG = "UNK"
-
-SPLIT_LABELS = ("train", "dev", "test", "unsplit")
 
 TagKey = tuple[str, str, str]  # (upos, xpos, form)
 
@@ -153,13 +152,10 @@ class AnnotatedSentence:
 class Corpus:
     sentences: tuple[AnnotatedSentence, ...]
     domain: str = ""
-    split: str = "unsplit"
 
     def __post_init__(self):
         if not isinstance(self.sentences, tuple):
             object.__setattr__(self, "sentences", tuple(self.sentences))
-        if self.split not in SPLIT_LABELS:
-            raise ValueError(f"unknown split label {self.split!r}")
         seen = set()
         for sent in self.sentences:
             if sent.sentence_id in seen:

@@ -9,11 +9,11 @@ cross-domain scoring runs for ORIGINAL-condition models over every other
 domain's pairs.
 
 Domain prep encodes the train split once as an int32 id array over its
-sorted forms (``Corpus.form_view``), builds the perturb plan of each of
-the run's conditions as arrays, and keeps its pairs' members as one
-batch (``scoring.Sentences``: their ids, each distinct member encoded
-once). A cell perturbs that id array, trains on it and scores the
-batch, all as array work. A domain without pairs fails at prep, alone.
+sorted forms (``Corpus.form_view``), builds the perturb plan of every
+condition as arrays, and keeps its pairs' members as one batch
+(``scoring.Sentences``: their ids, each distinct member encoded once). A
+cell perturbs that id array, trains on it and scores the batch, all as
+array work. A domain without pairs fails at prep, alone.
 
 Prep's product is the domain's prep record, ``<domain>/prep.npz``: one
 zip of ``.npy`` arrays and one ``strings.json`` member holding the key,
@@ -21,14 +21,15 @@ the vocabularies, each pair's paradigm in pair order, each condition's
 plan members (or the error building the plan raised) and the stats. It
 is keyed (``_prep_key``) over the domain's own corpus by content,
 ``CACHE_FORMAT`` and the config fields prep reads, so neither the seeds,
-nor the model fields, nor another domain change it. A run whose record
-is whole, keyed alike and beside the files prep writes loads it and
-reads no corpus, nor the plan arrays an earlier layout also stored. A
-prepared domain is always built from a record, just written or loaded
-(``_domain_of``), so both give the same rows and scores. Its Token and
-``MinimalPair`` records are never kept: they are most of a corpus's
-memory. Any other record is deleted before the domain is prepared
-again, and the new one is written after the domain's other files.
+the conditions, the model fields nor another domain change it. A run
+whose record is whole, keyed alike and beside the files prep writes
+loads it and reads no corpus, nor the plan arrays an earlier layout also
+stored. A prepared domain is always built from its record alone, just
+written or loaded (``_domain_of``), so both give the same rows and
+scores. Its Token and ``MinimalPair`` records are never kept: they are
+most of a corpus's memory. Any other record is deleted before the domain
+is prepared again, and the new one is written after the domain's other
+files.
 
 Cells run in forked worker processes, as many as ``threads`` (at least 1)
 asks for, capped at the number of cache units and the CPU count; one
@@ -49,11 +50,11 @@ domain's for ORIGINAL, which scores all their pairs), and
 ``CACHE_FORMAT``, bumped by hand whenever what a unit computes or stores
 changes. ``_key`` builds that key and the manifest's ``config_hash``
 alike, and keeps threads and out_dir out of both. Adding a seed or a
-condition computes only the new units. A record that is missing,
-unreadable or keyed differently is a cache miss, and every file is
-written whole or not at all (``atomic``); the JSON files go through
-``atomic.write_json``. ``original/seed<N>/`` directories that earlier
-versions wrote are neither read nor removed.
+condition loads every prep record and computes only the new units. A
+record that is missing, unreadable or keyed differently is a miss, and
+every file is written whole or not at all (``atomic``); the JSON files
+go through ``atomic.write_json``. ``original/seed<N>/`` directories that
+earlier versions wrote are neither read nor removed.
 
 Results stay typed rows (``evaluate.result_rows``) from the cell to the
 files: ``cell.json`` stores them with ``accuracy`` as a JSON number,
@@ -97,7 +98,6 @@ from .evaluate import (
     write_results_csv,
 )
 from .ingest import (
-    DEFAULT_SPLIT,
     FORMATS,
     SplitSpec,
     read_corpus,
@@ -191,9 +191,6 @@ class ExperimentConfig:
         for f in fields(self):
             _check_field(f.name, getattr(self, f.name))
 
-    def split_spec(self) -> SplitSpec:
-        return SplitSpec.parse(self.split) if self.split else DEFAULT_SPLIT
-
 
 def _corpus_specs(corpora: list) -> list:
     return [c if isinstance(c, CorpusSpec) else CorpusSpec.parse(c) for c in corpora]
@@ -216,7 +213,7 @@ def _check_field(name: str, value) -> None:
             raise ValueError(f"unknown condition {unknown[0]!r}")
     elif name in ("threads", "lm_order") and value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
-    elif name == "split" and value:  # empty: the default split
+    elif name == "split":
         SplitSpec.parse(value)
     elif name == "discount":
         check_discount(value)
@@ -382,13 +379,13 @@ class _DomainData:
 
 def _prep_key(config: ExperimentConfig, spec: CorpusSpec, sha: str) -> str:
     """Key of a domain's prep: its own corpus, by content, and the config
-    fields prep reads, the conditions as a set. The seeds, the model fields
-    and the other domains stay out, so adding a seed or changing the model
-    loads the record."""
+    fields prep reads. Prep plans every condition, so the seeds, the
+    conditions, the model fields and the other domains stay out."""
     return _key(
-        config, drop=("corpora", "seeds", "lm_order", "discount", "min_count_unk", "keep_models"),
+        config, drop=("corpora", "seeds", "conditions", "lm_order", "discount", "min_count_unk",
+                      "keep_models"),
         corpus={"domain": spec.domain, "format": spec.format, "sha256": sha},
-        conditions=sorted(config.conditions), cache_format=CACHE_FORMAT,
+        cache_format=CACHE_FORMAT,
     )
 
 
@@ -416,7 +413,7 @@ def _prepare_domain(
         path.unlink(missing_ok=True)
         record = _prepare(config, spec, out, key)
         _save_prep(path, record)
-    return _domain_of(record, config.conditions), loaded
+    return _domain_of(record), loaded
 
 
 def _prepare(config: ExperimentConfig, spec: CorpusSpec, out: Path, key: str) -> dict:
@@ -427,7 +424,7 @@ def _prepare(config: ExperimentConfig, spec: CorpusSpec, out: Path, key: str) ->
     (ddir / "splits").mkdir(parents=True, exist_ok=True)
     (ddir / "pairs").mkdir(parents=True, exist_ok=True)
     train, dev, test = split_corpus(
-        corpus, config.split_spec(), shuffle=config.shuffle_split,
+        corpus, SplitSpec.parse(config.split), shuffle=config.shuffle_split,
         seed=config.pair_seed,
     )
     for name, part in (("train", train), ("dev", dev), ("test", test)):
@@ -461,7 +458,7 @@ def _prepare(config: ExperimentConfig, spec: CorpusSpec, out: Path, key: str) ->
     stats = compute_stats(forms)  # before the plans and rows: a lower peak
     record: dict = {"ids": forms.ids, "offsets": forms.offsets}
     plans: dict = {}
-    for condition in config.conditions:
+    for condition in CONDITIONS:
         try:
             plan = perturb_plan(
                 train, condition, table, config.include_propn, config.pin_final_punct
@@ -522,13 +519,12 @@ def _load_prep(path: Path, key: str) -> dict | None:
         return None
 
 
-def _domain_of(record: dict, conditions: list) -> _DomainData:
-    """The prepared domain a prep record holds, its plans those of ``conditions``."""
+def _domain_of(record: dict) -> _DomainData:
+    """The prepared domain a prep record holds, with the plan of every condition."""
     strings = record["strings"]
     forms = Forms(tuple(strings["vocab"]), record["ids"], record["offsets"])
     plans: dict = {}
-    for condition in conditions:
-        plan = strings["plans"][condition]
+    for condition, plan in strings["plans"].items():
         if isinstance(plan, str):
             plans[condition] = ValueError(plan)
             continue

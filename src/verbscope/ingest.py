@@ -265,13 +265,11 @@ def split_corpus(
     shuffle: bool = False,
     seed: int = 0,
 ) -> tuple[Corpus, Corpus, Corpus]:
-    """Cut a corpus into labeled train/dev/test blocks.
+    """Cut a corpus into train/dev/test blocks.
 
     Blocks are contiguous in the (optionally shuffled) sentence order; all
     three must come out non-empty.
     """
-    if corpus.split != "unsplit":
-        raise ValueError(f"corpus is already split ({corpus.split})")
     n = len(corpus)
     if n < 3:
         raise ValueError(f"need at least 3 sentences to split, got {n}")
@@ -290,21 +288,29 @@ def split_corpus(
             raise ValueError(f"empty {name} split")
     out = []
     start = 0
-    for name, size in zip(("train", "dev", "test"), sizes):
-        block = tuple(sentences[start : start + size])
-        out.append(Corpus(block, domain=corpus.domain, split=name))
+    for size in sizes:
+        out.append(Corpus(tuple(sentences[start : start + size]), domain=corpus.domain))
         start += size
     return out[0], out[1], out[2]
 
 
 def write_corpus(corpus: Corpus, path, format: str = "conllu") -> None:
-    """Write a corpus as CoNLL-U (lossless for the six token fields) or text."""
+    """Write a corpus as CoNLL-U (lossless for the six token fields) or
+    text, whose space-joined lines cannot store a form holding whitespace:
+    such a form is a ValueError naming it and its sentence, and nothing is
+    written then."""
     if format not in ("conllu", "text"):
         raise ValueError(f"unknown corpus format {format!r}")
     with atomic_write(path) as fh:
         if format == "text":
             for sent in corpus:
-                fh.write(" ".join(sent.forms()) + "\n")
+                forms = sent.forms()
+                line = " ".join(forms)
+                if line.split() != forms:  # str.split() cuts at every str.isspace() character
+                    form = next(f for f in forms if any(c.isspace() for c in f))
+                    raise ValueError(f"sentence {sent.sentence_id!r}: form {form!r} contains "
+                                     "whitespace, which the space-joined text format cannot store")
+                fh.write(line + "\n")
             return
         for sent in corpus:
             fh.write(f"# sent_id = {sent.sentence_id}\n")

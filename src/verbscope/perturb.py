@@ -289,5 +289,5 @@ def perturb_corpus(
         for si, span in zip(moving.tolist(), plan.spans[moving].tolist()):
             sentences[si] = apply_order(sentences[si], orders[end:end + span])
             end += span
-    out = Corpus(tuple(sentences), domain=corpus.domain, split=corpus.split)
+    out = Corpus(tuple(sentences), domain=corpus.domain)
     return out, _report(condition, corpus.n_tokens, replaced, seed)

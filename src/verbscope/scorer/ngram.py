@@ -48,7 +48,6 @@ score is the sequential left-to-right sum of its events' logs.
 from __future__ import annotations
 
 from math import exp, log
-from typing import Sequence
 
 import numpy as np
 
@@ -300,30 +299,27 @@ class NGramLM:
 
 
 def train_ngram(
-    corpus: Sequence[Sequence[str]], order: int, min_count_unk: int = 1,
-    discount: float = 0.75,
+    corpus: Forms, order: int, min_count_unk: int = 1, discount: float = 0.75,
 ) -> NGramLM:
     """Count the top-order n-grams and build the model.
 
-    ``corpus`` holds the training sentences: a ``Forms`` view (such as a
-    ``Corpus.form_view()``), or any sequence of form sequences, which is
-    encoded first. Deterministic: no randomness anywhere, forms are
-    id-assigned in sorted order. Forms occurring at most min_count_unk - 1
-    times become UNK.
+    ``corpus`` holds the training sentences as a ``Forms`` view (such as a
+    ``Corpus.form_view()``). Deterministic: no randomness anywhere, forms
+    are id-assigned in sorted order. Forms occurring at most
+    min_count_unk - 1 times become UNK.
     """
     if len(corpus) == 0:
         raise ValueError("empty corpus")
-    forms = corpus if isinstance(corpus, Forms) else Forms.encode(corpus)
-    seen = np.bincount(forms.ids, minlength=len(forms.vocab)).tolist()
+    seen = np.bincount(corpus.ids, minlength=len(corpus.vocab)).tolist()
     kept = [
-        f for f, c in zip(forms.vocab, seen)
+        f for f, c in zip(corpus.vocab, seen)
         if c and c >= min_count_unk and f not in (UNK, EOS)
     ]
     base = pack_base(len(kept), order)
     ids = _symbol_ids(kept)
-    remap = np.array([ids.get(f, ids[UNK]) for f in forms.vocab], dtype=np.int32)
+    remap = np.array([ids.get(f, ids[UNK]) for f in corpus.vocab], dtype=np.int32)
     codes, counts = np.unique(
-        _event_codes(remap[forms.ids], forms.offsets, order, base), return_counts=True
+        _event_codes(remap[corpus.ids], corpus.offsets, order, base), return_counts=True
     )
     return NGramLM(
         order=order, forms=kept, codes=codes, counts=counts,

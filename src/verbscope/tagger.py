@@ -25,7 +25,7 @@ _START = ("-t2-", "-t1-")
 
 
 def _composite(upos: str, xpos: str) -> str:
-    return f"{upos}|{xpos}"
+    return f"{upos}|{xpos}"  # a UPOS holding "|" would split wrongly: refused on the way in
 
 
 def _split_composite(tag: str) -> tuple[str, str]:
@@ -59,7 +59,6 @@ class TaggerModel:
     feature_weights: dict[str, dict[str, float]]
     tag_set: tuple[tuple[str, str], ...]
     most_frequent_tag: str
-    version: str = MODEL_VERSION
     reported_accuracy: float | None = None
     accuracy_kind: str = ""
     _tags: tuple[str, ...] = field(init=False, repr=False)
@@ -111,6 +110,9 @@ def _require_tags(corpus: Corpus) -> None:
                     f"training requires gold tags; sentence {sent.sentence_id!r} "
                     f"has an untagged token {tok.form!r}"
                 )
+            if "|" in tok.upos:
+                raise ValueError(f"sentence {sent.sentence_id!r}: token {tok.form!r} has UPOS "
+                                 f"{tok.upos!r}, which holds the tagger's separator '|'")
 
 
 def train_tagger(
@@ -244,7 +246,7 @@ def heuristic_root(sentence: AnnotatedSentence) -> int | None:
 def save_tagger(model: TaggerModel, path) -> None:
     """Versioned sorted-key text format, stable under byte comparison."""
     with atomic_write(path) as fh:
-        fh.write(model.version + "\n")
+        fh.write(MODEL_VERSION + "\n")
         fh.write(f"mft\t{model.most_frequent_tag}\n")
         if model.reported_accuracy is not None:
             fh.write(f"accuracy\t{model.accuracy_kind}\t{model.reported_accuracy!r}\n")
@@ -282,6 +284,8 @@ def load_tagger(path) -> TaggerModel:
                 elif parts[0] == "accuracy":
                     accuracy_kind, accuracy = parts[1], float(parts[2])
                 elif parts[0] == "tagpair":
+                    if "|" in parts[1]:
+                        raise ValueError(f"UPOS {parts[1]!r} holds the tagger's separator '|'")
                     pairs.append((parts[1], parts[2]))
                 else:
                     f, t, w = parts

@@ -43,12 +43,8 @@ def sent(spec: str, sentence_id: str = "s1") -> AnnotatedSentence:
     return AnnotatedSentence(tuple(built), sentence_id)
 
 
-def corpus_of(*specs: str, domain: str = "", split: str = "unsplit") -> Corpus:
-    return Corpus(
-        tuple(sent(s, f"s{i + 1}") for i, s in enumerate(specs)),
-        domain=domain,
-        split=split,
-    )
+def corpus_of(*specs: str, domain: str = "") -> Corpus:
+    return Corpus(tuple(sent(s, f"s{i + 1}") for i, s in enumerate(specs)), domain=domain)
 
 
 def score_pairs(scorer, pairs) -> list[tuple[str, float, float]]:

@@ -376,12 +376,13 @@ def test_pairs_record_of_the_wrong_type_is_one_error_line(tmp_path, capsys, comm
 
 def _pairs_command(tmp_path, command, pairs) -> list[str]:
     """``eval`` of pair "ok"'s scores, or ``score --lm``, over the pair file ``pairs``."""
+    from verbscope.corpus import Forms
     from verbscope.scorer.ngram import save_lm, train_ngram
 
     scores = tmp_path / "scores.tsv"
     scores.write_text("ok::good\t-1.0\t3\nok::bad\t-2.0\t3\n")
     lm = tmp_path / "m.lm"
-    save_lm(train_ngram([["a", "b"]], 2), lm)
+    save_lm(train_ngram(Forms.encode([["a", "b"]]), 2), lm)
     return {
         "eval": ["eval", "--pairs", str(pairs), "--scores", str(scores)],
         "score": ["score", "--lm", str(lm), "--pairs", str(pairs), "--out", str(tmp_path / "s")],

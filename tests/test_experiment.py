@@ -12,7 +12,8 @@ from verbscope.experiment import (
     parse_flat_config,
     run_experiment,
 )
-from verbscope.ingest import DEFAULT_SPLIT
+from verbscope.ingest import DEFAULT_SPLIT, SplitSpec
+from verbscope.perturb import CONDITIONS
 
 
 class TestConfig:
@@ -92,9 +93,11 @@ class TestConfig:
             ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", lm_order=0)
         with pytest.raises(ValueError, match=re.escape("dev fraction 0 outside (0, 1)")):
             ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", split="1,0,1")
-        assert ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", split="").split_spec() == (
+        assert SplitSpec.parse(ExperimentConfig(corpora=["a:x.conllu"], out_dir="x").split) == (
             DEFAULT_SPLIT
         )
+        with pytest.raises(ValueError, match="expected three comma-separated ratios, got ''"):
+            ExperimentConfig(corpora=["a:x.conllu"], out_dir="x", split="")
 
     @pytest.mark.parametrize(
         "text, message",
@@ -513,13 +516,23 @@ class TestCellCache:
                 == (tmp_path / "cold" / name).read_bytes()
             ), name
 
-    def test_added_condition_leaves_cells_cached(self, tmp_path, small_config):
+    def test_added_condition_leaves_cells_cached(self, tmp_path, small_config, monkeypatch):
+        """An added condition loads both prep records, parses no corpus and
+        computes its own cells only, to the bytes of a cold run."""
         config = small_config(tmp_path / "out", seeds=(1,))
         run_experiment(config)
         config.conditions = ["ORIGINAL", "REPLACE.WORD", "SHUFFLE.ORDER"]
+        _no_corpus_reads(monkeypatch)
         result = run_experiment(config)
         assert result.status == 0
+        assert result.domains == {"chat": "loaded", "written": "loaded"}
+        assert result.domain_summary() == "2 domains: 0 prepared, 2 loaded, 0 failed"
+        assert result.summary() == "6 cells: 2 computed, 0 shared, 4 cached, 0 failed"
         assert result.computed == [("chat", "SHUFFLE.ORDER", 1), ("written", "SHUFFLE.ORDER", 1)]
+        monkeypatch.undo()
+        cold = ExperimentConfig(**{**config.__dict__, "out_dir": str(tmp_path / "cold")})
+        assert run_experiment(cold).status == 0
+        assert _outputs(tmp_path / "out") == _outputs(tmp_path / "cold")
 
     def test_corpus_change_invalidates_its_domain_and_original(self, tmp_path, small_config):
         config = small_config(tmp_path / "out", seeds=(1,))
@@ -603,6 +616,70 @@ def _no_corpus_reads(monkeypatch):
 
     monkeypatch.setattr(exp, "read_corpus", refuse)
     monkeypatch.setattr(ingest, "read_corpus", refuse)
+
+
+class TestPrepKey:
+    """A domain's prep key holds what prep reads and nothing else."""
+
+    # a new value of each config field prep does not read: the grid's axes,
+    # the model and where and how the work runs
+    IGNORED = {
+        "seeds": [3, 1], "conditions": ["SHUFFLE.ORDER"], "lm_order": 2, "discount": 0.5,
+        "min_count_unk": 2, "keep_models": True, "threads": 4, "out_dir": "elsewhere",
+    }
+    # a new value of each config field prep reads
+    READ = {
+        "split": "3/4,1/8,1/8", "shuffle_split": True, "pair_seed": 1, "max_alts": 4,
+        "len_min": 9, "len_max": 31, "n_per_paradigm": 99, "agreement": False,
+        "include_propn": True, "pin_final_punct": True,
+    }
+
+    @staticmethod
+    def _key(**changes) -> str:
+        import verbscope.experiment as exp
+
+        config = ExperimentConfig(**{"corpora": ["a:x.conllu", "b:y.conllu"], "out_dir": "o",
+                                     **changes})
+        return exp._prep_key(config, CorpusSpec.parse("a:x.conllu"), "0" * 64)
+
+    def test_every_config_field_is_read_or_ignored(self):
+        from dataclasses import fields
+
+        names = {f.name for f in fields(ExperimentConfig)}
+        assert names == {"corpora"} | set(self.IGNORED) | set(self.READ)
+
+    def test_fields_prep_does_not_read_leave_the_key(self):
+        base = self._key()
+        for name, value in self.IGNORED.items():
+            assert self._key(**{name: value}) == base, name
+        for conditions in (["ORIGINAL"], ["REPLACE.WORD", "ORIGINAL"],
+                           ["SHUFFLE.ORDER", "REPLACE.WORD", "ORIGINAL"]):
+            assert self._key(conditions=conditions) == base, conditions
+        for seeds in ([1], [2], [1, 2, 3], [3, 2, 1]):
+            assert self._key(seeds=seeds) == base, seeds
+        assert self._key(corpora=["a:x.conllu", "c:z.conllu:text"]) == base
+        assert self._key(corpora=["a:x.conllu"]) == base
+
+    def test_fields_prep_reads_change_the_key(self):
+        import verbscope.experiment as exp
+
+        keys = {"base": self._key()}
+        for name, value in self.READ.items():
+            keys[name] = self._key(**{name: value})
+        config = ExperimentConfig(corpora=["a:x.conllu"], out_dir="o")
+        keys["domain"] = exp._prep_key(config, CorpusSpec.parse("b:x.conllu"), "0" * 64)
+        keys["format"] = exp._prep_key(config, CorpusSpec.parse("a:x.conllu:text"), "0" * 64)
+        keys["sha256"] = exp._prep_key(config, CorpusSpec.parse("a:x.conllu"), "1" * 64)
+        keys["path"] = exp._prep_key(config, CorpusSpec.parse("a:y.conllu"), "0" * 64)
+        assert keys.pop("path") == keys["base"]  # the corpus enters by content
+        assert len(set(keys.values())) == len(keys)
+
+    def test_a_domain_is_built_from_its_record_alone(self):
+        import inspect
+
+        import verbscope.experiment as exp
+
+        assert list(inspect.signature(exp._domain_of).parameters) == ["record"]
 
 
 class TestPrepRecord:
@@ -968,3 +1045,55 @@ def test_a_prepared_domain_equals_its_reloaded_record(nouns, shape):
             assert isinstance(plan, ValueError)
         elif shape == "pronouns":
             assert len(plan.targets) == 0
+
+
+# labels a record must keep exactly: non-ASCII domains and checkpoints, and
+# strings JSON escapes
+_NAME = st.text(st.characters(categories=("L", "M", "N")), min_size=1, max_size=6)
+_LABEL = _NAME | st.sampled_from(["", "step 1", "ckpt ", '"\\', "\U0001d518"])
+_ROW = st.fixed_dictionaries({
+    "train_domain": _NAME, "eval_domain": _NAME, "condition": st.sampled_from(CONDITIONS),
+    "checkpoint": _LABEL, "paradigm": _LABEL, "accuracy": st.floats(0, 1),
+    "n": st.integers(0, 2**53), "ties": st.integers(0, 2**53),
+})
+
+
+@st.composite
+def _report(draw):
+    from dataclasses import asdict
+
+    from verbscope.perturb import ORIGINAL, REPLACE_WORD, PerturbReport
+
+    condition = draw(st.sampled_from(CONDITIONS))
+    total = draw(st.integers(0, 10**9))
+    replaced = draw(st.integers(0, total)) if condition == REPLACE_WORD else 0
+    seed = None if condition == ORIGINAL else draw(st.integers(0, 2**63 - 1))
+    return asdict(PerturbReport(condition, total, replaced,
+                                replaced / total if total else 0.0, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_NAME, st.sampled_from(CONDITIONS), st.integers(0, 99), st.lists(_ROW, max_size=5),
+       _report(), st.text(max_size=8))
+def test_cell_record_round_trip_property(domain, condition, seed, rows, report, other_key):
+    """_load_record gives back what _write_record wrote: the typed rows and
+    report, each accuracy bit for bit, n and ties as ints. Under another key
+    the record is a miss."""
+    import tempfile
+
+    import verbscope.experiment as exp
+
+    unit = exp._unit((domain, condition, seed))
+    key = "k" * 64
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        exp._unit_dir(out, unit).mkdir(parents=True)
+        exp._write_record(out, unit, key, rows, report)
+        record = exp._load_record(out, unit, key)
+        assert record == {"key": key, "rows": rows, "report": report}
+        for got, want in zip(record["rows"], rows):
+            assert type(got["accuracy"]) is float
+            assert got["accuracy"].hex() == want["accuracy"].hex()
+            assert type(got["n"]) is int and type(got["ties"]) is int
+        assert type(record["report"]["replacement_rate"]) is float
+        assert exp._load_record(out, unit, other_key) is None

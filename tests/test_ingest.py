@@ -112,6 +112,15 @@ class TestReadConllu:
         assert [t.form for t in corpus.sentences[0].tokens] == ["de", "le", "chat"]
 
 
+# whitespace that str.split() cuts at, inside forms a text line must keep whole
+_TEXT_FORM = st.builds(
+    lambda head, space, tail: head + space + tail,
+    st.text(st.characters(exclude_categories=("Cs", "Zs", "Zl", "Zp", "Cc")), max_size=3),
+    st.sampled_from(["", "", "", " ", "\xa0", "\x85", "\u2028", "\u3000", "\x1c"]),
+    st.text(st.characters(exclude_categories=("Cs", "Zs", "Zl", "Zp", "Cc")), max_size=3),
+).filter(bool)
+
+
 class TestRoundTrip:
     def test_conllu_round_trip_is_field_identical(self, tmp_path, chat_fixture):
         subset = Corpus(chat_fixture.sentences[:100], domain="chat")
@@ -125,6 +134,34 @@ class TestRoundTrip:
         path = tmp_path / "t.txt"
         write_corpus(corpus, path, "text")
         assert path.read_text() == "you want it ?\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(_TEXT_FORM, min_size=1, max_size=4), min_size=1, max_size=4))
+    def test_text_output_refuses_a_form_holding_whitespace_property(self, sentences):
+        """Text output of forms without whitespace is their space-joined
+        lines, which read back as the same forms. A form holding whitespace
+        would read back as other forms: it is refused, naming the first such
+        sentence and form, and no file is written."""
+        corpus = Corpus(
+            tuple(AnnotatedSentence(tuple(map(Token, forms)), f"s{i}")
+                  for i, forms in enumerate(sentences))
+        )
+        bad = [(sid, form) for sid, forms in enumerate(sentences) for form in forms
+               if any(c.isspace() for c in form)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.txt"
+            if bad:
+                sid, form = bad[0]
+                message = (f"sentence 's{sid}': form {form!r} contains whitespace, "
+                           "which the space-joined text format cannot store")
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    write_corpus(corpus, path, "text")
+                assert list(Path(tmp).iterdir()) == []
+                return
+            write_corpus(corpus, path, "text")
+            lines = "".join(" ".join(forms) + "\n" for forms in sentences)
+            assert path.read_bytes() == lines.encode("utf-8")
+            assert [s.forms() for s in read_plaintext(path)] == sentences
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -405,15 +442,9 @@ class TestSplitCorpus:
         with pytest.raises(ValueError, match="at least 3"):
             split_corpus(self._corpus(2))
 
-    def test_already_split_rejected(self):
-        corpus = corpus_of("a/X/X", "b/X/X", "c/X/X", "d/X/X", split="train")
-        with pytest.raises(ValueError, match="already split"):
-            split_corpus(corpus)
-
-    def test_labels_and_domain_set(self):
+    def test_domain_set(self):
         corpus = corpus_of(*[f"w{i}/X/X" for i in range(6)], domain="d")
         parts = split_corpus(corpus)
-        assert [p.split for p in parts] == ["train", "dev", "test"]
         assert all(p.domain == "d" for p in parts)
 
     @given(st.integers(min_value=6, max_value=400))

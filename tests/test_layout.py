@@ -180,11 +180,12 @@ def test_a_batch_scores_as_two_columns():
     import verbscope.experiment as experiment
     import verbscope.scorer.ngram as ngram
     import verbscope.scorer.scoring as scoring
+    from verbscope.corpus import Forms
 
     assert not hasattr(ngram, "SentenceScore")
     assert not hasattr(scoring, "scored_pairs")
     assert not _names(Path(experiment.__file__)) & {"SentenceScore", "scored_pairs"}
-    lm = ngram.train_ngram([["a", "b"], ["b"]], 2)
+    lm = ngram.train_ngram(Forms.encode([["a", "b"], ["b"]]), 2)
     logprobs, counts = scoring.score_sentences(
         lm, scoring.Sentences([("x", ["a", "b"]), ("y", ["b"]), ("z", ["a", "b"])])
     )

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verbscope.corpus import AnnotatedSentence, Corpus, Token
+from verbscope.corpus import AnnotatedSentence, Corpus, Forms, Token
 from verbscope.pairgen import MinimalPair
 from verbscope.scorer.ngram import (
     BOS,
@@ -283,11 +283,11 @@ class TestPacking:
         forms = [f"w{i:04d}" for i in range(1000)]
         message = r"a vocabulary of 1000 forms at order 7 packs n-grams into codes up to 1003\*\*7 - 1"
         with pytest.raises(ValueError, match=message):
-            train_ngram([forms], 7)
-        lm = train_ngram([forms], 6)  # 1003**6 stays below 2**63
+            train_ngram(Forms.encode([forms]), 7)
+        lm = train_ngram(Forms.encode([forms]), 6)  # 1003**6 stays below 2**63
         assert score_sentences(lm, Sentences([("s", forms[:3])]))[1] == [4]
         path = tmp_path / "m.lm"
-        save_lm(train_ngram([["a"]], 7), path)
+        save_lm(train_ngram(Forms.encode([["a"]]), 7), path)
         lines = path.read_text().splitlines()
         assert lines[4] == "forms\t1"
         lines[4] = "forms\t1000"
@@ -420,7 +420,7 @@ _LM_SENTENCES = st.lists(_LM_FORMS, max_size=5)
 def test_lm_round_trip_property(corpus, order, min_count_unk, discount, probes):
     """save_lm -> load_lm -> save_lm gives the same bytes, and the loaded
     model scores every probe, unseen forms included, as the trained one."""
-    lm = train_ngram(corpus, order, min_count_unk, discount)
+    lm = train_ngram(Forms.encode(corpus), order, min_count_unk, discount)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.lm", Path(tmp) / "b.lm"
         save_lm(lm, first)

@@ -1,7 +1,11 @@
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from verbscope.corpus import AnnotatedSentence, Corpus, Token
 from verbscope.tagger import (
     MODEL_VERSION,
     heuristic_root,
@@ -106,6 +110,19 @@ class TestSerialization:
             load_tagger(path)
 
 
+    def test_a_upos_holding_the_separator_is_refused(self, tmp_path):
+        """A composite tag splits at its first "|": a UPOS holding one would
+        come back as another (upos, xpos) pair."""
+        corpus = corpus_of("a/NOUN/NN b/VERB/VB", "c/X|Y/Z d/VERB/VB")
+        message = "sentence 's2': token 'c' has UPOS 'X|Y', which holds the tagger's separator '|'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train_tagger(corpus, epochs=1)
+        path = tmp_path / "bad.model"
+        path.write_text(f"{MODEL_VERSION}\nmft\tNOUN|NN\ntagpair\tX|Y\tZ\n")
+        message = f"{path}: line 3: UPOS 'X|Y' holds the tagger's separator '|'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_tagger(path)
+
     @pytest.mark.parametrize(
         "line, message",
         [
@@ -118,6 +135,54 @@ class TestSerialization:
         path.write_text(f"{MODEL_VERSION}\nmft\tNOUN/NN\n{line}\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
             load_tagger(path)
+
+
+# forms and tags a model file must keep whole: whitespace that is no line
+# break to a file reader, separators, and strings the features themselves use
+_FORM = st.sampled_from(
+    ["\x0c", "\x1c", "\x85", "\u2028", "\u2029", "a b", "İ", "ǅ", "|", "w=x", "-t1-", "<s>"]
+) | st.text(st.characters(exclude_characters="\t\n\r", exclude_categories=("Cs",)),
+            min_size=1, max_size=4)
+_UPOS = st.sampled_from(["NOUN", "VERB", "ü\x85"]) | st.text(
+    st.characters(exclude_characters="\t\n\r|", exclude_categories=("Cs",)), min_size=1,
+    max_size=3,
+).filter(lambda u: u != "UNK")
+_XPOS = st.sampled_from(["", "NN", "|", "a|b"]) | st.text(
+    st.characters(exclude_characters="\t\n\r", exclude_categories=("Cs",)), max_size=3
+)
+_SENTENCES = st.lists(st.lists(st.tuples(_FORM, _UPOS, _XPOS), min_size=1, max_size=4),
+                      min_size=1, max_size=5)
+
+
+def _tagged(sentences) -> Corpus:
+    return Corpus(tuple(
+        AnnotatedSentence(tuple(Token(form, upos=u, xpos=x) for form, u, x in words), f"s{i}")
+        for i, words in enumerate(sentences)
+    ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SENTENCES, st.none() | _SENTENCES, st.integers(0, 3), st.integers(0, 9),
+       st.lists(st.lists(_FORM, min_size=1, max_size=5), max_size=4))
+def test_tagger_model_round_trip_property(train, heldout, epochs, seed, probes):
+    """load_tagger(save_tagger(model)) equals the model: its weights bit for
+    bit, its tag set, fallback tag and accuracy with its kind. It tags the
+    training forms and unseen adversarial forms as the model does."""
+    model = train_tagger(_tagged(train), epochs=epochs, seed=seed,
+                         heldout=None if heldout is None else _tagged(heldout))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.model"
+        save_tagger(model, path)
+        loaded = load_tagger(path)
+    assert loaded == model
+    bits = lambda m: sorted((f, t, w.hex()) for f, per in m.feature_weights.items()
+                            for t, w in per.items())
+    assert bits(loaded) == bits(model)
+    assert (loaded.tag_set, loaded.most_frequent_tag) == (model.tag_set, model.most_frequent_tag)
+    assert loaded.reported_accuracy.hex() == model.reported_accuracy.hex()
+    assert loaded.accuracy_kind == model.accuracy_kind
+    for forms in [[form for form, _u, _x in words] for words in train] + probes:
+        assert loaded.predict(forms) == model.predict(forms)
 
 
 class TestHeuristicRoot:
